@@ -11,11 +11,13 @@ import gasketlab as gl
 from gasketlab.geometry import (
     CORNERS,
     GasketError,
+    GasketModel,
     ResourceCapError,
     Word,
     as_word,
     cell_index,
     cell_map,
+    _endpoint_nodes,
     edge_count,
     index_word,
     sg_hierarchy,
@@ -180,6 +182,33 @@ def test_sg_vertex_counts():
     for n in range(1, 5):
         expected = 3 * (3 ** n + 1) // 2
         assert len(gl.model_vertices(gl.build_model("sg", n))) == expected
+
+
+@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.2)])
+def test_endpoint_nodes_match_row_unique(variant, alpha):
+    # the lexsort dedup must reproduce np.unique's rows and ids bit for bit
+    for level in range(9):
+        model = gl.build_model(variant, level, alpha)
+        pts = np.array([e.p for e in model.edges] + [e.q for e in model.edges])
+        ref, ref_ids = np.unique(np.round(pts, 12), axis=0, return_inverse=True)
+        nodes, ids = _endpoint_nodes(model)
+        assert nodes.dtype == ref.dtype and nodes.shape == ref.shape
+        assert nodes.tobytes() == ref.tobytes()
+        np.testing.assert_array_equal(ids, ref_ids.reshape(-1))
+        assert gl.model_vertices(model).tobytes() == ref.tobytes()
+
+
+def test_model_hash_is_cached_and_not_pickled():
+    import pickle
+
+    model = gl.build_model("stretched", 2, 0.2)
+    fields = (model.variant, model.alpha, model.level, model.edges)
+    assert hash(model) == hash(fields)
+    assert model.__dict__["_hash"] == hash(fields)
+    twin = GasketModel(*fields)
+    assert twin == model and hash(twin) == hash(model)
+    again = pickle.loads(pickle.dumps(model))
+    assert again == model and "_hash" not in again.__dict__
 
 
 def test_stretched_vertices_match_enumeration_oracle():

@@ -9,7 +9,13 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 import gasketlab as gl
 from gasketlab.geometry import EdgeCurve, GasketError, GasketModel
-from gasketlab.metric import arc_slacks, distance_field, to_metric_graph
+from gasketlab.metric import (
+    _chains_attain,
+    _dijkstra,
+    arc_slacks,
+    distance_field,
+    to_metric_graph,
+)
 
 SQ3 = math.sqrt(3.0)
 
@@ -21,15 +27,47 @@ def _node_id(graph, point):
     return idx
 
 
-def _scipy_distances(graph, source):
+def _scipy_distances(graph, source, split=None):
+    """Reference distances; ``split=(arc, t)`` adds a node n that cuts the
+    arc at parameter t, as the geodesic code does for joining segments."""
     n = graph.node_count
     rows, cols, weights = [], [], []
     for u, v, w, _ in graph.arcs:
         rows += [u, v]
         cols += [v, u]
         weights += [w, w]
+    if split is not None:
+        arc, t = split
+        u, v, w, _ = graph.arcs[arc]
+        rows += [n, u, n, v]
+        cols += [u, n, v, n]
+        weights += [t * w, t * w, (1 - t) * w, (1 - t) * w]
+        n += 1
     mat = csr_matrix((weights, (rows, cols)), shape=(n, n))
     return scipy_dijkstra(mat, indices=source)
+
+
+def _old_style_graph(model):
+    """Nodes, arcs and sorted neighbour tuples rebuilt edge by edge, the
+    way the tuple-based graph was assembled."""
+    pts = np.array([e.p for e in model.edges] + [e.q for e in model.edges])
+    nodes, inverse = np.unique(np.round(pts, 12), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    m = len(model.edges)
+    arcs = tuple((int(inverse[i]), int(inverse[i + m]), e.length, e.kind)
+                 for i, e in enumerate(model.edges))
+    adj = [[] for _ in range(len(nodes))]
+    for u, v, w, _ in arcs:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    return nodes, arcs, tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+
+def _path_of(pred, source, target):
+    path = [target]
+    while path[-1] != source:
+        path.append(pred[path[-1]])
+    return path[::-1]
 
 
 # -- graph construction ------------------------------------------------------
@@ -59,6 +97,43 @@ def test_interior_cell_corner_has_degree_three():
     kinds = sorted(k for u, v, _, k in graph.arcs if node in (u, v))
     assert kinds == ["stretched-joining", "stretched-triangle",
                      "stretched-triangle"]
+
+
+@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.2)])
+def test_csr_rows_match_sorted_neighbour_tuples(variant, alpha):
+    model = gl.build_model(variant, 4, alpha)
+    graph = to_metric_graph(model)
+    nodes, _, neighbors = _old_style_graph(model)
+    assert graph.nodes.tobytes() == nodes.tobytes()
+    assert graph.indptr[-1] == len(graph.indices) == 2 * len(model.edges)
+    for u, row in enumerate(neighbors):
+        lo, hi = graph.indptr[u], graph.indptr[u + 1]
+        assert list(zip(graph.indices[lo:hi].tolist(),
+                        graph.weights[lo:hi].tolist())) == list(row)
+
+
+def test_tuple_views_match_old_style_rebuild():
+    model = gl.build_model("stretched", 4, 0.25)
+    graph = to_metric_graph(model)
+    _, arcs, neighbors = _old_style_graph(model)
+    assert graph.arcs == arcs
+    assert graph.neighbors == neighbors
+    assert graph.arcs is graph.arcs            # built once, not per access
+    assert graph.neighbors is graph.neighbors
+
+
+def test_graph_cache_hits_and_coarse_levels_are_reused(monkeypatch):
+    model = gl.build_model("stretched", 4, 0.2)
+    assert to_metric_graph(model) is to_metric_graph(model)
+    coarse = to_metric_graph(model, 2)
+    builds = []
+    real_build = gl.metric.build_model
+    monkeypatch.setattr(gl.metric, "build_model",
+                        lambda *a, **k: builds.append(a) or real_build(*a, **k))
+    assert to_metric_graph(model, 2) is coarse
+    assert builds == []
+    assert coarse.level == 2
+    assert coarse.node_count == to_metric_graph(gl.build_model("stretched", 2, 0.2)).node_count
 
 
 def test_disconnected_construction_is_rejected():
@@ -118,6 +193,54 @@ def test_against_scipy_dijkstra():
         ours = distance_field(graph, int(source))
         ref = _scipy_distances(graph, int(source))
         np.testing.assert_allclose(ours, ref, atol=1e-12)
+
+
+def test_vertex_geodesics_against_scipy_dijkstra():
+    model = gl.build_model("stretched", 4, 0.2)
+    graph = to_metric_graph(model)
+    rng = np.random.default_rng(21)
+    for a, b in rng.integers(0, graph.node_count, size=(12, 2)):
+        res = gl.geodesic(model, graph.nodes[a], graph.nodes[b])
+        ref = _scipy_distances(graph, int(a))[b]
+        assert res.error_bar == 0.0
+        assert res.distance == pytest.approx(ref, rel=1e-12, abs=1e-15)
+        assert (res.path[0], res.path[-1]) == (a, b)
+
+
+@pytest.mark.parametrize("kind", ["stretched-joining", "stretched-triangle"])
+def test_offnode_geodesics_against_scipy_with_split_arc(kind):
+    model = gl.build_model("stretched", 4, 0.2)
+    graph = to_metric_graph(model)
+    pool = [i for i, arc in enumerate(graph.arcs) if arc[3] == kind]
+    rng = np.random.default_rng(22)
+    for _ in range(10):
+        arc = pool[rng.integers(len(pool))]
+        t = float(rng.uniform(0.05, 0.95))
+        u, v, w, _ = graph.arcs[arc]
+        point = graph.nodes[u] + t * (graph.nodes[v] - graph.nodes[u])
+        b = int(rng.integers(graph.node_count))
+        res = gl.geodesic(model, point, graph.nodes[b])
+        exact = _scipy_distances(graph, graph.node_count, split=(arc, t))[b]
+        if kind == "stretched-joining":
+            assert res.error_bar == 0.0
+            assert res.distance == pytest.approx(exact, rel=1e-12, abs=1e-15)
+        else:
+            snapped = u if t <= 0.5 else v
+            assert res.error_bar == w
+            assert res.path[0] == snapped
+            assert res.distance == pytest.approx(
+                _scipy_distances(graph, snapped)[b], rel=1e-12, abs=1e-15)
+            assert abs(res.distance - exact) <= res.error_bar + 1e-12
+
+
+def test_stopping_dijkstra_matches_full_run():
+    graph = to_metric_graph(gl.build_model("stretched", 4, 0.2))
+    for s in (0, 17, graph.node_count - 1):
+        full_dist, full_pred = _dijkstra(graph, s)
+        for t in range(graph.node_count):
+            dist, pred = _dijkstra(graph, s, target=t)
+            assert dist[t] == full_dist[t]
+            assert _path_of(pred, s, t) == _path_of(full_pred, s, t)
 
 
 def test_metric_axioms_on_random_triples():
@@ -210,6 +333,35 @@ def test_doubled_distance_field_violates_an_arc():
     field = distance_field(graph, 0)
     slacks = arc_slacks(graph, 2.0 * field)
     assert slacks.max() > 1e-6
+
+
+def test_chain_check_rejects_one_perturbed_entry():
+    graph = to_metric_graph(gl.build_model("stretched", 3, 0.2))
+    q = 5
+    dist, pred = _dijkstra(graph, q)
+    field = np.array(dist)
+    targets = np.random.default_rng(24).integers(0, graph.node_count, size=20)
+    assert _chains_attain(graph, field, pred, q, targets)
+    bad = field.copy()
+    t = int(targets[targets != q][0])
+    bad[t] *= 1 + 1e-9
+    assert not _chains_attain(graph, bad, pred, q, targets)
+    assert not _chains_attain(graph, field - field[t], pred, q, targets)   # h(q) != 0
+
+
+def test_witness_attained_all_fails_for_wrong_field(monkeypatch):
+    # a field that is 1-Lipschitz but not d(., q) must not be reported attained
+    model = gl.build_model("stretched", 3, 0.2)
+    real = gl.metric._dijkstra
+
+    def halved(*args, **kwargs):
+        dist, pred = real(*args, **kwargs)
+        return [d / 2 for d in dist], pred
+
+    monkeypatch.setattr(gl.metric, "_dijkstra", halved)
+    report = gl.lipschitz_witness_check(model, 0)
+    assert report.lipschitz_ok
+    assert not report.attained_all and not report.ok
 
 
 def test_witness_target_validation():
