@@ -34,14 +34,14 @@ class MetricGraph:
 
     ``nodes`` are sorted lexicographically by coordinates.  Arc i joins
     ``arc_u[i]`` and ``arc_v[i]`` with weight ``arc_w[i]`` and kind
-    ``arc_kind[i]``, in model edge order.  The adjacency is CSR: the
-    neighbours of node u are ``indices[indptr[u]:indptr[u + 1]]`` with
-    ``weights`` alongside, each row sorted by (neighbour, weight), which
-    fixes Dijkstra's tie-breaking.  ``arcs`` and ``neighbors`` are
-    tuple views of the same data, built once on first use (about 15 ms
-    each at 30k arcs).  A geodesic query costs one vectorised projection
-    onto every arc per off-node endpoint plus a Dijkstra run stopped at
-    the target; a witness check costs a full run.
+    ``arc_kind[i]``, in model edge order.  ``neighbors[u]`` holds the
+    (neighbour, weight) pairs of node u sorted by neighbour, then weight,
+    which fixes Dijkstra's tie-breaking; the shortest-path loops iterate
+    these tuples faster than index arrays.  ``arcs`` is a tuple view of
+    the arc arrays, built once on first use (about 15 ms at 30k arcs).  A
+    geodesic query costs one vectorised projection onto every arc per
+    off-node endpoint plus a Dijkstra run stopped at the target; a
+    witness check costs a full run.
     """
 
     level: int
@@ -50,9 +50,7 @@ class MetricGraph:
     arc_v: np.ndarray
     arc_w: np.ndarray
     arc_kind: tuple[str, ...]
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
+    neighbors: tuple[tuple[tuple[int, float], ...], ...]
 
     @property
     def node_count(self) -> int:
@@ -63,14 +61,6 @@ class MetricGraph:
         """(u, v, weight, kind) per arc."""
         return tuple(zip(self.arc_u.tolist(), self.arc_v.tolist(),
                          self.arc_w.tolist(), self.arc_kind))
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Sorted (neighbour, weight) pairs per node: the CSR rows as
-        tuples, which the shortest-path loops iterate fastest."""
-        pairs = list(zip(self.indices.tolist(), self.weights.tolist()))
-        bounds = self.indptr.tolist()
-        return tuple(tuple(pairs[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def _is_connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
@@ -109,24 +99,18 @@ def _assemble_graph(model: GasketModel) -> MetricGraph:
     head = np.concatenate([arc_v, arc_u])
     both = np.concatenate([arc_w, arc_w])
     order = np.lexsort((both, head, tail))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(tail, minlength=n), out=indptr[1:])
-    indices, weights = head[order], both[order]
-    for arr in (nodes, arc_u, arc_v, arc_w, indptr, indices, weights):
+    pairs = list(zip(head[order].tolist(), both[order].tolist()))
+    ends = np.cumsum(np.bincount(tail, minlength=n)).tolist()
+    neighbors = tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
+    for arr in (nodes, arc_u, arc_v, arc_w):
         arr.flags.writeable = False
     return MetricGraph(model.level, nodes, arc_u, arc_v, arc_w, arc_kind,
-                       indptr, indices, weights)
+                       neighbors)
 
 
 @lru_cache(maxsize=16)
 def _graph_of_model(model: GasketModel) -> MetricGraph:
     return _assemble_graph(model)
-
-
-@lru_cache(maxsize=16)
-def _graph_at_level(variant: str, level: int, alpha: Optional[float]) -> MetricGraph:
-    # build_model's own output, so (variant, level, alpha) identifies it
-    return _graph_of_model(build_model(variant, level, alpha))
 
 
 def to_metric_graph(model: GasketModel, level: Optional[int] = None) -> MetricGraph:
@@ -137,14 +121,14 @@ def to_metric_graph(model: GasketModel, level: Optional[int] = None) -> MetricGr
         return _graph_of_model(model)
     if level > model.level:
         raise GasketError(f"level {level} exceeds model level {model.level}")
-    return _graph_at_level(model.variant, level, model.alpha)
+    return _graph_of_model(build_model(model.variant, level, model.alpha))
 
 
 def _dijkstra(graph: MetricGraph, source: int,
               extra: Optional[dict[int, list[tuple[int, float]]]] = None,
               target: Optional[int] = None):
-    """Binary-heap Dijkstra over the sorted CSR rows (the ``neighbors``
-    view), each followed by the node's ``extra`` overlay arcs.
+    """Binary-heap Dijkstra over the sorted ``neighbors`` rows, each
+    followed by the node's ``extra`` overlay arcs.
 
     The (distance, node) heap keys break ties by smaller node id, keeping
     paths deterministic.  With ``target`` the search stops once the target
@@ -211,14 +195,16 @@ def _locate(graph: MetricGraph, point, virtual_id: int) -> _Endpoint:
 
     # project x onto every arc in one pass, then rescan with the scalar
     # formula the arcs within rounding of the best gap, so the winning
-    # arc, t and gap are exactly those of a scalar scan over all arcs
+    # arc, t and gap are exactly those of a scalar scan over all arcs; a
+    # zero-length arc projects to NaN and, as in that scan, never wins
     ends = graph.nodes[graph.arc_u]
     dirs = graph.nodes[graph.arc_v] - ends
-    ts = np.clip(np.einsum("ij,ij->i", x - ends, dirs)
-                 / np.einsum("ij,ij->i", dirs, dirs), 0.0, 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ts = np.clip(np.einsum("ij,ij->i", x - ends, dirs)
+                     / np.einsum("ij,ij->i", dirs, dirs), 0.0, 1.0)
     gaps = np.hypot(*(x - (ends + ts[:, None] * dirs)).T)
     best = (math.inf, -1, 0.0)     # (segment distance, arc index, parameter t)
-    for idx in np.flatnonzero(gaps <= gaps.min() + 1e-12).tolist():
+    for idx in np.flatnonzero(gaps <= np.fmin.reduce(gaps) + 1e-12).tolist():
         a, d = ends[idx], dirs[idx]
         t = float(np.clip(np.dot(x - a, d) / np.dot(d, d), 0.0, 1.0))
         gap = float(np.linalg.norm(x - (a + t * d)))

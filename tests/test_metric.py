@@ -99,41 +99,38 @@ def test_interior_cell_corner_has_degree_three():
                      "stretched-triangle"]
 
 
-@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.2)])
-def test_csr_rows_match_sorted_neighbour_tuples(variant, alpha):
+@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.25)])
+def test_tuple_views_match_old_style_rebuild(variant, alpha):
     model = gl.build_model(variant, 4, alpha)
     graph = to_metric_graph(model)
-    nodes, _, neighbors = _old_style_graph(model)
+    nodes, arcs, neighbors = _old_style_graph(model)
     assert graph.nodes.tobytes() == nodes.tobytes()
-    assert graph.indptr[-1] == len(graph.indices) == 2 * len(model.edges)
-    for u, row in enumerate(neighbors):
-        lo, hi = graph.indptr[u], graph.indptr[u + 1]
-        assert list(zip(graph.indices[lo:hi].tolist(),
-                        graph.weights[lo:hi].tolist())) == list(row)
-
-
-def test_tuple_views_match_old_style_rebuild():
-    model = gl.build_model("stretched", 4, 0.25)
-    graph = to_metric_graph(model)
-    _, arcs, neighbors = _old_style_graph(model)
     assert graph.arcs == arcs
     assert graph.neighbors == neighbors
     assert graph.arcs is graph.arcs            # built once, not per access
-    assert graph.neighbors is graph.neighbors
 
 
-def test_graph_cache_hits_and_coarse_levels_are_reused(monkeypatch):
+def test_graph_cache_hits_and_coarse_levels():
     model = gl.build_model("stretched", 4, 0.2)
     assert to_metric_graph(model) is to_metric_graph(model)
     coarse = to_metric_graph(model, 2)
-    builds = []
-    real_build = gl.metric.build_model
-    monkeypatch.setattr(gl.metric, "build_model",
-                        lambda *a, **k: builds.append(a) or real_build(*a, **k))
-    assert to_metric_graph(model, 2) is coarse
-    assert builds == []
+    direct = to_metric_graph(gl.build_model("stretched", 2, 0.2))
     assert coarse.level == 2
-    assert coarse.node_count == to_metric_graph(gl.build_model("stretched", 2, 0.2)).node_count
+    assert coarse is direct                    # equal models share one graph
+
+
+def test_zero_length_edge_does_not_hide_other_arcs():
+    model = gl.build_model("stretched", 1, 0.2)
+    graph = to_metric_graph(model)
+    node = tuple(graph.nodes[0].tolist())
+    stub = EdgeCurve(len(model.edges), "stretched-triangle", 0, node, node, 0.0, "")
+    padded = GasketModel(model.variant, model.alpha, model.level,
+                         model.edges + (stub,))
+    arc = next(i for i, a in enumerate(graph.arcs) if a[3] == "stretched-joining")
+    u, v, _, _ = graph.arcs[arc]
+    point = 0.3 * graph.nodes[u] + 0.7 * graph.nodes[v]
+    far = graph.nodes[-1]
+    assert gl.geodesic(padded, point, far) == gl.geodesic(model, point, far)
 
 
 def test_disconnected_construction_is_rejected():
