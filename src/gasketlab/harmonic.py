@@ -26,7 +26,19 @@ the fixed point under this normalization of Phi.)
 
 Image edges have no closed-form length; ``estimate_edge_length`` brackets
 them between a dyadic polyline length (below) and a sampled-diameter
-envelope (above).
+envelope (above).  Both come from one exact identity: Phi is affine in
+(h1, h2, h3) with h1 + h2 + h3 = 1, and h . f_w is harmonic with corner
+values h(f_w p_j), so for every base point y
+
+    Phi(f_w y) = sum_j h_j(y) Phi(f_w p_j).
+
+A point of cell w's image has the base point's harmonic values as
+barycentric weights on the corner images of w.  Edge polylines and
+length tables therefore need only the level-n corner images and the
+level-k harmonic values along the three base edges, never the level
+n+k mesh.  The h_j are >= 0 and the midpoint rule's weights (2, 2, 1)/5
+are convex, so every sampled image of a cell lies in the triangle of
+its corner images, and the sampled diameter is the largest corner chord.
 """
 
 from __future__ import annotations
@@ -166,9 +178,15 @@ def _h_arrays(level: int) -> tuple[np.ndarray, ...]:
     return tuple(fns)
 
 
+@lru_cache(maxsize=16)
 def phi_coordinates(level: int) -> np.ndarray:
-    """Images of all level-n vertices under the harmonic embedding, (N, 3)."""
-    return (_h_arrays(level)[level] - 1.0 / 3.0) / SQRT2
+    """Images of all level-n vertices under the harmonic embedding, (N, 3).
+
+    Cached and shared: the array is read-only.
+    """
+    out = (_h_arrays(level)[level] - 1.0 / 3.0) / SQRT2
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -283,11 +301,19 @@ def m_word_norm(word, qprime_sign: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_levels(level: int) -> None:
-    if 3 ** level > edge_cap():
+def _require_cap(gen: int, depth: int, samples: int) -> None:
+    """Refuse a pass before it allocates anything.
+
+    A pass over generation-``gen`` cells at subdivision ``depth`` reads
+    the level-gen and level-depth meshes and allocates ``samples`` rows
+    of points or segments; the largest of the three counts is held to
+    the edge cap.
+    """
+    need = max(3 ** gen, 3 ** depth, samples)
+    if need > edge_cap():
         raise ResourceCapError(
-            f"length estimation needs {3 ** level} cells at level {level}, "
-            f"cap is {edge_cap()}"
+            f"generation {gen} at subdivision depth {depth} needs {need} "
+            f"cells or samples, cap is {edge_cap()}"
         )
 
 
@@ -304,51 +330,76 @@ def _dyadic_offsets(i: int, j: int, depth: int) -> np.ndarray:
     return offs
 
 
-def _segment_bounds(gen: int, depth: int, phis) -> tuple[np.ndarray, np.ndarray]:
+def _dyadic_weights(i: int, j: int, depth: int) -> np.ndarray:
+    """Harmonic values at the corners of the depth-k cells along base edge (i, j).
+
+    Shape (2^k, 3 corners, 3 values h_1..h_3), cells in walking order.
+    """
+    cells = sg_hierarchy(depth)[depth].cells
+    return _h_arrays(depth)[depth][cells[_dyadic_offsets(i, j, depth)]]
+
+
+def _corner_images(gen: int) -> np.ndarray:
+    """Phi(f_w p_j) for every generation-n cell w, shape (3^n, 3, 3)."""
+    return phi_coordinates(gen)[sg_hierarchy(gen)[gen].cells]
+
+
+def _on_cells(weights: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Apply base-point weights to the corner images of many cells.
+
+    ``weights`` (S, 3) holds harmonic values h(y) of base points y, or
+    differences of them; ``corners`` (C, 3, 3) holds Phi(f_w p_j).
+    Returns (C, S, 3): Phi(f_w y) = sum_j h_j(y) Phi(f_w p_j), or the
+    chord vectors between such images.
+    """
+    return np.einsum("sj,cjx->csx", weights, corners)
+
+
+def _segment_bounds(gen: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-edge (lo, hi) arrays for all generation-``gen`` edges.
 
     Edge order matches the model enumeration: word-major, local-minor.
+    A segment of a generation-n edge is the image of a depth-k cell u
+    along the base edge; its corner images are Phi(f_w f_u p_c) =
+    sum_j h_j(f_u p_c) Phi(f_w p_j), so chord vectors are differences of
+    the level-k harmonic values applied to the corners of cell w.
     Lower bound: chord polyline through the 2^k+1 dyadic vertex images.
-    Upper bound: per segment, twice the diameter of the owning depth
-    (gen+k) cell, sampled from its corner and midpoint images.
+    Upper bound: per segment, twice the diameter of its depth-(gen+k)
+    cell's image, sampled at its corners and midpoints.  The midpoint
+    values are (2, 2, 1)/5 averages of the corner values, so all six
+    images lie in the triangle of the three corner images and the
+    sampled diameter is the largest of the three corner chords.
     """
-    level = gen + depth
-    cells_fine = sg_hierarchy(level + 1)[level].cells
-    cells_next = sg_hierarchy(level + 1)[level + 1].cells
-    phi_next = phis[level + 1]
-    ncell = 3 ** gen
+    corners = _corner_images(gen)
+    ncell = len(corners)
     lo = np.empty((ncell, 3))
     hi = np.empty((ncell, 3))
-    rows0 = np.arange(ncell, dtype=np.int64) * 3 ** depth
     for local, (i, j) in enumerate(TRIANGLE_EDGE_CORNERS):
-        rows = (rows0[:, None] + _dyadic_offsets(i, j, depth)[None, :]).reshape(-1)
-        corners = cells_fine[rows]
-        pi = phi_next[corners[:, i]]
-        pj = phi_next[corners[:, j]]
-        chords = np.linalg.norm(pi - pj, axis=1)
-        lo[:, local] = chords.reshape(ncell, -1).sum(axis=1)
-        # six sampled points per segment cell: 3 corners + 3 midpoints
-        child0 = rows * 3
-        mids = np.stack([cells_next[child0][:, 1],
-                         cells_next[child0][:, 2],
-                         cells_next[child0 + 1][:, 2]], axis=1)
-        sample = phi_next[np.concatenate([corners, mids], axis=1)]
-        gaps = np.linalg.norm(sample[:, :, None, :] - sample[:, None, :, :], axis=-1)
-        diam = gaps.max(axis=(1, 2))
-        hi[:, local] = 2.0 * diam.reshape(ncell, -1).sum(axis=1)
+        w = _dyadic_weights(i, j, depth)                  # (S, 3, 3)
+        # corner pairs (0, 1), (0, 2), (1, 2); pair {i, j} sits at i + j - 1
+        diffs = w[:, [0, 0, 1]] - w[:, [1, 2, 2]]         # (S, 3 pairs, 3)
+        chords = np.linalg.norm(
+            _on_cells(diffs.reshape(-1, 3), corners), axis=-1
+        ).reshape(ncell, -1, 3)                           # (C, S, 3 pairs)
+        lo[:, local] = chords[:, :, i + j - 1].sum(axis=1)
+        hi[:, local] = 2.0 * chords.max(axis=2).sum(axis=1)
     return lo.reshape(-1), hi.reshape(-1)
 
 
 @lru_cache(maxsize=8)
 def edge_length_tables(max_gen: int, depth: int):
-    """Length-bound tables [(lo, hi)] for generations 0..max_gen (cached)."""
+    """Length-bound tables [(lo, hi)] for generations 0..max_gen (cached).
+
+    Reads only the level-max_gen and level-depth meshes; the largest
+    table holds 3^(max_gen+1) 2^depth segments, which the edge cap
+    bounds before anything is built.
+    """
     if depth < 1:
         raise GasketError("subdivision depth must be >= 1")
-    _require_levels(max_gen + depth + 1)
-    phis = [phi_coordinates(m) for m in range(max_gen + depth + 2)]
+    _require_cap(max_gen, depth, 3 ** (max_gen + 1) * 2 ** depth)
     tables = []
     for gen in range(max_gen + 1):
-        lo, hi = _segment_bounds(gen, depth, phis)
+        lo, hi = _segment_bounds(gen, depth)
         lo.flags.writeable = False
         hi.flags.writeable = False
         tables.append((lo, hi))
@@ -371,21 +422,38 @@ def estimate_edge_length(word, local_edge: int, depth: int) -> tuple[float, floa
     return float(lo[pos]), float(hi[pos])
 
 
+def edge_polylines(words, local_edges, depth: int) -> np.ndarray:
+    """Dyadic sample points of many image edges, (E, 2^k + 1, 3).
+
+    Edge e is local edge ``local_edges[e]`` (1..3) of the cell addressed
+    by ``words[e]``; its points are the base-edge dyadic points carried
+    onto that cell, Phi(f_w y) = sum_j h_j(y) Phi(f_w p_j).
+    """
+    parsed = [as_word(w) for w in words]
+    gens = np.array([len(w) for w in parsed], dtype=np.int64)
+    rows = np.array([cell_index(w) for w in parsed], dtype=np.int64)
+    local = np.asarray(local_edges, dtype=np.int64) - 1
+    if len(local) != len(rows):
+        raise GasketError("one local edge index per word is required")
+    if np.any((local < 0) | (local > 2)):
+        raise GasketError("local edge index must be 1..3")
+    npts = 2 ** depth + 1
+    _require_cap(int(gens.max(initial=0)), depth, len(rows) * npts)
+    out = np.empty((len(rows), npts, 3))
+    for gen in np.unique(gens):
+        corners = _corner_images(int(gen))
+        for idx, (i, j) in enumerate(TRIANGLE_EDGE_CORNERS):
+            sel = np.flatnonzero((gens == gen) & (local == idx))
+            if len(sel):
+                w = _dyadic_weights(i, j, depth)
+                pts_w = np.concatenate([w[:, i], w[-1:, j]])
+                out[sel] = _on_cells(pts_w, corners[rows[sel]])
+    return out
+
+
 def edge_polyline(word, local_edge: int, depth: int) -> np.ndarray:
     """Dyadic sample points of one image edge, (2^k + 1, 3)."""
-    w = as_word(word)
-    gen = len(w)
-    level = gen + depth
-    _require_levels(level)
-    i, j = TRIANGLE_EDGE_CORNERS[local_edge - 1]
-    cells = sg_hierarchy(level)[level].cells
-    phis = phi_coordinates(level)
-    rows = cell_index(w) * 3 ** depth + _dyadic_offsets(i, j, depth)
-    corners = cells[rows]
-    pts = np.empty((len(rows) + 1, 3))
-    pts[:-1] = phis[corners[:, i]]
-    pts[-1] = phis[corners[-1, j]]
-    return pts
+    return edge_polylines([word], [local_edge], depth)[0]
 
 
 def gasket_diameter(level: int = 4) -> float:

@@ -8,6 +8,8 @@ Output bytes are a pure function of the model and options.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from gasketlab.geometry import GasketError, GasketModel
@@ -27,19 +29,18 @@ def _project_plane(points: np.ndarray) -> np.ndarray:
     return points @ basis
 
 
-def _model_segments(model: GasketModel) -> list[np.ndarray]:
+def _model_segments(model: GasketModel) -> Sequence[np.ndarray]:
     """Per edge, an (k, 2) array of polyline vertices in drawing coordinates."""
     if model.variant != "harmonic":
         return [np.array([e.p, e.q]) for e in model.edges]
     from gasketlab import harmonic
 
-    segments = []
-    for e in model.edges:
-        # harmonic models enumerate edges word-major, so id mod 3 is the
-        # local edge index
-        pts = harmonic.edge_polyline(e.word, e.id % 3 + 1, _POLYLINE_DEPTH)
-        segments.append(_project_plane(pts))
-    return segments
+    # harmonic models enumerate edges word-major, so id mod 3 is the
+    # local edge index
+    pts = harmonic.edge_polylines([e.word for e in model.edges],
+                                  [e.id % 3 + 1 for e in model.edges],
+                                  _POLYLINE_DEPTH)
+    return _project_plane(pts)
 
 
 def render_svg(model: GasketModel, width: int = 800) -> str:
@@ -47,7 +48,7 @@ def render_svg(model: GasketModel, width: int = 800) -> str:
     if width <= 0:
         raise GasketError("width must be positive")
     segments = _model_segments(model)
-    if segments:
+    if len(segments):
         allpts = np.concatenate(segments)
         lo = allpts.min(axis=0)
         hi = allpts.max(axis=0)
@@ -81,7 +82,8 @@ def render_svg(model: GasketModel, width: int = 800) -> str:
                 f'x2="{_coord(px[1, 0])}" y2="{_coord(px[1, 1])}"/>'
             )
         else:
-            coords = " ".join(f"{_coord(p[0])},{_coord(p[1])}" for p in px)
+            # one %-format per polyline; same digits as _coord
+            coords = " ".join(["%.8f,%.8f"] * len(px)) % tuple(px.ravel().tolist())
             lines.append(f'<polyline points="{coords}"/>')
     lines.append("</g>")
     lines.append("</svg>")

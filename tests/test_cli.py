@@ -7,12 +7,19 @@ import pytest
 
 import gasketlab as gl
 from gasketlab.cli import main
-from gasketlab.geometry import GasketModel
+from gasketlab import harmonic, svg
+from gasketlab.geometry import (
+    TRIANGLE_EDGE_CORNERS,
+    GasketModel,
+    cell_index,
+    sg_hierarchy,
+)
 from gasketlab.serialize import (
     format_number,
     model_from_json,
     model_to_json,
     read_model,
+    write_model,
 )
 from gasketlab.svg import render_svg
 
@@ -75,6 +82,36 @@ def test_svg_of_empty_model_is_valid():
     assert text.startswith("<?xml")
     assert "<line" not in text and "<polyline" not in text
     assert "</svg>" in text
+
+
+def mesh_edge_segments(model):
+    """Per-edge polylines read off the level gen+4 mesh, one edge at a time."""
+    depth = svg._POLYLINE_DEPTH
+    segments = []
+    for e in model.edges:
+        level = len(e.word) + depth
+        i, j = TRIANGLE_EDGE_CORNERS[e.id % 3]
+        rows = (cell_index(e.word) * 3 ** depth
+                + harmonic._dyadic_offsets(i, j, depth))
+        corners = sg_hierarchy(level)[level].cells[rows]
+        phis = harmonic.phi_coordinates(level)
+        pts = np.concatenate([phis[corners[:, i]], phis[corners[-1:, j]]])
+        segments.append(svg._project_plane(pts))
+    return segments
+
+
+def test_svg_harmonic_matches_per_edge_mesh_route(monkeypatch):
+    model = gl.build_model("harmonic", 4, harmonic_depth=4)
+    text = render_svg(model)
+    monkeypatch.setattr(svg, "_model_segments", mesh_edge_segments)
+    assert render_svg(model) == text
+
+
+def test_svg_harmonic_from_read_model_matches_built(tmp_path):
+    model = gl.build_model("harmonic", 3, harmonic_depth=2)
+    path = tmp_path / "kh.json"
+    write_model(model, str(path))
+    assert render_svg(read_model(str(path))) == render_svg(model)
 
 
 def test_svg_deterministic():

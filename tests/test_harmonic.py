@@ -8,7 +8,14 @@ from conftest import dense_minimum_energy_extension, oracle_phi
 
 import gasketlab as gl
 from gasketlab import harmonic
-from gasketlab.geometry import GasketError, sg_hierarchy
+from gasketlab.geometry import (
+    CORNERS,
+    TRIANGLE_EDGE_CORNERS,
+    GasketError,
+    ResourceCapError,
+    cell_index,
+    sg_hierarchy,
+)
 from gasketlab.harmonic import (
     MIDPOINT_RULE,
     VertexFunction,
@@ -262,6 +269,150 @@ def test_kigami_style_envelope():
         max_diam = max(diams)
         assert lo.max() <= 2.0 * max_diam + 1e-12
         assert max_diam <= diam0 * 0.6 ** m + 1e-9
+
+
+def mesh_segment_bounds(gen, depth):
+    """Reference (lo, hi) for generation-``gen`` edges from the fine mesh.
+
+    Materialises the level gen+depth+1 mesh and its embedding: lo sums
+    the chords between the dyadic vertex images, hi twice the diameter
+    of the six sampled images (corners and midpoints) of each segment
+    cell.
+    """
+    level = gen + depth
+    cells_fine = sg_hierarchy(level + 1)[level].cells
+    cells_next = sg_hierarchy(level + 1)[level + 1].cells
+    phi_next = phi_coordinates(level + 1)
+    ncell = 3 ** gen
+    lo = np.empty((ncell, 3))
+    hi = np.empty((ncell, 3))
+    rows0 = np.arange(ncell, dtype=np.int64) * 3 ** depth
+    for local, (i, j) in enumerate(TRIANGLE_EDGE_CORNERS):
+        offs = harmonic._dyadic_offsets(i, j, depth)
+        rows = (rows0[:, None] + offs[None, :]).reshape(-1)
+        corners = cells_fine[rows]
+        chords = np.linalg.norm(phi_next[corners[:, i]] - phi_next[corners[:, j]],
+                                axis=1)
+        lo[:, local] = chords.reshape(ncell, -1).sum(axis=1)
+        child0 = rows * 3
+        mids = np.stack([cells_next[child0][:, 1],
+                         cells_next[child0][:, 2],
+                         cells_next[child0 + 1][:, 2]], axis=1)
+        sample = phi_next[np.concatenate([corners, mids], axis=1)]
+        gaps = np.linalg.norm(sample[:, :, None, :] - sample[:, None, :, :], axis=-1)
+        hi[:, local] = 2.0 * gaps.max(axis=(1, 2)).reshape(ncell, -1).sum(axis=1)
+    return lo.reshape(-1), hi.reshape(-1)
+
+
+@pytest.mark.parametrize("max_gen", [1, 2, 3, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_length_tables_match_mesh_oracle(max_gen, depth):
+    tables = edge_length_tables(max_gen, depth)
+    assert len(tables) == max_gen + 1
+    for gen, (lo, hi) in enumerate(tables):
+        ref_lo, ref_hi = mesh_segment_bounds(gen, depth)
+        np.testing.assert_allclose(lo, ref_lo, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(hi, ref_hi, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("gen,depth", [(0, 3), (2, 2), (3, 3)])
+def test_upper_bound_is_twice_largest_corner_chord(gen, depth):
+    # recomputed from the level gen+depth mesh: per segment cell, the
+    # largest of its three corner chords, summed along the edge
+    level = gen + depth
+    cells = sg_hierarchy(level)[level].cells
+    pts = phi_coordinates(level)
+    _, hi = edge_length_tables(gen, depth)[gen]
+    for row in range(3 ** gen):
+        for local, (i, j) in enumerate(TRIANGLE_EDGE_CORNERS):
+            seg = cells[row * 3 ** depth + harmonic._dyadic_offsets(i, j, depth)]
+            img = pts[seg]
+            largest = np.max([np.linalg.norm(img[:, a] - img[:, b], axis=1)
+                              for a, b in ((0, 1), (0, 2), (1, 2))], axis=0)
+            assert hi[3 * row + local] == pytest.approx(2.0 * largest.sum(),
+                                                        rel=1e-12, abs=0)
+
+
+def test_barycentric_identity_on_level_two_vertices():
+    # Phi(f_w y) = sum_j h_j(y) Phi(f_w p_j) for every base vertex y
+    pts = sg_hierarchy(2)[2].points
+    h = np.stack([gl.harmonic_extend(gl.harmonic_extend(
+        gl.boundary_function(*np.eye(3)[j]))).values for j in range(3)], axis=1)
+    for k in range(4):
+        for idx in np.ndindex(*(3,) * k):
+            word = tuple(i + 1 for i in idx)
+            # mesh row cell_index(word) is f_{w1} o ... o f_{wk}, and
+            # compose_word applies its first letter first
+            fw = gl.compose_word("sg", word[::-1])
+            lhs = np.array([gl.phi(p, 2 + k) for p in fw(pts)])
+            corners = np.array([gl.phi(p, k) for p in fw(CORNERS)])
+            np.testing.assert_allclose(h @ corners, lhs, atol=1e-14)
+            np.testing.assert_allclose(
+                harmonic._on_cells(h, corners[None])[0], lhs, atol=1e-14)
+            np.testing.assert_array_equal(
+                harmonic._corner_images(k)[cell_index(word)], corners)
+
+
+def test_tables_read_no_mesh_above_their_levels(monkeypatch):
+    requested = []
+
+    def spy(fn):
+        def wrapped(level):
+            requested.append(level)
+            return fn(level)
+        return wrapped
+
+    monkeypatch.setattr(harmonic, "sg_hierarchy", spy(harmonic.sg_hierarchy))
+    monkeypatch.setattr(harmonic, "_h_arrays", spy(harmonic._h_arrays))
+    monkeypatch.setattr(harmonic, "phi_coordinates",
+                        spy(harmonic.phi_coordinates.__wrapped__))
+    tables = edge_length_tables.__wrapped__(6, 6)
+    assert requested and max(requested) == 6
+    ref = edge_length_tables(6, 6)
+    for (lo, hi), (ref_lo, ref_hi) in zip(tables, ref):
+        np.testing.assert_array_equal(lo, ref_lo)
+        np.testing.assert_array_equal(hi, ref_hi)
+
+
+def test_length_tables_cap_counts_segments_before_building(monkeypatch):
+    # the largest table of (max_gen, depth) holds 3^(max_gen+1) 2^depth segments
+    build = edge_length_tables.__wrapped__
+    monkeypatch.setenv("GASKET_MAX_EDGES", str(3 ** 3 * 2 ** 2))
+    lo, hi = build(2, 2)[2]
+    assert lo.shape == hi.shape == (27,)
+    # 21 polylines of 2^2 + 1 points fit in 108 samples, 22 do not
+    assert harmonic.edge_polylines([""] * 21, [1] * 21, 2).shape == (21, 5, 3)
+
+    def refuse(level):
+        raise AssertionError(f"level {level} requested past the cap")
+
+    monkeypatch.setattr(harmonic, "sg_hierarchy", refuse)
+    monkeypatch.setattr(harmonic, "_h_arrays", refuse)
+    monkeypatch.setattr(harmonic, "phi_coordinates", refuse)
+    for max_gen, depth in ((3, 2), (2, 3)):
+        with pytest.raises(ResourceCapError):
+            build(max_gen, depth)
+    with pytest.raises(ResourceCapError):
+        harmonic.edge_polylines([""] * 22, [1] * 22, 2)
+
+
+def test_edge_polylines_match_one_edge_at_a_time():
+    words = ["", "2", "13", "13", "321"]
+    local = [1, 3, 2, 1, 3]
+    many = harmonic.edge_polylines(words, local, 3)
+    assert many.shape == (5, 9, 3)
+    for k, (w, e) in enumerate(zip(words, local)):
+        np.testing.assert_array_equal(many[k], edge_polyline(w, e, 3))
+    with pytest.raises(GasketError):
+        edge_polyline("1", 4, 2)
+
+
+def test_phi_coordinates_cached_and_read_only():
+    pts = phi_coordinates(3)
+    assert phi_coordinates(3) is pts
+    assert not pts.flags.writeable
+    with pytest.raises(ValueError):
+        pts[0, 0] = 1.0
 
 
 def test_estimate_edge_length_validation():
