@@ -3,6 +3,11 @@
 Verbs: build, dimension, spectrum, distance, measure, compare, report.
 Exit codes: 0 success, 1 computation error, 2 usage error.  The env var
 GASKET_MAX_EDGES overrides the construction resource cap.
+
+The dimension, spectrum, measure and compare results each come from one
+private helper that ``report`` shares, so the bundle's files hold the
+bytes the standalone verbs print for the same inputs.  ``_emit`` writes
+a text result to its output file, or to stdout.
 """
 
 from __future__ import annotations
@@ -46,6 +51,75 @@ def _parse_point(text: str) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
+# results shared by the verbs and the report bundle
+# ---------------------------------------------------------------------------
+
+
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is None."""
+    if out:
+        with open(out, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
+
+
+def _dimension(variant: str, alpha: Optional[float],
+               depth: int) -> spectrum.DimensionEstimate:
+    if variant == "sg":
+        return spectrum.spectral_dimension(spectrum.sg_length_spectrum())
+    if variant == "stretched":
+        value = spectrum.stretched_dimension(alpha)
+        return spectrum.DimensionEstimate(value, value, "closed-form")
+    return spectrum.kh_dimension_interval(depth)
+
+
+def _spectrum_scan(variant: str, alpha: Optional[float], depth: int,
+                   eps_start: float, rungs: int) -> str:
+    """Trace scan CSV along the residue ladder s = 1 + eps_start / 2^k."""
+    eps = eps_start * 0.5 ** np.arange(rungs)
+    if variant == "harmonic":
+        est = spectrum.kh_dimension_interval(depth)
+        ds = 0.5 * (est.lower + est.upper)
+        rows = []
+        for e in eps:
+            lo, hi = spectrum.kh_trace_interval(ds * (1.0 + e), depth)
+            rows.append((1.0 + e, lo, (hi - lo) if np.isfinite(hi) else float("inf")))
+    else:
+        lengths = (spectrum.sg_length_spectrum() if variant == "sg"
+                   else spectrum.stretched_length_spectrum(alpha))
+        ds = lengths.abscissa
+        rows = [(1.0 + e, spectrum.spectrum_trace(lengths, ds * (1.0 + e)), 0.0)
+                for e in eps]
+    lines = ["s,trace,tail_bound,residue_running"]
+    for s, trace, tail in rows:
+        lines.append(",".join([
+            format_number(s), format_number(trace), format_number(tail),
+            format_number((s - 1.0) * trace),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+def _measure_csv(family: str, functions, alpha: Optional[float], stages) -> str:
+    """Functional values, one row per (test function, stage).
+
+    ``functions`` holds (parsed function, its source text) pairs.
+    """
+    lines = ["n,functional,f_expr,value"]
+    for f, text in functions:
+        for n in stages:
+            value = measure.functional_sample(family, n, alpha)(f)
+            lines.append(f"{n},{family},{text},{format_number(value)}")
+    return "\n".join(lines) + "\n"
+
+
+def _spread_json(d: float, length: int) -> str:
+    report = measure.selfaffine_mass_spread(d, length)
+    return json.dumps({"L": report.L, "d": report.d, "min": report.min,
+                       "max": report.max, "ratio": report.ratio}) + "\n"
+
+
+# ---------------------------------------------------------------------------
 # verbs
 # ---------------------------------------------------------------------------
 
@@ -62,56 +136,23 @@ def cmd_build(args) -> int:
 
 def cmd_dimension(args) -> int:
     alpha = _require_alpha(args)
-    if args.variant == "sg":
-        est = spectrum.spectral_dimension(spectrum.sg_length_spectrum())
-        print(format_number(est.lower))
+    est = _dimension(args.variant, alpha, args.depth)
+    if args.variant == "harmonic":
+        print(f"{format_number(est.lower)},{format_number(est.upper)}")
         return 0
-    if args.variant == "stretched":
-        value = spectrum.stretched_dimension(alpha)
-        print(format_number(value))
-        if args.bracket:
-            lo, hi = spectrum.abscissa_bracket(
-                spectrum.stretched_length_spectrum(alpha), tol=args.tol
-            )
-            print(f"bracket,{format_number(lo)},{format_number(hi)}")
-        return 0
-    est = spectrum.kh_dimension_interval(args.depth)
-    print(f"{format_number(est.lower)},{format_number(est.upper)}")
+    print(format_number(est.lower))
+    if args.variant == "stretched" and args.bracket:
+        lo, hi = spectrum.abscissa_bracket(
+            spectrum.stretched_length_spectrum(alpha), tol=args.tol
+        )
+        print(f"bracket,{format_number(lo)},{format_number(hi)}")
     return 0
 
 
 def cmd_spectrum(args) -> int:
     alpha = _require_alpha(args)
-    eps = args.eps_start * 0.5 ** np.arange(args.rungs)
-    if args.variant == "sg":
-        lengths = spectrum.sg_length_spectrum()
-        ds = lengths.abscissa
-        rows = [(1.0 + e, spectrum.spectrum_trace(lengths, ds * (1.0 + e)), 0.0)
-                for e in eps]
-    elif args.variant == "stretched":
-        lengths = spectrum.stretched_length_spectrum(alpha)
-        ds = lengths.abscissa
-        rows = [(1.0 + e, spectrum.spectrum_trace(lengths, ds * (1.0 + e)), 0.0)
-                for e in eps]
-    else:
-        est = spectrum.kh_dimension_interval(args.depth)
-        ds = 0.5 * (est.lower + est.upper)
-        rows = []
-        for e in eps:
-            lo, hi = spectrum.kh_trace_interval(ds * (1.0 + e), args.depth)
-            rows.append((1.0 + e, lo, (hi - lo) if np.isfinite(hi) else float("inf")))
-    lines = ["s,trace,tail_bound,residue_running"]
-    for s, trace, tail in rows:
-        lines.append(",".join([
-            format_number(s), format_number(trace), format_number(tail),
-            format_number((s - 1.0) * trace),
-        ]))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit(_spectrum_scan(args.variant, alpha, args.depth, args.eps_start,
+                         args.rungs), args.out)
     return 0
 
 
@@ -140,29 +181,13 @@ def cmd_measure(args) -> int:
         if args.alpha is not None:
             raise UsageError(f"--alpha does not apply to {args.family}")
         n_min = args.n_min
-    lines = ["n,functional,f_expr,value"]
-    for n in range(n_min, args.n + 1):
-        value = measure.functional_sample(args.family, n, args.alpha)(f)
-        lines.append(f"{n},{args.family},{args.f},{format_number(value)}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit(_measure_csv(args.family, [(f, args.f)], args.alpha,
+                       range(n_min, args.n + 1)), args.out)
     return 0
 
 
 def cmd_compare(args) -> int:
-    report = measure.selfaffine_mass_spread(args.d, args.length)
-    doc = {"L": report.L, "d": report.d, "min": report.min,
-           "max": report.max, "ratio": report.ratio}
-    text = json.dumps(doc) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _emit(_spread_json(args.d, args.length), args.out)
     return 0
 
 
@@ -178,39 +203,19 @@ def cmd_report(args) -> int:
     write_model(model, path("model.json"))
     svg.emit_svg(model, path("model.svg"))
 
-    with open(path("dimension.csv"), "w", encoding="ascii") as fh:
-        fh.write("variant,lower,upper\n")
-        if args.variant == "sg":
-            est = spectrum.spectral_dimension(spectrum.sg_length_spectrum())
-        elif args.variant == "stretched":
-            est = spectrum.spectral_dimension(
-                spectrum.stretched_length_spectrum(alpha))
-        else:
-            est = spectrum.kh_dimension_interval(args.depth)
-        fh.write(f"{args.variant},{format_number(est.lower)},"
-                 f"{format_number(est.upper)}\n")
-
-    scan_args = argparse.Namespace(
-        variant=args.variant, alpha=alpha, depth=args.depth,
-        eps_start=0.1, rungs=8, out=path("spectrum_scan.csv"),
-    )
-    cmd_spectrum(scan_args)
+    est = _dimension(args.variant, alpha, args.depth)
+    _emit(f"variant,lower,upper\n{args.variant},{format_number(est.lower)},"
+          f"{format_number(est.upper)}\n", path("dimension.csv"))
+    _emit(_spectrum_scan(args.variant, alpha, args.depth, 0.1, 8),
+          path("spectrum_scan.csv"))
 
     if args.variant == "stretched":
-        lines = ["n,functional,f_expr,value"]
-        for text in ("1", "x", "y", "x^2", "x*y"):
-            f = TestFunction.parse(text)
-            for n in (2, 4, 6):
-                value = measure.functional_sample("stretched-joining", n, alpha)(f)
-                lines.append(f"{n},stretched-joining,{text},{format_number(value)}")
-        with open(path("measures.csv"), "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        functions = [(TestFunction.parse(text), text)
+                     for text in ("1", "x", "y", "x^2", "x*y")]
+        _emit(_measure_csv("stretched-joining", functions, alpha, (2, 4, 6)),
+              path("measures.csv"))
     if args.variant == "harmonic":
-        report = measure.selfaffine_mass_spread(1.5, min(args.level + 2, 6))
-        with open(path("spread.json"), "w", encoding="ascii") as fh:
-            json.dump({"L": report.L, "d": report.d, "min": report.min,
-                       "max": report.max, "ratio": report.ratio}, fh)
-            fh.write("\n")
+        _emit(_spread_json(1.5, min(args.level + 2, 6)), path("spread.json"))
     return 0
 
 

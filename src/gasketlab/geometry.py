@@ -27,6 +27,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -440,24 +441,43 @@ def _check_cap(variant: str, level: int) -> None:
         )
 
 
-def _triangle_edges(mesh: TriangleMesh, kind: str, start_id: int) -> list[EdgeCurve]:
-    points = mesh.points
-    edges = []
-    eid = start_id
-    for row in range(mesh.cell_count):
-        corners = mesh.cells[row]
-        word = str(index_word(mesh.level, row))
-        for (i, j) in TRIANGLE_EDGE_CORNERS:
-            p = points[corners[i]]
-            q = points[corners[j]]
-            edges.append(EdgeCurve(
-                id=eid, kind=kind, gen=mesh.level,
-                p=tuple(p), q=tuple(q),
-                length=float(np.hypot(*(q - p))),
-                word=word,
-            ))
-            eid += 1
-    return edges
+@lru_cache(maxsize=16)
+def _level_words(level: int) -> tuple[str, ...]:
+    """Addresses of the level-n cells, in mesh-row order (cached)."""
+    if level == 0:
+        return ("",)
+    return tuple(w + c for w in _level_words(level - 1) for c in "123")
+
+
+def _edge_rows(kind: str, gen: int, points: np.ndarray, ends: np.ndarray,
+               start_id: int = 0,
+               bounds: Optional[tuple[np.ndarray, np.ndarray]] = None) -> list[EdgeCurve]:
+    """``EdgeCurve`` rows for the edges ``points[ends[i, 0]] -> points[ends[i, 1]]``.
+
+    Rows run word-major, three per generation-``gen`` cell, and take ids
+    from ``start_id`` on.  Straight edges take their chord as length;
+    harmonic-image edges pass their ``(lo, hi)`` bound arrays as
+    ``bounds`` and take lo as length.
+    """
+    count = len(ends)
+    p = points[ends[:, 0]]
+    q = points[ends[:, 1]]
+    words = _level_words(gen)
+    if bounds is None:
+        length = np.hypot(*(q - p).T).tolist()
+        lo, hi = repeat(None, count), repeat(None, count)
+    else:
+        length = lo = bounds[0].tolist()
+        hi = bounds[1].tolist()
+    return list(map(EdgeCurve, range(start_id, start_id + count),
+                    repeat(kind, count), repeat(gen, count),
+                    map(tuple, p.tolist()), map(tuple, q.tolist()), length,
+                    chain.from_iterable(zip(words, words, words)), lo, hi))
+
+
+def _triangle_ends(cells: np.ndarray) -> np.ndarray:
+    """Endpoint ids of every cell's triangle edges, (3C, 2), word-major."""
+    return cells[:, TRIANGLE_EDGE_CORNERS].reshape(-1, 2)
 
 
 def build_model(
@@ -491,31 +511,19 @@ def build_model(
         if alpha is not None:
             raise GasketError("sg variant takes no alpha")
         mesh = sg_hierarchy(level)[level]
-        return GasketModel("sg", None, level,
-                           tuple(_triangle_edges(mesh, "sg-triangle", 0)))
+        return GasketModel("sg", None, level, tuple(_edge_rows(
+            "sg-triangle", level, mesh.points, _triangle_ends(mesh.cells))))
 
     alpha = check_alpha(alpha) if alpha is not None else None
     if alpha is None:
         raise GasketError("stretched variant requires alpha")
     meshes, joins = stretched_hierarchy(level, alpha)
     edges: list[EdgeCurve] = []
-    eid = 0
     for m in range(level):
-        pts = meshes[m + 1].points
-        table = joins[m]
-        for row in range(table.shape[0]):
-            word = str(index_word(m, row))
-            for local in range(3):
-                u, v = table[row, local]
-                p, q = pts[u], pts[v]
-                edges.append(EdgeCurve(
-                    id=eid, kind="stretched-joining", gen=m,
-                    p=tuple(p), q=tuple(q),
-                    length=float(np.hypot(*(q - p))),
-                    word=word,
-                ))
-                eid += 1
-    edges.extend(_triangle_edges(meshes[level], "stretched-triangle", eid))
+        edges += _edge_rows("stretched-joining", m, meshes[m + 1].points,
+                            joins[m].reshape(-1, 2), len(edges))
+    edges += _edge_rows("stretched-triangle", level, meshes[level].points,
+                        _triangle_ends(meshes[level].cells), len(edges))
     return GasketModel("stretched", alpha, level, tuple(edges))
 
 

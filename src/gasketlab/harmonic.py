@@ -53,15 +53,14 @@ from gasketlab.geometry import (
     CORNERS,
     GasketError,
     GasketModel,
-    EdgeCurve,
     ResourceCapError,
     TRIANGLE_EDGE_CORNERS,
-    Word,
     AffineMap,
+    _edge_rows,
+    _triangle_ends,
     as_word,
     cell_index,
     edge_cap,
-    index_word,
     sg_hierarchy,
 )
 
@@ -471,20 +470,8 @@ def build_harmonic_model(level: int, depth: int = 4) -> GasketModel:
     given subdivision depth.  The ``length`` field holds the lower
     (polyline) estimate.
     """
-    mesh = sg_hierarchy(level)[level]
-    phis = phi_coordinates(level)
-    lo, hi = edge_length_tables(level, depth)[level]
-    edges = []
-    eid = 0
-    for row in range(mesh.cell_count):
-        corners = mesh.cells[row]
-        word = str(index_word(level, row))
-        for local, (i, j) in enumerate(TRIANGLE_EDGE_CORNERS):
-            edges.append(EdgeCurve(
-                id=eid, kind="harmonic-image", gen=level,
-                p=tuple(phis[corners[i]]), q=tuple(phis[corners[j]]),
-                length=float(lo[eid]), word=word,
-                length_lo=float(lo[eid]), length_hi=float(hi[eid]),
-            ))
-            eid += 1
-    return GasketModel("harmonic", None, level, tuple(edges))
+    cells = sg_hierarchy(level)[level].cells
+    rows = _edge_rows("harmonic-image", level, phi_coordinates(level),
+                      _triangle_ends(cells),
+                      bounds=edge_length_tables(level, depth)[level])
+    return GasketModel("harmonic", None, level, tuple(rows))

@@ -42,6 +42,7 @@ from gasketlab.geometry import (
 )
 from gasketlab.spectrum import (
     ResidueResult,
+    _bisect,
     curve_trace_constant,
     extrapolate_ladder,
     stretched_dimension,
@@ -265,13 +266,7 @@ def kh_dixmier_ratio(
 
         # this side's pole: the exponent at which the frozen geometric
         # tail would stop converging
-        lo_p, hi_p = 1.0, 3.0
-        for _ in range(60):
-            mid = 0.5 * (lo_p + hi_p)
-            if last_ratio(mid) > 1.0:
-                lo_p = mid
-            else:
-                hi_p = mid
+        lo_p, hi_p = _bisect(lambda p: last_ratio(p) > 1.0, 1.0, 3.0, steps=60)
         ds = 0.5 * (lo_p + hi_p)
 
         def ratio(eps: float) -> float:

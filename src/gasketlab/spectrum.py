@@ -278,6 +278,24 @@ def stretched_dimension(alpha: float) -> float:
     return math.log(3.0) / (math.log(2.0) - math.log(1.0 - alpha))
 
 
+def _bisect(below: Callable[[float], bool], lo: float, hi: float, *,
+            tol: float = 0.0, steps: Optional[int] = None) -> tuple[float, float]:
+    """Halve [lo, hi] around the point where ``below`` turns false.
+
+    ``below(p)`` holds left of the root.  Stops once the width is at
+    most ``tol`` or after ``steps`` halvings, whichever comes first.
+    """
+    step = 0
+    while hi - lo > tol and (steps is None or step < steps):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        step += 1
+    return lo, hi
+
+
 def abscissa_bracket(
     spectrum: LengthSpectrum,
     generations: int = 30,
@@ -302,13 +320,7 @@ def abscissa_bracket(
     lo, hi = p_range
     if grows(hi) or not grows(lo):
         raise GasketError(f"abscissa not bracketed by p_range {p_range}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if grows(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    return _bisect(grows, lo, hi, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +431,7 @@ def growth_root(
         return hi
     if mean_log_growth(lo) < 0.0:
         return lo
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if mean_log_growth(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda p: mean_log_growth(p) > 0.0, lo, hi, steps=iterations)
     return 0.5 * (lo + hi)
 
 

@@ -8,8 +8,6 @@ Output bytes are a pure function of the model and options.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from gasketlab.geometry import GasketError, GasketModel
@@ -29,10 +27,10 @@ def _project_plane(points: np.ndarray) -> np.ndarray:
     return points @ basis
 
 
-def _model_segments(model: GasketModel) -> Sequence[np.ndarray]:
-    """Per edge, an (k, 2) array of polyline vertices in drawing coordinates."""
+def _model_segments(model: GasketModel) -> np.ndarray:
+    """Per edge, its polyline vertices in drawing coordinates, (E, k, 2)."""
     if model.variant != "harmonic":
-        return [np.array([e.p, e.q]) for e in model.edges]
+        return np.array([(e.p, e.q) for e in model.edges], dtype=float)
     from gasketlab import harmonic
 
     # harmonic models enumerate edges word-major, so id mod 3 is the
@@ -47,9 +45,9 @@ def render_svg(model: GasketModel, width: int = 800) -> str:
     """Render to an SVG document string."""
     if width <= 0:
         raise GasketError("width must be positive")
-    segments = _model_segments(model)
+    segments = np.asarray(_model_segments(model), dtype=float)
     if len(segments):
-        allpts = np.concatenate(segments)
+        allpts = segments.reshape(-1, 2)
         lo = allpts.min(axis=0)
         hi = allpts.max(axis=0)
     else:
@@ -62,11 +60,6 @@ def render_svg(model: GasketModel, width: int = 800) -> str:
     scale = width / span[0]
     height = int(round(span[1] * scale))
 
-    def to_pixels(pts: np.ndarray) -> np.ndarray:
-        out = (pts - lo) * scale
-        out[:, 1] = height - out[:, 1]          # SVG y axis points down
-        return out
-
     stroke = max(width / 1600.0, 0.25)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -74,17 +67,17 @@ def render_svg(model: GasketModel, width: int = 800) -> str:
         f'height="{height}" viewBox="0 0 {width} {height}">',
         f'<g stroke="black" stroke-width="{_coord(stroke)}" fill="none">',
     ]
-    for seg in segments:
-        px = to_pixels(seg.copy())
-        if len(px) == 2:
-            lines.append(
-                f'<line x1="{_coord(px[0, 0])}" y1="{_coord(px[0, 1])}" '
-                f'x2="{_coord(px[1, 0])}" y2="{_coord(px[1, 1])}"/>'
-            )
+    if len(segments):
+        px = (segments - lo) * scale
+        px[..., 1] = height - px[..., 1]        # SVG y axis points down
+        # one %-format per element; same digits as _coord
+        if px.shape[1] == 2:
+            element = '<line x1="%.8f" y1="%.8f" x2="%.8f" y2="%.8f"/>'
         else:
-            # one %-format per polyline; same digits as _coord
-            coords = " ".join(["%.8f,%.8f"] * len(px)) % tuple(px.ravel().tolist())
-            lines.append(f'<polyline points="{coords}"/>')
+            element = ('<polyline points="'
+                       + " ".join(["%.8f,%.8f"] * px.shape[1]) + '"/>')
+        lines += [element % tuple(row)
+                  for row in px.reshape(len(px), -1).tolist()]
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -107,6 +107,60 @@ def test_svg_harmonic_matches_per_edge_mesh_route(monkeypatch):
     assert render_svg(model) == text
 
 
+def per_edge_render_svg(model, width=800):
+    """Render one edge at a time: a to_pixels copy and four _coord calls per line."""
+    if model.variant == "harmonic":
+        segments = list(svg._model_segments(model))
+    else:
+        segments = [np.array([e.p, e.q]) for e in model.edges]
+    if len(segments):
+        allpts = np.concatenate(segments)
+        lo, hi = allpts.min(axis=0), allpts.max(axis=0)
+    else:
+        lo, hi = np.zeros(2), np.ones(2)
+    span = np.maximum(hi - lo, 1e-9)
+    margin = 0.05 * span.max()
+    lo = lo - margin
+    span = span + 2 * margin
+    scale = width / span[0]
+    height = int(round(span[1] * scale))
+
+    def to_pixels(pts):
+        out = (pts - lo) * scale
+        out[:, 1] = height - out[:, 1]
+        return out
+
+    c = svg._coord
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{height}" viewBox="0 0 {width} {height}">',
+        f'<g stroke="black" stroke-width="{c(max(width / 1600.0, 0.25))}" fill="none">',
+    ]
+    for seg in segments:
+        px = to_pixels(seg.copy())
+        if len(px) == 2:
+            lines.append(f'<line x1="{c(px[0, 0])}" y1="{c(px[0, 1])}" '
+                         f'x2="{c(px[1, 0])}" y2="{c(px[1, 1])}"/>')
+        else:
+            coords = " ".join(f"{c(x)},{c(y)}" for x, y in px)
+            lines.append(f'<polyline points="{coords}"/>')
+    lines += ["</g>", "</svg>"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gl.build_model("sg", 8),
+    lambda: gl.build_model("stretched", 8, 0.2),
+    lambda: gl.build_model("harmonic", 5),
+    lambda: GasketModel("sg", None, 0, ()),
+], ids=["sg-8", "stretched-8", "harmonic-5", "empty"])
+def test_svg_matches_per_edge_route(make):
+    model = make()
+    # line lists: pytest explains a mismatch by its first differing line
+    assert render_svg(model).splitlines() == per_edge_render_svg(model).splitlines()
+
+
 def test_svg_harmonic_from_read_model_matches_built(tmp_path):
     model = gl.build_model("harmonic", 3, harmonic_depth=2)
     path = tmp_path / "kh.json"
@@ -211,6 +265,52 @@ def test_report_bundle(tmp_path):
     names = {p.name for p in out.iterdir()}
     assert {"model.json", "model.svg", "dimension.csv",
             "spectrum_scan.csv", "measures.csv"} <= names
+
+
+@pytest.mark.parametrize("variant,extra", [
+    ("sg", []), ("stretched", ["--alpha", "0.1"]), ("harmonic", ["--depth", "2"]),
+])
+def test_report_dimension_matches_dimension_verb(tmp_path, capsys, variant, extra):
+    out = tmp_path / "bundle"
+    assert main(["report", "--variant", variant, *extra, "--level", "1",
+                 "--out-dir", str(out)]) == 0
+    assert main(["dimension", "--variant", variant, *extra]) == 0
+    printed = capsys.readouterr().out.strip()
+    header, row = (out / "dimension.csv").read_text().splitlines()
+    name, lower, upper = row.split(",")
+    assert header == "variant,lower,upper" and name == variant
+    assert printed == (f"{lower},{upper}" if variant == "harmonic" else lower)
+    if variant == "stretched":
+        assert lower == upper == format_number(gl.stretched_dimension(0.1))
+
+
+@pytest.mark.parametrize("variant,extra", [
+    ("stretched", ["--alpha", "0.137"]), ("harmonic", ["--depth", "2"]),
+])
+def test_report_bundle_matches_standalone_verbs(tmp_path, capsys, variant, extra):
+    level = 2
+    out = tmp_path / "bundle"
+    assert main(["report", "--variant", variant, *extra, "--level", str(level),
+                 "--out-dir", str(out)]) == 0
+    scan = tmp_path / "scan.csv"
+    assert main(["spectrum", "--variant", variant, *extra, "--eps-start", "0.1",
+                 "--rungs", "8", "--out", str(scan)]) == 0
+    assert (out / "spectrum_scan.csv").read_bytes() == scan.read_bytes()
+    capsys.readouterr()
+    if variant == "harmonic":
+        assert main(["compare", "--d", "1.5", "--length", str(min(level + 2, 6))]) == 0
+        assert (out / "spread.json").read_text() == capsys.readouterr().out
+        assert not (out / "measures.csv").exists()
+        return
+    assert not (out / "spread.json").exists()
+    want = ["n,functional,f_expr,value"]
+    for text in ("1", "x", "y", "x^2", "x*y"):
+        assert main(["measure", "--family", "stretched-joining", "--alpha", "0.137",
+                     f"--f={text}", "--n", "6", "--n-min", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == want[0]
+        want += [r for r in rows[1:] if r.split(",")[0] in ("2", "4", "6")]
+    assert (out / "measures.csv").read_text().splitlines() == want
 
 
 # -- exit codes -------------------------------------------------------------------

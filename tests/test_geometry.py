@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import gasketlab as gl
 from gasketlab.geometry import (
     CORNERS,
+    TRIANGLE_EDGE_CORNERS,
+    EdgeCurve,
     GasketError,
     GasketModel,
     ResourceCapError,
@@ -259,6 +261,51 @@ def test_edge_order_is_generation_then_word_then_local():
             for e in model.edges]
     assert keys == sorted(keys)
     assert [e.id for e in model.edges] == list(range(len(model.edges)))
+
+
+def per_edge_triangle_edges(mesh, kind, start_id):
+    """Triangle edges one cell and one edge at a time, words from index_word."""
+    edges = []
+    for row in range(mesh.cell_count):
+        word = str(index_word(mesh.level, row))
+        for i, j in TRIANGLE_EDGE_CORNERS:
+            p = mesh.points[mesh.cells[row, i]]
+            q = mesh.points[mesh.cells[row, j]]
+            edges.append(EdgeCurve(start_id + len(edges), kind, mesh.level,
+                                   tuple(p), tuple(q), float(np.hypot(*(q - p))),
+                                   word))
+    return edges
+
+
+def per_edge_model(variant, level, alpha=None):
+    """The per-edge construction route, as the shared row builder's reference."""
+    if variant == "sg":
+        mesh = sg_hierarchy(level)[level]
+        return GasketModel("sg", None, level,
+                           tuple(per_edge_triangle_edges(mesh, "sg-triangle", 0)))
+    meshes, joins = stretched_hierarchy(level, alpha)
+    edges = []
+    for m in range(level):
+        pts = meshes[m + 1].points
+        for row in range(joins[m].shape[0]):
+            word = str(index_word(m, row))
+            for u, v in joins[m][row]:
+                p, q = pts[u], pts[v]
+                edges.append(EdgeCurve(len(edges), "stretched-joining", m,
+                                       tuple(p), tuple(q),
+                                       float(np.hypot(*(q - p))), word))
+    edges += per_edge_triangle_edges(meshes[level], "stretched-triangle", len(edges))
+    return GasketModel("stretched", alpha, level, tuple(edges))
+
+
+@pytest.mark.parametrize("variant,alpha",
+                         [("sg", None), ("stretched", 0.2), ("stretched", 0.137)])
+@pytest.mark.parametrize("level", range(7))
+def test_row_builder_matches_per_edge_route(variant, alpha, level):
+    model = gl.build_model(variant, level, alpha)
+    reference = per_edge_model(variant, level, alpha)
+    assert model == reference
+    assert model_to_json(model) == model_to_json(reference)
 
 
 def test_resource_cap(monkeypatch):

@@ -11,9 +11,12 @@ from gasketlab import harmonic
 from gasketlab.geometry import (
     CORNERS,
     TRIANGLE_EDGE_CORNERS,
+    EdgeCurve,
     GasketError,
+    GasketModel,
     ResourceCapError,
     cell_index,
+    index_word,
     sg_hierarchy,
 )
 from gasketlab.harmonic import (
@@ -29,6 +32,7 @@ from gasketlab.harmonic import (
     word_map,
     word_matrix,
 )
+from gasketlab.serialize import model_to_json
 
 SQ2 = math.sqrt(2.0)
 
@@ -432,3 +436,30 @@ def test_harmonic_model_contents():
         assert e.length_lo <= e.length_hi
         chord = np.linalg.norm(np.array(e.p) - np.array(e.q))
         assert e.length_lo >= chord - 1e-12
+
+
+def per_edge_harmonic_model(level, depth):
+    """The per-edge construction route, as the shared row builder's reference."""
+    mesh = sg_hierarchy(level)[level]
+    phis = phi_coordinates(level)
+    lo, hi = edge_length_tables(level, depth)[level]
+    edges = []
+    for row in range(mesh.cell_count):
+        word = str(index_word(level, row))
+        for i, j in TRIANGLE_EDGE_CORNERS:
+            eid = len(edges)
+            edges.append(EdgeCurve(
+                eid, "harmonic-image", level,
+                tuple(phis[mesh.cells[row, i]]), tuple(phis[mesh.cells[row, j]]),
+                float(lo[eid]), word, float(lo[eid]), float(hi[eid]),
+            ))
+    return GasketModel("harmonic", None, level, tuple(edges))
+
+
+@pytest.mark.parametrize("depth", [1, 4])
+@pytest.mark.parametrize("level", range(5))
+def test_row_builder_matches_per_edge_route(level, depth):
+    model = gl.build_model("harmonic", level, harmonic_depth=depth)
+    reference = per_edge_harmonic_model(level, depth)
+    assert model == reference
+    assert model_to_json(model) == model_to_json(reference)

@@ -5,9 +5,10 @@ import pytest
 from conftest import POLY_2D, POLY_3D, oracle_phi
 
 import gasketlab as gl
-from gasketlab import measure
-from gasketlab.geometry import GasketError
+from gasketlab import harmonic, measure
+from gasketlab.geometry import GasketError, sg_hierarchy
 from gasketlab.harmonic import vertex_count
+from gasketlab.spectrum import extrapolate_ladder
 
 
 def _ones(pts):
@@ -144,6 +145,49 @@ def test_kh_ratio_approaches_embedded_functional():
         gaps.append(abs(0.5 * (lo + hi) - target))
     assert gaps[-1] <= 0.01 * abs(target) + 1e-12
     assert gaps[2] < gaps[0]
+
+
+def loop_kh_dixmier_ratio(f, depth, eps_start=0.4, rungs=8):
+    """kh_dixmier_ratio with its own 60-step pole bisection, as the reference."""
+    tables = harmonic.edge_length_tables(depth, depth)
+    fbar_sums = []
+    for gen in range(depth + 1):
+        imgs = harmonic.phi_coordinates(gen)[sg_hierarchy(gen)[gen].cells]
+        fa, fb, fc = f(imgs[:, 0]), f(imgs[:, 1]), f(imgs[:, 2])
+        fbar = np.stack([(fa + fc) / 2, (fc + fb) / 2, (fb + fa) / 2], axis=1)
+        fbar_sums.append(fbar.reshape(-1))
+
+    def ratio_limit(side):
+        lengths = [t[side] for t in tables]
+        f_last = float(fbar_sums[-1].mean())
+        lo_p, hi_p = 1.0, 3.0
+        for _ in range(60):
+            mid = 0.5 * (lo_p + hi_p)
+            if float(np.sum(lengths[-1] ** mid) / np.sum(lengths[-2] ** mid)) > 1.0:
+                lo_p = mid
+            else:
+                hi_p = mid
+        ds = 0.5 * (lo_p + hi_p)
+
+        def ratio(eps):
+            p = ds * (1.0 + eps)
+            terms = np.array([np.sum(lengths[m] ** p) for m in range(depth + 1)])
+            num = sum(float(fbar_sums[m] @ lengths[m] ** p) for m in range(depth + 1))
+            gr = terms[-1] / terms[-2]
+            tail = terms[-1] * gr / (1.0 - gr)
+            return (num + f_last * tail) / (float(terms.sum()) + tail)
+
+        return extrapolate_ladder(ratio, eps_start, rungs).value
+
+    corners = [ratio_limit(side) for side in (0, 1)]
+    return min(corners), max(corners)
+
+
+@pytest.mark.parametrize("name", ["x", "x^2", "x*y"])
+@pytest.mark.parametrize("depth", [2, 4])
+def test_kh_ratio_matches_bisection_loop(name, depth):
+    f = POLY_3D[name]
+    assert measure.kh_dixmier_ratio(f, depth) == loop_kh_dixmier_ratio(f, depth)
 
 
 # -- mass spread ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from scipy.special import zeta as sp_zeta
 
 import gasketlab as gl
 from gasketlab.geometry import GasketError
+from gasketlab import harmonic
 from gasketlab.spectrum import (
     KH_DIMENSION_UPPER,
     DiracSpectrum,
@@ -16,6 +17,7 @@ from gasketlab.spectrum import (
     GeometricFamily,
     LengthSpectrum,
     direct_curve_trace,
+    growth_root,
     kh_trace_interval,
     scale_spectrum,
     single_curve_spectrum,
@@ -178,6 +180,31 @@ def test_growth_bracket_encloses_dimension():
         assert hi - lo <= 1e-4
 
 
+def loop_abscissa_bracket(spectrum, generations=30, tol=1e-3, p_range=(0.5, 4.0)):
+    """The bracket's own bisection loop, as the shared bisection's reference."""
+    def grows(p):
+        terms = np.zeros(generations)
+        for family in spectrum.families:
+            terms = terms + family.generation_terms(p, generations)
+        return bool(terms[-1] > terms[-2])
+
+    lo, hi = p_range
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if grows(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+@pytest.mark.parametrize("tol", (1e-3, 1e-6, 1e-9, 1e-12))
+def test_abscissa_bracket_matches_bisection_loop(tol):
+    for alpha in np.linspace(0.01, 0.33, 9):
+        spec = gl.stretched_length_spectrum(alpha)
+        assert gl.abscissa_bracket(spec, tol=tol) == loop_abscissa_bracket(spec, tol=tol)
+
+
 def test_partial_sums_grow_below_the_abscissa():
     alpha = 0.2
     d = gl.stretched_dimension(alpha)
@@ -243,6 +270,36 @@ def test_kh_interval_contained_and_narrowing():
         assert est.method == "truncation+tail"
         assert 1.0 <= est.lower <= est.upper <= KH_DIMENSION_UPPER
     assert est3.width < est2.width
+
+
+def loop_growth_root(generation_lengths, p_range=(1.0, KH_DIMENSION_UPPER),
+                     iterations=60):
+    """The growth root's own bisection loop, as the shared bisection's reference."""
+    def mean_log_growth(p):
+        sums = np.array([np.sum(lengths ** p) for lengths in generation_lengths])
+        return math.log(sums[-1] / sums[1]) / (len(sums) - 2)
+
+    lo, hi = p_range
+    if mean_log_growth(hi) > 0.0:
+        return hi
+    if mean_log_growth(lo) < 0.0:
+        return lo
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if mean_log_growth(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("depth", range(2, 7))
+def test_growth_root_matches_bisection_loop(depth):
+    for side in (0, 1):
+        lengths = [t[side] for t in harmonic.edge_length_tables(depth, depth)]
+        for iterations in (5, 60):
+            assert (growth_root(lengths, iterations=iterations)
+                    == loop_growth_root(lengths, iterations=iterations))
 
 
 def test_kh_trace_interval_behaviour():
