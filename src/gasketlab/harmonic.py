@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -385,17 +385,42 @@ def _segment_bounds(gen: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     return lo.reshape(-1), hi.reshape(-1)
 
 
-@lru_cache(maxsize=8)
+def _checked_cache(check, maxsize: int):
+    """``lru_cache`` whose ``check`` runs on every call, hits included, so
+    an edge cap lowered after a miss still refuses the cached result.
+
+    The decorated function keeps ``cache_info`` and ``cache_clear``;
+    ``__wrapped__`` is the uncached function.
+    """
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+
+        @wraps(fn)
+        def call(*args, **kwargs):
+            check(*args, **kwargs)
+            return cached(*args, **kwargs)
+
+        call.cache_info = cached.cache_info
+        call.cache_clear = cached.cache_clear
+        return call
+    return decorate
+
+
+def _check_tables(max_gen: int, depth: int) -> None:
+    if depth < 1:
+        raise GasketError("subdivision depth must be >= 1")
+    _require_cap(max_gen, depth, 3 ** (max_gen + 1) * 2 ** depth)
+
+
+@_checked_cache(_check_tables, maxsize=8)
 def edge_length_tables(max_gen: int, depth: int):
     """Length-bound tables [(lo, hi)] for generations 0..max_gen (cached).
 
     Reads only the level-max_gen and level-depth meshes; the largest
     table holds 3^(max_gen+1) 2^depth segments, which the edge cap
-    bounds before anything is built.
+    bounds before anything is built, and again on every cache hit.
     """
-    if depth < 1:
-        raise GasketError("subdivision depth must be >= 1")
-    _require_cap(max_gen, depth, 3 ** (max_gen + 1) * 2 ** depth)
+    _check_tables(max_gen, depth)
     tables = []
     for gen in range(max_gen + 1):
         lo, hi = _segment_bounds(gen, depth)

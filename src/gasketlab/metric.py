@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -26,6 +27,9 @@ import numpy as np
 from gasketlab.geometry import GasketError, GasketModel, _endpoint_nodes, build_model
 
 SNAP_TOL = 1e-9
+# a goal-directed search pops keys up to dist[target] times this, so every
+# path within rounding of the optimum is explored
+_KEY_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -37,11 +41,13 @@ class MetricGraph:
     ``arc_kind[i]``, in model edge order.  ``neighbors[u]`` holds the
     (neighbour, weight) pairs of node u sorted by neighbour, then weight,
     which fixes Dijkstra's tie-breaking; the shortest-path loops iterate
-    these tuples faster than index arrays.  ``arcs`` is a tuple view of
-    the arc arrays, built once on first use (about 15 ms at 30k arcs).  A
-    geodesic query costs one vectorised projection onto every arc per
-    off-node endpoint plus a Dijkstra run stopped at the target; a
-    witness check costs a full run.
+    these tuples faster than index arrays.  The cached properties below
+    (the ``arcs`` tuple view, coordinate lists, arc boxes, heuristic
+    scale and arc keys) are built on first use, so assembly pays for none
+    of them.  A geodesic query locates an endpoint by bisecting the
+    sorted x coordinates, or by projecting onto the few arcs whose box
+    holds it, then searches toward the target only; a witness check runs
+    a full Dijkstra and looks up its chains' arcs in one sorted pass.
     """
 
     level: int
@@ -61,6 +67,50 @@ class MetricGraph:
         """(u, v, weight, kind) per arc."""
         return tuple(zip(self.arc_u.tolist(), self.arc_v.tolist(),
                          self.arc_w.tolist(), self.arc_kind))
+
+    @cached_property
+    def coords(self) -> tuple[list[float], list[float]]:
+        """Node x and y coordinates as lists; x is sorted."""
+        return self.nodes[:, 0].tolist(), self.nodes[:, 1].tolist()
+
+    @cached_property
+    def arc_boxes(self) -> np.ndarray:
+        """(4, arcs) x-min, x-max, y-min, y-max of each arc, grown by
+        2 SNAP_TOL; NaN for a zero-length arc, which projects nowhere."""
+        p, q = self.nodes[self.arc_u], self.nodes[self.arc_v]
+        lo = np.minimum(p, q) - 2 * SNAP_TOL
+        hi = np.maximum(p, q) + 2 * SNAP_TOL
+        boxes = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]])
+        boxes[:, (p == q).all(axis=1)] = np.nan
+        return boxes
+
+    @cached_property
+    def heuristic_scale(self) -> float:
+        """lambda = min(1, weight / chord over arcs of positive chord).
+
+        Every path is then at least lambda times the straight line between
+        its ends, so lambda |x_v - x_t| never overestimates d(v, t), even
+        on a model that declares an edge shorter than its chord.
+        """
+        chords = np.hypot(*(self.nodes[self.arc_v] - self.nodes[self.arc_u]).T)
+        spans = chords > 0
+        return float(np.min(self.arc_w[spans] / chords[spans], initial=1.0))
+
+    @cached_property
+    def arc_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted keys tail * n + head of both directions of every arc, and
+        their weights; the lightest of parallel arcs comes first."""
+        tail, head, weight = _directed_arcs(self.arc_u, self.arc_v, self.arc_w)
+        return tail * self.node_count + head, weight
+
+
+def _directed_arcs(arc_u, arc_v, arc_w):
+    """Both directions of every arc, sorted by tail, head, then weight."""
+    tail = np.concatenate([arc_u, arc_v])
+    head = np.concatenate([arc_v, arc_u])
+    weight = np.concatenate([arc_w, arc_w])
+    order = np.lexsort((weight, head, tail))
+    return tail[order], head[order], weight[order]
 
 
 def _is_connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
@@ -95,11 +145,8 @@ def _assemble_graph(model: GasketModel) -> MetricGraph:
     # connectivity guard: a correct construction is always connected
     if not _is_connected(n, arc_u, arc_v):
         raise GasketError("metric graph is disconnected (construction bug)")
-    tail = np.concatenate([arc_u, arc_v])
-    head = np.concatenate([arc_v, arc_u])
-    both = np.concatenate([arc_w, arc_w])
-    order = np.lexsort((both, head, tail))
-    pairs = list(zip(head[order].tolist(), both[order].tolist()))
+    tail, head, weight = _directed_arcs(arc_u, arc_v, arc_w)
+    pairs = list(zip(head.tolist(), weight.tolist()))
     ends = np.cumsum(np.bincount(tail, minlength=n)).tolist()
     neighbors = tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
     for arr in (nodes, arc_u, arc_v, arc_w):
@@ -126,17 +173,27 @@ def to_metric_graph(model: GasketModel, level: Optional[int] = None) -> MetricGr
 
 def _dijkstra(graph: MetricGraph, source: int,
               extra: Optional[dict[int, list[tuple[int, float]]]] = None,
-              target: Optional[int] = None):
-    """Binary-heap Dijkstra over the sorted ``neighbors`` rows, each
-    followed by the node's ``extra`` overlay arcs.
+              target: Optional[int] = None,
+              goal: Optional[tuple[float, float]] = None):
+    """Shortest paths from ``source`` over the sorted ``neighbors`` rows,
+    each followed by the node's ``extra`` overlay arcs.
 
-    The (distance, node) heap keys break ties by smaller node id, keeping
-    paths deterministic.  With ``target`` the search stops once the target
-    is settled: its distance and predecessor chain are final, the other
-    entries may be partial.  Returns the ``(dist, pred)`` lists.  A full
-    run takes O((n + m) log n) interpreted steps, about 25 ms on the
-    level-8 stretched graph (19,683 nodes); it is the whole cost of a
-    geodesic or witness query.
+    Without ``target``: a binary-heap Dijkstra keyed by (distance, node),
+    run to exhaustion, so ties break by smaller node id and paths are
+    deterministic.  It takes O((n + m) log n) interpreted steps, 25-40 ms
+    on the level-8 stretched graph (19,683 nodes) on a 2-vCPU x86 VM.
+
+    With ``target``: a goal-directed (A*) search keyed by
+    g + lambda |x_v - goal|, ``goal`` being the target's coordinates
+    (its projected point for a virtual node).  It pops keys up to
+    dist[target] (1 + 1e-9), so it settles roughly the nodes of an
+    ellipse around the shortest paths rather than every node nearer the
+    source than the target.  dist is exact on the target and on every node of
+    the paths within rounding of its distance; other entries may be
+    partial.  pred then holds the target's chain only, the one the
+    (distance, node) heap would pick (``_chain``).
+
+    Returns the ``(dist, pred)`` lists.
     """
     rows = graph.neighbors
     if extra:
@@ -144,23 +201,71 @@ def _dijkstra(graph: MetricGraph, source: int,
         for u, arcs in extra.items():
             rows[u] = rows[u] + tuple(arcs)
     dist = [math.inf] * len(rows)
-    pred = [-1] * len(rows)
     dist[source] = 0.0
-    heap = [(0.0, source)]
     pop, push = heapq.heappop, heapq.heappush
+    if target is None:
+        pred = [-1] * len(rows)
+        heap = [(0.0, source)]
+        while heap:
+            d, u = pop(heap)
+            if d > dist[u]:
+                continue
+            for v, w in rows[u]:
+                nd = d + w
+                if nd < dist[v]:
+                    dist[v] = nd
+                    pred[v] = u
+                    push(heap, (nd, v))
+        return dist, pred
+
+    xs, ys = graph.coords
+    gx, gy = goal if goal is not None else (xs[target], ys[target])
+    scale, hypot, n = graph.heuristic_scale, math.hypot, graph.node_count
+    heap = [(0.0, source, 0.0)]
     while heap:
-        d, u = pop(heap)
-        if d > dist[u]:
-            continue
-        if u == target:
+        key, u, d = pop(heap)
+        if key > dist[target] * _KEY_SLACK:
             break
+        if d > dist[u] or u == target:
+            continue
         for v, w in rows[u]:
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
-                pred[v] = u
-                push(heap, (nd, v))
+                # a virtual node is pushed only as the target, where h = 0
+                h = scale * hypot(xs[v] - gx, ys[v] - gy) if v < n else 0.0
+                push(heap, (nd + h, v, nd))
+    pred = _chain(rows, dist, source, target)
+    if pred is None:
+        return _dijkstra(graph, source, extra)
     return dist, pred
+
+
+def _chain(rows, dist, source: int, target: int) -> Optional[list[int]]:
+    """The target's predecessor chain as the (distance, node) heap sets it.
+
+    That heap settles nodes in (distance, id) order, and a node's
+    predecessor is the first settled neighbour u with
+    dist[u] + w == dist[v]: the one with the smallest (dist[u], u).  The
+    walk back from the target takes it at every step.  The order holds
+    only while each step strictly lowers the distance; an arc too light
+    to do so (a zero-length edge) returns None, and the caller falls back
+    to the heap's own predecessors.
+    """
+    pred = [-1] * len(rows)
+    v = target
+    while v != source:
+        dv = dist[v]
+        best = (dv, -1)
+        for u, w in rows[v]:
+            du = dist[u]
+            if du + w == dv and (du, u) < best:
+                best = (du, u)
+        if best[0] >= dv:
+            return None
+        pred[v] = best[1]
+        v = best[1]
+    return pred
 
 
 def distance_field(graph: MetricGraph, source: int) -> np.ndarray:
@@ -182,36 +287,56 @@ class _Endpoint:
     snap_error: float              # error-bar contribution
     arc: Optional[int] = None      # split arc index, when interior to a joining edge
     extra: tuple = ()              # overlay arcs (v, w) for a virtual node
+    point: tuple = ()              # coordinates of ``node``; a virtual node's lie on its arc
+
+
+def _nearest_arc(graph: MetricGraph, x: np.ndarray, candidates) -> tuple[float, int, float]:
+    """(gap, arc, t) of the first candidate arc nearest to x, t being the
+    clipped projection parameter; a zero-length arc projects to NaN and
+    never wins."""
+    best = (math.inf, -1, 0.0)
+    for idx in candidates:
+        a = graph.nodes[graph.arc_u[idx]]
+        d = graph.nodes[graph.arc_v[idx]] - a
+        t = float(np.clip(np.dot(x - a, d) / np.dot(d, d), 0.0, 1.0))
+        gap = float(np.linalg.norm(x - (a + t * d)))
+        if gap < best[0]:
+            best = (gap, idx, t)
+    return best
 
 
 def _locate(graph: MetricGraph, point, virtual_id: int) -> _Endpoint:
     x = np.asarray(point, dtype=float)
     if x.shape != (2,):
         raise GasketError(f"query point must be 2-d, got {point}")
-    gaps = np.linalg.norm(graph.nodes - x, axis=1)
-    nearest = int(np.argmin(gaps))
-    if gaps[nearest] <= SNAP_TOL:
-        return _Endpoint(nearest, 0.0)
+    # nodes are sorted by x: only those within 2 SNAP_TOL in x can snap
+    xs = graph.coords[0]
+    lo = bisect_left(xs, float(x[0]) - 2 * SNAP_TOL)
+    hi = bisect_right(xs, float(x[0]) + 2 * SNAP_TOL)
+    if lo < hi:
+        gaps = np.linalg.norm(graph.nodes[lo:hi] - x, axis=1)
+        nearest = int(np.argmin(gaps))
+        if gaps[nearest] <= SNAP_TOL:
+            node = lo + nearest
+            return _Endpoint(node, 0.0, point=tuple(graph.nodes[node].tolist()))
 
-    # project x onto every arc in one pass, then rescan with the scalar
-    # formula the arcs within rounding of the best gap, so the winning
-    # arc, t and gap are exactly those of a scalar scan over all arcs; a
-    # zero-length arc projects to NaN and, as in that scan, never wins
-    ends = graph.nodes[graph.arc_u]
-    dirs = graph.nodes[graph.arc_v] - ends
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ts = np.clip(np.einsum("ij,ij->i", x - ends, dirs)
-                     / np.einsum("ij,ij->i", dirs, dirs), 0.0, 1.0)
-    gaps = np.hypot(*(x - (ends + ts[:, None] * dirs)).T)
-    best = (math.inf, -1, 0.0)     # (segment distance, arc index, parameter t)
-    for idx in np.flatnonzero(gaps <= np.fmin.reduce(gaps) + 1e-12).tolist():
-        a, d = ends[idx], dirs[idx]
-        t = float(np.clip(np.dot(x - a, d) / np.dot(d, d), 0.0, 1.0))
-        gap = float(np.linalg.norm(x - (a + t * d)))
-        if gap < best[0]:
-            best = (gap, idx, t)
-    gap, idx, t = best
+    # only an arc whose grown box holds x can lie within SNAP_TOL of it
+    box = graph.arc_boxes
+    inside = np.flatnonzero((box[0] <= x[0]) & (x[0] <= box[1])
+                            & (box[2] <= x[1]) & (x[1] <= box[3]))
+    gap, idx, t = _nearest_arc(graph, x, inside.tolist())
     if gap > SNAP_TOL:
+        # off the structure: find the nearest arc over all of them for the
+        # message, projecting in one pass and rescanning those within
+        # rounding of the best gap
+        ends = graph.nodes[graph.arc_u]
+        dirs = graph.nodes[graph.arc_v] - ends
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ts = np.clip(np.einsum("ij,ij->i", x - ends, dirs)
+                         / np.einsum("ij,ij->i", dirs, dirs), 0.0, 1.0)
+        gaps = np.hypot(*(x - (ends + ts[:, None] * dirs)).T)
+        near = np.flatnonzero(gaps <= np.fmin.reduce(gaps) + 1e-12)
+        gap = _nearest_arc(graph, x, near.tolist())[0]
         raise GasketError(
             f"point {tuple(x)} is not on the structure "
             f"(distance {gap:.3e} > {SNAP_TOL})"
@@ -220,10 +345,13 @@ def _locate(graph: MetricGraph, point, virtual_id: int) -> _Endpoint:
     w, kind = float(graph.arc_w[idx]), graph.arc_kind[idx]
     if kind == "stretched-joining":
         extra = ((u, t * w), (v, (1.0 - t) * w))
-        return _Endpoint(virtual_id, 0.0, arc=idx, extra=extra)
+        a = graph.nodes[u]
+        at = tuple((a + t * (graph.nodes[v] - a)).tolist())
+        return _Endpoint(virtual_id, 0.0, arc=idx, extra=extra, point=at)
     # interior of a finest triangle edge: snap to the nearer endpoint,
     # report one finest-edge length as the error bar
-    return _Endpoint(u if t <= 0.5 else v, w)
+    node = u if t <= 0.5 else v
+    return _Endpoint(node, w, point=tuple(graph.nodes[node].tolist()))
 
 
 @dataclass(frozen=True)
@@ -246,6 +374,13 @@ def geodesic(
     interiors, or finest triangle edges) within 1e-9.  Distances between
     vertices are exact and level-stable; snapped triangle-edge queries
     carry the finest edge length as error bar.
+
+    Cost: locating a point bisects the sorted node x coordinates and
+    projects onto the arcs whose boxes hold it; the search then settles
+    only the nodes whose distance from p plus lambda times their
+    straight-line distance to q stays within the p-q distance (a few
+    thousand of the 19,683 nodes on the level-8 stretched graph).  Distances and paths are those of
+    the (distance, node)-heap Dijkstra, bit for bit.
     """
     graph = to_metric_graph(model, level)
     n = graph.node_count
@@ -266,7 +401,8 @@ def geodesic(
         extra[src.node].append((dst.node, float(tdist)))
         extra[dst.node].append((src.node, float(tdist)))
 
-    dist, pred = _dijkstra(graph, src.node, extra or None, target=dst.node)
+    dist, pred = _dijkstra(graph, src.node, extra or None, target=dst.node,
+                           goal=dst.point)
     d = dist[dst.node]
     if math.isinf(d):
         raise GasketError("endpoints are not connected (construction bug)")
@@ -303,28 +439,36 @@ def _chains_attain(graph: MetricGraph, field: np.ndarray, pred: Sequence[int],
     The chain is a path, so its length bounds d(t, q) from above; with
     field 1-Lipschitz along every arc and field[q] == 0, field[t] bounds
     it from below, so both checks together give field[t] == d(t, q).
+    Each step's lightest arc is found in one sorted lookup over
+    ``arc_keys``.
     """
     if field[q] != 0.0:
         return False
-    rows, limit = graph.neighbors, graph.node_count
+    n = graph.node_count
+    steps: list[int] = []          # keys prev * n + node, target by target
+    ends = []                      # (target, end of its steps)
     for t in np.asarray(targets).tolist():
-        steps = []
-        node = t
+        node, start = t, len(steps)
         while node != q:
             prev = int(pred[node])
-            if prev < 0 or len(steps) == limit:
+            if prev < 0 or len(steps) - start == n:
                 return False
-            # rows are sorted, so the first match is the lightest parallel arc
-            w = next((w for v, w in rows[prev] if v == node), None)
-            if w is None:
-                return False
-            steps.append(w)
+            steps.append(prev * n + node)
             node = prev
+        ends.append((t, len(steps)))
+    keys, weights = graph.arc_keys
+    at = np.minimum(np.searchsorted(keys, steps), len(keys) - 1)
+    if not np.array_equal(keys[at], steps):
+        return False
+    found = weights[at].tolist()
+    start = 0
+    for t, end in ends:
         total = 0.0
-        for w in reversed(steps):
+        for w in reversed(found[start:end]):
             total += w
         if abs(total - field[t]) > rtol * field[t]:
             return False
+        start = end
     return True
 
 

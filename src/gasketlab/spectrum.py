@@ -283,12 +283,17 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float, *,
     """Halve [lo, hi] around the point where ``below`` turns false.
 
     ``below(p)`` holds left of the root.  Stops once the width is at
-    most ``tol`` or after ``steps`` halvings, whichever comes first.
+    most ``tol``, after ``steps`` halvings, or once a halving would leave
+    [lo, hi] unchanged: for adjacent doubles the midpoint rounds onto the
+    end it replaces, and a ``tol`` below one ulp is never met.
     """
     step = 0
     while hi - lo > tol and (steps is None or step < steps):
         mid = 0.5 * (lo + hi)
-        if below(mid):
+        left = below(mid)
+        if mid == (lo if left else hi):
+            break
+        if left:
             lo = mid
         else:
             hi = mid

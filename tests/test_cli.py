@@ -1,6 +1,11 @@
 """CLI verbs, file formats, round trips, exit codes, SVG output."""
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +204,22 @@ def test_dimension_verb_prints_closed_form(capsys):
     assert main(["dimension", "--variant", "stretched", "--alpha", "0.2"]) == 0
     printed = float(capsys.readouterr().out.strip())
     assert printed == pytest.approx(gl.stretched_dimension(0.2), abs=1e-15)
+
+
+def test_bracket_at_zero_tolerance_ends_on_adjacent_doubles():
+    # a fresh process with a timeout: a bisection that cannot meet its
+    # tolerance would hang an in-process call
+    src = str(Path(gl.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "gasketlab.cli", "dimension", "--variant", "stretched",
+         "--alpha", "0.2", "--bracket", "--tol", "0"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    name, lo, hi = done.stdout.splitlines()[-1].split(",")
+    assert name == "bracket"
+    assert float(hi) == math.nextafter(float(lo), math.inf)
 
 
 def test_dimension_verb_harmonic_interval(capsys):

@@ -378,6 +378,23 @@ def test_tables_read_no_mesh_above_their_levels(monkeypatch):
         np.testing.assert_array_equal(hi, ref_hi)
 
 
+def test_length_tables_cap_holds_on_cache_hits(monkeypatch):
+    monkeypatch.delenv("GASKET_MAX_EDGES", raising=False)
+    edge_length_tables.cache_clear()
+    first = edge_length_tables(3, 3)
+    assert edge_length_tables(3, 3) is first
+    assert edge_length_tables.cache_info().hits == 1
+    monkeypatch.setenv("GASKET_MAX_EDGES", "10")
+    with pytest.raises(ResourceCapError):
+        edge_length_tables(3, 3)
+    with pytest.raises(ResourceCapError):
+        gl.build_model("sg", 3)
+    monkeypatch.delenv("GASKET_MAX_EDGES")
+    assert edge_length_tables(3, 3) is first
+    edge_length_tables.cache_clear()
+    assert edge_length_tables.cache_info().currsize == 0
+
+
 def test_length_tables_cap_counts_segments_before_building(monkeypatch):
     # the largest table of (max_gen, depth) holds 3^(max_gen+1) 2^depth segments
     build = edge_length_tables.__wrapped__

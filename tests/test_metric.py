@@ -1,5 +1,8 @@
 """Metric graphs, geodesics, and the distance-witness check."""
 
+import dataclasses
+import heapq
+import json
 import math
 
 import numpy as np
@@ -8,14 +11,19 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 import gasketlab as gl
+from gasketlab import metric
 from gasketlab.geometry import EdgeCurve, GasketError, GasketModel
 from gasketlab.metric import (
+    SNAP_TOL,
     _chains_attain,
     _dijkstra,
+    _Endpoint,
+    _locate,
     arc_slacks,
     distance_field,
     to_metric_graph,
 )
+from gasketlab.serialize import model_from_json, model_to_json
 
 SQ3 = math.sqrt(3.0)
 
@@ -61,6 +69,107 @@ def _old_style_graph(model):
         adj[u].append((v, w))
         adj[v].append((u, w))
     return nodes, arcs, tuple(tuple(sorted(nbrs)) for nbrs in adj)
+
+
+def heap_dijkstra(graph, source, extra=None, target=None):
+    """The (distance, node)-heap Dijkstra stopped at the target, which
+    geodesics ran before the goal-directed search; kept as its reference."""
+    rows = graph.neighbors
+    if extra:
+        rows = list(rows) + [()] * (max(extra) + 1 - len(rows))
+        for u, arcs in extra.items():
+            rows[u] = rows[u] + tuple(arcs)
+    dist = [math.inf] * len(rows)
+    pred = [-1] * len(rows)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        if u == target:
+            break
+        for v, w in rows[u]:
+            nd = d + w
+            if nd < dist[v]:
+                dist[v] = nd
+                pred[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, pred
+
+
+def scan_locate(graph, point, virtual_id):
+    """Point location by projection onto every arc, as before the node
+    bisection and arc boxes; the endpoint carries no ``point``."""
+    x = np.asarray(point, dtype=float)
+    gaps = np.linalg.norm(graph.nodes - x, axis=1)
+    nearest = int(np.argmin(gaps))
+    if gaps[nearest] <= SNAP_TOL:
+        return _Endpoint(nearest, 0.0)
+    ends = graph.nodes[graph.arc_u]
+    dirs = graph.nodes[graph.arc_v] - ends
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ts = np.clip(np.einsum("ij,ij->i", x - ends, dirs)
+                     / np.einsum("ij,ij->i", dirs, dirs), 0.0, 1.0)
+    gaps = np.hypot(*(x - (ends + ts[:, None] * dirs)).T)
+    best = (math.inf, -1, 0.0)
+    for idx in np.flatnonzero(gaps <= np.fmin.reduce(gaps) + 1e-12).tolist():
+        a, d = ends[idx], dirs[idx]
+        t = float(np.clip(np.dot(x - a, d) / np.dot(d, d), 0.0, 1.0))
+        gap = float(np.linalg.norm(x - (a + t * d)))
+        if gap < best[0]:
+            best = (gap, idx, t)
+    gap, idx, t = best
+    if gap > SNAP_TOL:
+        raise GasketError(
+            f"point {tuple(x)} is not on the structure "
+            f"(distance {gap:.3e} > {SNAP_TOL})"
+        )
+    u, v = int(graph.arc_u[idx]), int(graph.arc_v[idx])
+    w, kind = float(graph.arc_w[idx]), graph.arc_kind[idx]
+    if kind == "stretched-joining":
+        return _Endpoint(virtual_id, 0.0, arc=idx, extra=((u, t * w), (v, (1.0 - t) * w)))
+    return _Endpoint(u if t <= 0.5 else v, w)
+
+
+def heap_geodesic(model, p, q):
+    """``geodesic`` as it ran on ``scan_locate`` and ``heap_dijkstra``."""
+    graph = to_metric_graph(model)
+    n = graph.node_count
+    src, dst = scan_locate(graph, p, n), scan_locate(graph, q, n + 1)
+    extra = {}
+    for ep in (src, dst):
+        if ep.arc is not None:
+            extra[ep.node] = list(ep.extra)
+            for v, w in ep.extra:
+                extra.setdefault(v, []).append((ep.node, w))
+    if src.arc is not None and src.arc == dst.arc:
+        a = graph.nodes[graph.arc_u[src.arc]]
+        tdist = abs(np.linalg.norm(np.asarray(p, float) - a)
+                    - np.linalg.norm(np.asarray(q, float) - a))
+        extra[src.node].append((dst.node, float(tdist)))
+        extra[dst.node].append((src.node, float(tdist)))
+    dist, pred = heap_dijkstra(graph, src.node, extra or None, target=dst.node)
+    return metric.GeodesicResult(dist[dst.node], tuple(_path_of(pred, src.node, dst.node)),
+                             graph.level, src.snap_error + dst.snap_error)
+
+
+def _assert_same_geodesic(model, p, q):
+    res, ref = gl.geodesic(model, p, q), heap_geodesic(model, p, q)
+    assert repr(res) == repr(ref)              # float reprs: bit-identical
+    assert all(type(v) is int for v in res.path)
+
+
+def _point_on(graph, arc, t):
+    u, v = graph.arc_u[arc], graph.arc_v[arc]
+    return graph.nodes[u] + t * (graph.nodes[v] - graph.nodes[u])
+
+
+def _edited_model(model, index, length):
+    """The model read back from JSON with edge ``index`` declaring ``length``."""
+    doc = json.loads(model_to_json(model))
+    doc["edges"][index]["length"] = length
+    return model_from_json(json.dumps(doc))
 
 
 def _path_of(pred, source, target):
@@ -240,6 +349,112 @@ def test_stopping_dijkstra_matches_full_run():
             assert _path_of(pred, s, t) == _path_of(full_pred, s, t)
 
 
+@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.05),
+                                           ("stretched", 0.2), ("stretched", 0.3)])
+def test_goal_directed_geodesics_match_heap_search_on_all_vertex_pairs(variant, alpha):
+    model = gl.build_model(variant, 3, alpha)
+    nodes = to_metric_graph(model).nodes
+    for p in nodes:
+        for q in nodes:
+            _assert_same_geodesic(model, p, q)
+
+
+@pytest.fixture(scope="module")
+def level_seven():
+    model = gl.build_model("stretched", 7, 0.2)
+    return model, to_metric_graph(model)
+
+
+def test_goal_directed_geodesics_match_heap_search_at_level_seven(level_seven):
+    model, graph = level_seven
+    rng = np.random.default_rng(51)
+    joining = np.flatnonzero(np.array(graph.arc_kind) == "stretched-joining")
+    triangle = np.flatnonzero(np.array(graph.arc_kind) == "stretched-triangle")
+    for a, b in rng.integers(0, graph.node_count, size=(300, 2)):
+        _assert_same_geodesic(model, graph.nodes[a], graph.nodes[b])
+    for pool in (joining, triangle):
+        for _ in range(100):
+            point = _point_on(graph, rng.choice(pool), rng.uniform(0.02, 0.98))
+            vertex = graph.nodes[rng.integers(graph.node_count)]
+            ends = (point, vertex) if rng.random() < 0.5 else (vertex, point)
+            _assert_same_geodesic(model, *ends)
+    for _ in range(100):                       # both ends on one joining arc
+        arc = rng.choice(joining)
+        s, t = rng.uniform(0.02, 0.98, size=2)
+        _assert_same_geodesic(model, _point_on(graph, arc, s), _point_on(graph, arc, t))
+
+
+def test_edge_shorter_than_its_chord_keeps_the_search_exact():
+    base = gl.build_model("stretched", 3, 0.2)
+    arc = 40
+    model = _edited_model(base, arc, 0.5 * base.edges[arc].length)
+    graph = to_metric_graph(model)
+    assert graph.heuristic_scale == pytest.approx(0.5, rel=1e-9)
+    for p in graph.nodes:
+        for q in graph.nodes[::4]:
+            _assert_same_geodesic(model, p, q)
+    joining = np.flatnonzero(np.array(graph.arc_kind) == "stretched-joining")
+    for arc in joining[::3]:
+        for q in graph.nodes[::9]:
+            _assert_same_geodesic(model, _point_on(graph, arc, 0.3), q)
+
+
+def test_zero_length_arc_falls_back_to_the_heap_order(monkeypatch):
+    # a zero-length side of a cell leaves its two corners at one distance,
+    # so the third corner has two predecessors there, and which one the
+    # heap settles first depends on the route, not on node ids
+    base = gl.build_model("stretched", 2, 0.2)
+    arc = next(i for i, e in enumerate(base.edges) if e.kind == "stretched-triangle")
+    model = _edited_model(base, arc, 0.0)
+    graph = to_metric_graph(model)
+    assert graph.heuristic_scale == 0.0
+    fallbacks = []
+
+    def counted(rows, dist, source, target):
+        pred = real(rows, dist, source, target)
+        fallbacks.append(pred is None)
+        return pred
+
+    real = metric._chain
+    monkeypatch.setattr(metric, "_chain", counted)
+    for p in graph.nodes:
+        for q in graph.nodes:
+            _assert_same_geodesic(model, p, q)
+    assert any(fallbacks) and not all(fallbacks)
+
+
+def test_locate_matches_the_full_scan_near_arcs(level_seven):
+    _, graph = level_seven
+    n = graph.node_count
+    rng = np.random.default_rng(52)
+    for arc in rng.integers(0, len(graph.arc_w), size=200):
+        u, v = graph.arc_u[arc], graph.arc_v[arc]
+        along = graph.nodes[v] - graph.nodes[u]
+        normal = np.array([-along[1], along[0]]) / np.hypot(*along)
+        t = rng.choice([0.0, 1.0, rng.uniform(0, 1)])
+        for off in (0.0, 0.5, 0.99, 1.01, 1.5):
+            x = _point_on(graph, arc, t) + off * SNAP_TOL * rng.choice([-1, 1]) * normal
+            try:
+                ref = scan_locate(graph, x, n)
+            except GasketError as exc:
+                with pytest.raises(GasketError) as got:
+                    _locate(graph, x, n)
+                assert str(got.value) == str(exc)
+                continue
+            assert dataclasses.replace(_locate(graph, x, n), point=()) == ref
+
+
+def test_off_structure_message_is_unchanged(level_seven):
+    model, graph = level_seven
+    for point in ((0.5, 0.1), (0.5, 0.3), (2.0, 2.0), (-1e-3, 0.0),
+                  tuple(_point_on(graph, 5, 0.5) + [0.0, 3 * SNAP_TOL])):
+        with pytest.raises(GasketError) as ref:
+            scan_locate(graph, point, graph.node_count)
+        with pytest.raises(GasketError) as got:
+            gl.geodesic(model, point, (0.0, 0.0))
+        assert str(got.value) == str(ref.value)
+
+
 def test_metric_axioms_on_random_triples():
     model = gl.build_model("stretched", 2, 0.2)
     graph = to_metric_graph(model)
@@ -344,6 +559,22 @@ def test_chain_check_rejects_one_perturbed_entry():
     bad[t] *= 1 + 1e-9
     assert not _chains_attain(graph, bad, pred, q, targets)
     assert not _chains_attain(graph, field - field[t], pred, q, targets)   # h(q) != 0
+
+
+def test_chain_check_rejects_a_step_that_is_not_an_arc():
+    # every sg arc weighs the same, so only the arc lookup can tell a
+    # jump between non-neighbours from a real step
+    graph = to_metric_graph(gl.build_model("sg", 2))
+    q = 0
+    near = {v for v, _ in graph.neighbors[q]}
+    for t in range(1, graph.node_count):
+        if t in near:
+            continue
+        pred = [-1] * graph.node_count
+        pred[t] = q
+        field = np.zeros(graph.node_count)
+        field[t] = graph.arc_w[0]
+        assert not _chains_attain(graph, field, pred, q, [t])
 
 
 def test_witness_attained_all_fails_for_wrong_field(monkeypatch):

@@ -205,6 +205,13 @@ def test_abscissa_bracket_matches_bisection_loop(tol):
         assert gl.abscissa_bracket(spec, tol=tol) == loop_abscissa_bracket(spec, tol=tol)
 
 
+@pytest.mark.parametrize("tol", (0.0, 1e-17))
+def test_bracket_below_one_ulp_stops_at_adjacent_doubles(tol):
+    for alpha in (0.05, 0.2, 0.3):
+        lo, hi = gl.abscissa_bracket(gl.stretched_length_spectrum(alpha), tol=tol)
+        assert hi == math.nextafter(lo, math.inf)
+
+
 def test_partial_sums_grow_below_the_abscissa():
     alpha = 0.2
     d = gl.stretched_dimension(alpha)
