@@ -43,11 +43,13 @@ class MetricGraph:
     which fixes Dijkstra's tie-breaking; the shortest-path loops iterate
     these tuples faster than index arrays.  The cached properties below
     (the ``arcs`` tuple view, coordinate lists, arc boxes, heuristic
-    scale and arc keys) are built on first use, so assembly pays for none
-    of them.  A geodesic query locates an endpoint by bisecting the
-    sorted x coordinates, or by projecting onto the few arcs whose box
-    holds it, then searches toward the target only; a witness check runs
-    a full Dijkstra and looks up its chains' arcs in one sorted pass.
+    scale, arc runs and keys, and the cells' corner tables) are built on
+    first use, so assembly pays for none of them.  A geodesic query
+    locates an endpoint by bisecting the sorted x coordinates, or by
+    projecting onto the few arcs whose box holds it, then searches toward
+    the target only.  A witness check reads its distance field off the
+    corner tables, takes each node's tight predecessor in one array pass
+    and looks up its chains' arcs in one sorted pass.
     """
 
     level: int
@@ -97,11 +99,26 @@ class MetricGraph:
         return float(np.min(self.arc_w[spans] / chords[spans], initial=1.0))
 
     @cached_property
+    def arc_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Both directions of every arc as (tail, head, weight) arrays sorted
+        by tail, head, then weight, and the index where each tail's run
+        starts.  Arcs are undirected, so the run of v also lists the arcs
+        into v."""
+        tail, head, weight = _directed_arcs(self.arc_u, self.arc_v, self.arc_w)
+        return tail, head, weight, np.flatnonzero(np.diff(tail, prepend=-1))
+
+    @cached_property
     def arc_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """Sorted keys tail * n + head of both directions of every arc, and
         their weights; the lightest of parallel arcs comes first."""
-        tail, head, weight = _directed_arcs(self.arc_u, self.arc_v, self.arc_w)
+        tail, head, weight, _ = self.arc_runs
         return tail * self.node_count + head, weight
+
+    @cached_property
+    def corner_tables(self) -> Optional[_CornerTables]:
+        """Exact corner distances of every cell, or None when the arcs do
+        not follow the layout ``build_model`` gives sg and stretched models."""
+        return _corner_tables(self)
 
 
 def _directed_arcs(arc_u, arc_v, arc_w):
@@ -181,7 +198,11 @@ def _dijkstra(graph: MetricGraph, source: int,
     Without ``target``: a binary-heap Dijkstra keyed by (distance, node),
     run to exhaustion, so ties break by smaller node id and paths are
     deterministic.  It takes O((n + m) log n) interpreted steps, 25-40 ms
-    on the level-8 stretched graph (19,683 nodes) on a 2-vCPU x86 VM.
+    on the level-8 stretched graph (19,683 nodes) on a 2-vCPU x86 VM, so
+    it serves only where a zero-length arc or an arc off
+    ``build_model``'s layout rules out the faster routes: a geodesic
+    whose chain ties, the witness chains of such a graph, and
+    ``distance_field`` off the layout.
 
     With ``target``: a goal-directed (A*) search keyed by
     g + lambda |x_v - goal|, ``goal`` being the target's coordinates
@@ -268,11 +289,160 @@ def _chain(rows, dist, source: int, target: int) -> Optional[list[int]]:
     return pred
 
 
+# The nine nodes of a cell are its children's corners, child-major: node
+# 3c + j is corner j of child c.  Child j keeps corner j of its parent, so
+# the cell's own corner j is node 4j.
+_OWN = np.array([0, 4, 8])
+# the right, bottom and left joining segments of a stretched cell
+# (geometry._refine_stretched) as pairs of nine-node ids; on sg each pair
+# is one shared midpoint
+_JOINS = np.array([[5, 7], [2, 6], [1, 3]])
+
+
+def _close(table: np.ndarray, via) -> None:
+    """Floyd-Warshall in place over the intermediate nodes ``via``, for a
+    stack of distance tables indexed by the first axis."""
+    for k in via:
+        np.minimum(table, table[:, :, k, None] + table[:, None, k, :], out=table)
+
+
+@dataclass(frozen=True)
+class _CornerTables:
+    """Graph distances between the corners of every cell of a level-L graph.
+
+    ``corners[r, j]`` is the node at corner j of level-L cell r (mesh row
+    order), ``leaf[r]`` the 3x3 distances between those corners, and
+    ``nine[k][r]`` the 9x9 distances between the nine nodes of level-k
+    cell r, for k < L.  The gasket is finitely ramified, so a path between
+    a cell and the rest of the graph passes through one of the cell's
+    corners; distances from one node therefore follow from these tables
+    in one min-plus step per cell.
+    """
+
+    corners: np.ndarray
+    leaf: np.ndarray
+    nine: tuple[np.ndarray, ...]
+
+    def field(self, source: int, node_count: int) -> np.ndarray:
+        cell, corner = divmod(int(np.argmax(self.corners.ravel() == source)), 3)
+        level = len(self.nine)
+        # up the source's address: distances to the nine nodes of each
+        # ancestor, from the distances to the corners of its child that
+        # holds the source
+        near = self.leaf[cell, corner]
+        ups = []
+        for k in reversed(range(level)):
+            parent, child = divmod(cell // 3 ** (level - 1 - k), 3)
+            up = (near[:, None] + self.nine[k][parent, 3 * child:3 * child + 3]).min(axis=0)
+            ups.append((parent, up))
+            near = up[_OWN]
+        # down every level: a cell without the source reaches its children's
+        # corners through its own corners
+        values = near[None, :]
+        for (parent, up), table in zip(reversed(ups), self.nine):
+            values = (values[:, :, None] + table[:, _OWN, :]).min(axis=1)
+            values[parent] = up
+            values = values.reshape(-1, 3)
+        field = np.empty(node_count)
+        field[self.corners] = values
+        return field
+
+
+def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
+    """Corner tables of a graph whose arcs follow ``build_model``'s layout.
+
+    The layout is checked in full: arc kinds and counts, each level-L
+    cell's triangle closing on its three corners, each joining arc (or, on
+    sg, each shared midpoint) on the corners it joins, and a node count
+    that leaves no further coincidences.  Otherwise, or with a negative or
+    NaN weight, returns None.  The tables take their weights from the
+    arcs, so they stay exact for any non-negative lengths.
+
+    Bottom-up, each cell's inside table is the min-plus closure of its
+    children's tables and its three joining arcs (zero-weight
+    identifications on sg).  Top-down, the parent's global corner
+    distances join each cell's table as outside arcs, and closing over the
+    three corners makes it global.
+    """
+    level, weights = graph.level, graph.arc_w
+    triangles = 3 ** (level + 1)
+    joins = len(weights) - triangles
+    if graph.arc_kind == ("sg-triangle",) * triangles:
+        nodes = (triangles + 3) // 2
+    elif graph.arc_kind == (("stretched-joining",) * ((triangles - 3) // 2)
+                            + ("stretched-triangle",) * triangles):
+        nodes = triangles
+    else:
+        return None
+    if graph.node_count != nodes or not (weights >= 0).all():
+        return None
+    # triangle arcs of each cell run corner 1 -> 3 -> 2 -> 1
+    tail = graph.arc_u[joins:].reshape(-1, 3)
+    if not np.array_equal(graph.arc_v[joins:].reshape(-1, 3), tail[:, [1, 2, 0]]):
+        return None
+    corners = tail[:, [0, 2, 1]]
+    sides = weights[joins:].reshape(-1, 3)
+    inside = np.zeros((len(tail), 3, 3))
+    inside[:, [0, 2, 1], [2, 1, 0]] = inside[:, [2, 1, 0], [0, 2, 1]] = sides
+    _close(inside, range(3))
+
+    nine = []
+    ends = corners                     # corner nodes of the level-(k+1) cells
+    for k in reversed(range(level)):
+        cells = 3 ** k
+        ids = ends.reshape(cells, 9)
+        a, b = ids[:, _JOINS[:, 0]], ids[:, _JOINS[:, 1]]
+        if joins:
+            first = 3 * (cells - 1) // 2       # generation k's first joining arc
+            arcs = slice(first, first + 3 * cells)
+            if not (np.array_equal(graph.arc_u[arcs].reshape(cells, 3), a)
+                    and np.array_equal(graph.arc_v[arcs].reshape(cells, 3), b)):
+                return None
+            bridge = weights[arcs].reshape(cells, 3)
+        elif np.array_equal(a, b):
+            bridge = np.zeros((cells, 3))
+        else:
+            return None
+        table = np.full((cells, 9, 9), np.inf)
+        blocks = table.reshape(cells, 3, 3, 3, 3)
+        children = inside.reshape(cells, 3, 3, 3)
+        for c in range(3):
+            blocks[:, c, :, c, :] = children[:, c]
+        table[:, _JOINS[:, 0], _JOINS[:, 1]] = table[:, _JOINS[:, 1], _JOINS[:, 0]] = bridge
+        _close(table, range(9))
+        nine.append(table)
+        inside = table[:, _OWN[:, None], _OWN]
+        ends = np.diagonal(ends.reshape(cells, 3, 3), axis1=1, axis2=2)
+    nine.reverse()
+
+    outside = inside                   # the root's inside distances are global
+    for k, table in enumerate(nine):
+        table[:, _OWN[:, None], _OWN] = outside
+        _close(table, _OWN)
+        blocks = np.diagonal(table.reshape(3 ** k, 3, 3, 3, 3), axis1=1, axis2=3)
+        outside = blocks.transpose(0, 3, 1, 2).reshape(-1, 3, 3)
+    for arr in (corners, outside, *nine):
+        arr.flags.writeable = False
+    return _CornerTables(corners, outside, tuple(nine))
+
+
 def distance_field(graph: MetricGraph, source: int) -> np.ndarray:
-    """Graph distance from one node to every node."""
+    """Graph distance from one node to every node.
+
+    On a graph in ``build_model``'s layout this is one numpy pass over the
+    graph's ``corner_tables`` (built once per graph, on first use): up the
+    source's cell address, then one min-plus step per level for all cells.
+    It takes O(N) array work, about 1 ms on the level-8 stretched graph
+    (19,683 nodes) on a 2-vCPU x86 VM after the tables' one-off 15-20 ms,
+    and agrees with the heap Dijkstra to a few ulps.  Any other graph
+    runs the exhaustive ``_dijkstra``.
+    """
     if not 0 <= source < graph.node_count:
         raise GasketError(f"source {source} is not a node id")
-    return np.array(_dijkstra(graph, source)[0])
+    tables = graph.corner_tables
+    if tables is None:
+        return np.array(_dijkstra(graph, source)[0])
+    return tables.field(source, graph.node_count)
 
 
 def arc_slacks(graph: MetricGraph, values: np.ndarray) -> np.ndarray:
@@ -472,6 +642,21 @@ def _chains_attain(graph: MetricGraph, field: np.ndarray, pred: Sequence[int],
     return True
 
 
+def _tight_predecessors(graph: MetricGraph, field: np.ndarray) -> np.ndarray:
+    """pred[v] = the neighbour u minimising field[u] + w over the arcs
+    (u, v, w), the smallest such u on ties.
+
+    One ``np.minimum.reduceat`` over the runs of ``arc_runs``; every node
+    is an arc end, so run v belongs to node v.  On the distance field from
+    q with positive weights, field[pred[v]] < field[v] up to rounding, so
+    every chain of predecessors ends at q.
+    """
+    tail, head, weight, starts = graph.arc_runs
+    cost = field[head] + weight
+    tight = np.flatnonzero(cost == np.minimum.reduceat(cost, starts)[tail])
+    return head[tight[np.diff(tail[tight], prepend=-1) != 0]]
+
+
 def lipschitz_witness_check(
     model: GasketModel,
     q: int,
@@ -487,13 +672,22 @@ def lipschitz_witness_check(
     of facts that lets h realize the supremum defining the spectral
     distance.  The second fact is checked by walking each target's
     shortest-path chain back to q and summing its arc weights.
+
+    The field comes from ``distance_field`` (the corner tables, about
+    1 ms on the level-8 stretched graph) and each node's chain step from
+    its tight predecessor, the in-arc minimising field[u] + w.  A graph
+    with a zero-length arc takes its chains from the heap ``_dijkstra``
+    instead, since the ends of such an arc can name each other.
     """
     graph = to_metric_graph(model, level)
     if not 0 <= q < graph.node_count:
         raise GasketError(f"witness target {q} is not a node id")
-    dist, pred = _dijkstra(graph, q)
-    field = np.array(dist)
+    field = distance_field(graph, q)
     slacks = arc_slacks(graph, field)
+    if (graph.arc_w > 0).all():
+        pred = _tight_predecessors(graph, field)
+    else:
+        pred = _dijkstra(graph, q)[1]
     rng = np.random.default_rng(seed)
     targets = rng.integers(0, graph.node_count, size=n_targets)
     return WitnessReport(

@@ -15,6 +15,7 @@ so serialize(parse(text)) == text byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable
 
 from gasketlab.geometry import EdgeCurve, GasketError, GasketModel
@@ -59,6 +60,22 @@ def model_to_json(model: GasketModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_lengths(edges: tuple[EdgeCurve, ...]) -> None:
+    """Reject a negative or non-finite length, lower or upper bound.
+
+    Shortest-path searches assume non-negative weights: across a negative
+    arc each relaxation lowers both ends again, and the search never ends.
+    Zero stays legal.
+    """
+    for e in edges:
+        if not (0.0 <= e.length < math.inf and (
+                e.length_lo is None
+                or 0.0 <= e.length_lo < math.inf and 0.0 <= e.length_hi < math.inf)):
+            raise GasketError(
+                f"edge {e.id}: lengths must be finite and non-negative, got "
+                f"length={e.length}, length_lo={e.length_lo}, length_hi={e.length_hi}")
+
+
 def model_from_json(text: str) -> GasketModel:
     """Parse a model document back into an immutable model."""
     try:
@@ -80,6 +97,7 @@ def model_from_json(text: str) -> GasketModel:
             )
             for e in doc["edges"]
         )
+        _check_lengths(edges)
         return GasketModel(
             variant=str(doc["variant"]),
             alpha=float(doc["alpha"]) if "alpha" in doc else None,

@@ -301,6 +301,12 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float, *,
     return lo, hi
 
 
+#: relative distance from the abscissa inside which the growth predicate's
+#: answer rests on rounding: over alpha in (0, 1/3) its turning point lies
+#: up to 2 ulps from the closed form, which itself carries about 2 ulps
+GROWTH_ROUNDING = 8 * 2.0 ** -52
+
+
 def abscissa_bracket(
     spectrum: LengthSpectrum,
     generations: int = 30,
@@ -311,7 +317,9 @@ def abscissa_bracket(
 
     Independent of the closed-form dimension formula: a candidate p is
     below the abscissa when the per-generation term sums still grow at
-    the last materialized generation, above it when they shrink.
+    the last materialized generation, above it when they shrink.  An end
+    the predicate cannot tell from the abscissa is moved out by
+    ``GROWTH_ROUNDING``, so the bracket encloses it at any ``tol``.
     """
     if not spectrum.families:
         raise GasketError("growth bracketing needs a geometric family")
@@ -325,7 +333,17 @@ def abscissa_bracket(
     lo, hi = p_range
     if grows(hi) or not grows(lo):
         raise GasketError(f"abscissa not bracketed by p_range {p_range}")
-    return _bisect(grows, lo, hi, tol=tol)
+    lo, hi = _bisect(grows, lo, hi, tol=tol)
+    # Within GROWTH_ROUNDING of the abscissa, grows() may answer either
+    # way.  An end whose answer still holds twice that far inward is on the
+    # right side; any other end is moved out by the rounding, so the
+    # bracket encloses the abscissa even at a tol below one ulp.
+    pad = GROWTH_ROUNDING * hi
+    if not grows(lo + 2.0 * pad):
+        lo -= pad
+    if grows(hi - 2.0 * pad):
+        hi += pad
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

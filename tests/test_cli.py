@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from gasketlab.cli import main
 from gasketlab import harmonic, svg
 from gasketlab.geometry import (
     TRIANGLE_EDGE_CORNERS,
+    GasketError,
     GasketModel,
     cell_index,
     sg_hierarchy,
@@ -26,6 +28,7 @@ from gasketlab.serialize import (
     read_model,
     write_model,
 )
+from gasketlab.spectrum import GROWTH_ROUNDING
 from gasketlab.svg import render_svg
 
 
@@ -60,6 +63,27 @@ def test_field_order_is_fixed():
                     '"kind" "gen" "p" "q" "length" "word"'.split() + [None]):
         if b is not None:
             assert first_edge.index(a) < first_edge.index(b)
+
+
+@pytest.mark.parametrize("field", ["length", "length_lo", "length_hi"])
+@pytest.mark.parametrize("value", [-0.1, math.nan, math.inf, -math.inf])
+def test_bad_edge_lengths_are_rejected_on_read(field, value):
+    # a negative arc made the shortest-path search run forever: reading
+    # must refuse it at once
+    model = (gl.build_model("stretched", 1, 0.2) if field == "length"
+             else gl.build_model("harmonic", 1, harmonic_depth=2))
+    doc = json.loads(model_to_json(model))
+    doc["edges"][0][field] = value
+    start = time.perf_counter()
+    with pytest.raises(GasketError, match="edge 0: lengths must be finite"):
+        model_from_json(json.dumps(doc))
+    assert time.perf_counter() - start < 0.5
+
+
+def test_zero_edge_length_stays_legal():
+    doc = json.loads(model_to_json(gl.build_model("stretched", 1, 0.2)))
+    doc["edges"][0]["length"] = 0.0
+    assert model_from_json(json.dumps(doc)).edges[0].length == 0.0
 
 
 def test_numbers_have_17_significant_digits():
@@ -206,7 +230,7 @@ def test_dimension_verb_prints_closed_form(capsys):
     assert printed == pytest.approx(gl.stretched_dimension(0.2), abs=1e-15)
 
 
-def test_bracket_at_zero_tolerance_ends_on_adjacent_doubles():
+def test_bracket_at_zero_tolerance_ends_and_encloses_the_closed_form():
     # a fresh process with a timeout: a bisection that cannot meet its
     # tolerance would hang an in-process call
     src = str(Path(gl.__file__).resolve().parents[1])
@@ -217,9 +241,12 @@ def test_bracket_at_zero_tolerance_ends_on_adjacent_doubles():
          "--alpha", "0.2", "--bracket", "--tol", "0"],
         capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0
-    name, lo, hi = done.stdout.splitlines()[-1].split(",")
+    closed, bracket = done.stdout.splitlines()[-2:]
+    name, lo, hi = bracket.split(",")
     assert name == "bracket"
-    assert float(hi) == math.nextafter(float(lo), math.inf)
+    lo, hi = float(lo), float(hi)
+    assert lo <= float(closed) <= hi
+    assert hi - lo <= 2 * GROWTH_ROUNDING * hi + 2 * math.ulp(hi)
 
 
 def test_dimension_verb_harmonic_interval(capsys):

@@ -521,6 +521,109 @@ def test_off_structure_point_is_rejected():
         gl.geodesic(model, (0.5, 0.1), (0.0, 0.0))
 
 
+# -- distance fields from corner tables --------------------------------------
+
+FIELD_RTOL = 1e-13
+VARIANTS = [("sg", None), ("stretched", 0.05), ("stretched", 0.2), ("stretched", 0.3)]
+
+
+def _assert_fields_match_heap(graph, sources):
+    for s in sources:
+        ref = np.array(heap_dijkstra(graph, int(s))[0])
+        np.testing.assert_allclose(distance_field(graph, int(s)), ref,
+                                   rtol=FIELD_RTOL, atol=0.0)
+
+
+def _sources(graph, count=5, seed=0):
+    """Every node of a small graph; else the first, the last and a few random ones."""
+    if graph.node_count <= 3 * count:
+        return range(graph.node_count)
+    rng = np.random.default_rng(seed)
+    return [0, graph.node_count - 1, *rng.integers(0, graph.node_count, size=count)]
+
+
+def _rewritten(model, edit):
+    """The model read back from JSON after ``edit`` changed its edge list."""
+    doc = json.loads(model_to_json(model))
+    edit(doc["edges"])
+    return model_from_json(json.dumps(doc))
+
+
+def _rescaled_model(model, factor, prefix):
+    """``model`` with every edge inside the cell addressed by ``prefix``
+    declaring ``factor`` times its length."""
+    def scale(edges):
+        for e in edges:
+            if e["word"].startswith(prefix):
+                e["length"] *= factor
+    return _rewritten(model, scale)
+
+
+@pytest.mark.parametrize("level", range(7))
+@pytest.mark.parametrize("variant,alpha", VARIANTS)
+def test_table_fields_match_heap_dijkstra(variant, alpha, level):
+    graph = to_metric_graph(gl.build_model(variant, level, alpha))
+    assert graph.corner_tables is not None
+    _assert_fields_match_heap(graph, _sources(graph, seed=level))
+
+
+@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.25)])
+def test_table_fields_match_scipy_from_every_node(variant, alpha):
+    graph = to_metric_graph(gl.build_model(variant, 3, alpha))
+    for s in range(graph.node_count):
+        np.testing.assert_allclose(distance_field(graph, s), _scipy_distances(graph, s),
+                                   rtol=FIELD_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["stretched-joining", "stretched-triangle"])
+def test_table_fields_with_an_edge_at_half_its_chord(kind):
+    base = gl.build_model("stretched", 4, 0.2)
+    arcs = [i for i, e in enumerate(base.edges) if e.kind == kind]
+    for arc in (arcs[0], arcs[len(arcs) // 2]):
+        graph = to_metric_graph(_edited_model(base, arc, 0.5 * base.edges[arc].length))
+        assert graph.corner_tables is not None
+        _assert_fields_match_heap(graph, _sources(graph, seed=arc))
+
+
+@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.2)])
+def test_table_fields_route_around_a_heavy_cell(variant, alpha):
+    # edges of cell 12 weigh 20 times their chord, so paths between its
+    # corners leave the cell and even its parent: only the parents' global
+    # corner distances, added top-down, see them
+    model = _rescaled_model(gl.build_model(variant, 4, alpha), 20.0, "12")
+    graph = to_metric_graph(model)
+    assert graph.corner_tables is not None
+    heavy = [i for i, e in enumerate(model.edges) if e.word.startswith("12")]
+    _assert_fields_match_heap(graph, [0, *np.unique(graph.arc_u[heavy])[::3]])
+
+
+def _swapped_edges(model, i, j):
+    def swap(edges):
+        edges[i], edges[j] = edges[j], edges[i]
+    return _rewritten(model, swap)
+
+
+def _moved_endpoint(model, index, shift):
+    def move(edges):
+        edges[index]["p"][0] += shift
+    return _rewritten(model, move)
+
+
+@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.2)])
+def test_off_layout_graphs_fall_back_to_the_heap_search(variant, alpha):
+    base = gl.build_model(variant, 3, alpha)
+    joins = sum(e.kind == "stretched-joining" for e in base.edges)
+    broken = [_swapped_edges(base, joins, joins + 1),      # a cell's triangle reordered
+              _swapped_edges(base, joins + 2, joins + 5),  # two cells' sides traded
+              _moved_endpoint(base, joins + 4, 1e-3)]      # a corner split in two
+    if joins:
+        broken.append(_swapped_edges(base, 3, 5))          # two joining labels traded
+    for model in broken:
+        graph = to_metric_graph(model)
+        assert graph.corner_tables is None
+        _assert_fields_match_heap(graph, _sources(graph))
+
+
 # -- witness check -----------------------------------------------------------
 
 def test_witness_check_passes_at_corner():
@@ -580,16 +683,56 @@ def test_chain_check_rejects_a_step_that_is_not_an_arc():
 def test_witness_attained_all_fails_for_wrong_field(monkeypatch):
     # a field that is 1-Lipschitz but not d(., q) must not be reported attained
     model = gl.build_model("stretched", 3, 0.2)
-    real = gl.metric._dijkstra
+    real = gl.metric.distance_field
 
     def halved(*args, **kwargs):
-        dist, pred = real(*args, **kwargs)
-        return [d / 2 for d in dist], pred
+        return real(*args, **kwargs) / 2
 
-    monkeypatch.setattr(gl.metric, "_dijkstra", halved)
+    monkeypatch.setattr(gl.metric, "distance_field", halved)
     report = gl.lipschitz_witness_check(model, 0)
     assert report.lipschitz_ok
     assert not report.attained_all and not report.ok
+
+
+def _heap_witness(model, q, seed, n_targets=20):
+    """The witness report as the full heap Dijkstra's field and
+    predecessors give it."""
+    graph = to_metric_graph(model)
+    dist, pred = heap_dijkstra(graph, q)
+    field = np.array(dist)
+    slacks = arc_slacks(graph, field)
+    targets = np.random.default_rng(seed).integers(0, graph.node_count, size=n_targets)
+    return metric.WitnessReport(
+        target=q, level=graph.level, arcs_checked=len(graph.arc_w),
+        max_arc_violation=float(slacks.max()),
+        lipschitz_ok=bool((slacks <= 1e-12).all()), targets_checked=n_targets,
+        attained_all=_chains_attain(graph, field, pred, q, targets))
+
+
+@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.2)])
+def test_witness_reports_match_the_heap_witness(variant, alpha):
+    model = gl.build_model(variant, 6, alpha)
+    graph = to_metric_graph(model)
+    rng = np.random.default_rng(61)
+    for q, seed in rng.integers(0, graph.node_count, size=(20, 2)):
+        got = gl.lipschitz_witness_check(model, int(q), seed=int(seed))
+        ref = _heap_witness(model, int(q), int(seed))
+        assert got.ok
+        assert abs(got.max_arc_violation - ref.max_arc_violation) <= 1e-15
+        assert got == dataclasses.replace(ref, max_arc_violation=got.max_arc_violation)
+
+
+@pytest.mark.parametrize("kind", ["stretched-joining", "stretched-triangle"])
+def test_witness_with_a_zero_length_arc_matches_the_heap_witness(kind):
+    base = gl.build_model("stretched", 3, 0.2)
+    arc = next(i for i, e in enumerate(base.edges) if e.kind == kind)
+    model = _edited_model(base, arc, 0.0)
+    for q in range(0, to_metric_graph(model).node_count, 9):
+        got = gl.lipschitz_witness_check(model, q, seed=q)
+        ref = _heap_witness(model, q, q)
+        assert got.ok
+        assert abs(got.max_arc_violation - ref.max_arc_violation) <= 1e-15
+        assert got == dataclasses.replace(ref, max_arc_violation=got.max_arc_violation)
 
 
 def test_witness_target_validation():

@@ -11,6 +11,7 @@ import gasketlab as gl
 from gasketlab.geometry import GasketError
 from gasketlab import harmonic
 from gasketlab.spectrum import (
+    GROWTH_ROUNDING,
     KH_DIMENSION_UPPER,
     DiracSpectrum,
     DivergenceError,
@@ -207,9 +208,22 @@ def test_abscissa_bracket_matches_bisection_loop(tol):
 
 @pytest.mark.parametrize("tol", (0.0, 1e-17))
 def test_bracket_below_one_ulp_stops_at_adjacent_doubles(tol):
+    # the bisection stops on adjacent doubles, whose ends lie within the
+    # predicate's rounding of the abscissa: each moves out by at most that
     for alpha in (0.05, 0.2, 0.3):
         lo, hi = gl.abscissa_bracket(gl.stretched_length_spectrum(alpha), tol=tol)
-        assert hi == math.nextafter(lo, math.inf)
+        assert hi - lo <= 2 * GROWTH_ROUNDING * hi + 2 * math.ulp(hi)
+        assert lo <= gl.stretched_dimension(alpha) <= hi
+
+
+def test_bracket_at_zero_tolerance_encloses_the_closed_form():
+    cases = [(gl.stretched_length_spectrum(a), gl.stretched_dimension(a))
+             for a in np.linspace(0.001, 0.333, 200)]
+    cases.append((gl.sg_length_spectrum(), math.log(3.0) / math.log(2.0)))
+    for spec, d in cases:
+        lo, hi = gl.abscissa_bracket(spec, tol=0.0)
+        assert lo <= d <= hi
+        assert hi - lo <= 2 * GROWTH_ROUNDING * hi + 2 * math.ulp(hi)
 
 
 def test_partial_sums_grow_below_the_abscissa():
