@@ -27,9 +27,9 @@ import numpy as np
 from gasketlab.geometry import GasketError, GasketModel, _endpoint_nodes, build_model
 
 SNAP_TOL = 1e-9
-# a goal-directed search pops keys up to dist[target] times this, so every
-# path within rounding of the optimum is explored
-_KEY_SLACK = 1.0 + 1e-9
+# a node joins a geodesic's corridor when d(p, v) + d(v, q) is within this
+# factor of d(p, q), so rounding in the corner tables loses no path node
+_CORRIDOR_SLACK = 1.0 + 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,15 @@ class MetricGraph:
     (neighbour, weight) pairs of node u sorted by neighbour, then weight,
     which fixes Dijkstra's tie-breaking; the shortest-path loops iterate
     these tuples faster than index arrays.  The cached properties below
-    (the ``arcs`` tuple view, coordinate lists, arc boxes, heuristic
-    scale, arc runs and keys, and the cells' corner tables) are built on
-    first use, so assembly pays for none of them.  A geodesic query
-    locates an endpoint by bisecting the sorted x coordinates, or by
-    projecting onto the few arcs whose box holds it, then searches toward
-    the target only.  A witness check reads its distance field off the
-    corner tables, takes each node's tight predecessor in one array pass
-    and looks up its chains' arcs in one sorted pass.
+    (the ``arcs`` tuple view, coordinate lists, arc boxes, arc runs and
+    keys, and the cells' corner tables) are built on first use, so
+    assembly pays for none of them.  A geodesic query locates an endpoint
+    by bisecting the sorted x coordinates, or by projecting onto the few
+    arcs whose box holds it, reads the corridor of its shortest paths off
+    the corner tables and searches that corridor only.  A witness check
+    reads its distance field off the corner tables, takes each node's
+    tight predecessor in one array pass and looks up its chains' arcs in
+    one sorted pass.
     """
 
     level: int
@@ -85,18 +86,6 @@ class MetricGraph:
         boxes = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]])
         boxes[:, (p == q).all(axis=1)] = np.nan
         return boxes
-
-    @cached_property
-    def heuristic_scale(self) -> float:
-        """lambda = min(1, weight / chord over arcs of positive chord).
-
-        Every path is then at least lambda times the straight line between
-        its ends, so lambda |x_v - x_t| never overestimates d(v, t), even
-        on a model that declares an edge shorter than its chord.
-        """
-        chords = np.hypot(*(self.nodes[self.arc_v] - self.nodes[self.arc_u]).T)
-        spans = chords > 0
-        return float(np.min(self.arc_w[spans] / chords[spans], initial=1.0))
 
     @cached_property
     def arc_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -190,29 +179,22 @@ def to_metric_graph(model: GasketModel, level: Optional[int] = None) -> MetricGr
 
 def _dijkstra(graph: MetricGraph, source: int,
               extra: Optional[dict[int, list[tuple[int, float]]]] = None,
-              target: Optional[int] = None,
-              goal: Optional[tuple[float, float]] = None):
+              allowed: Optional[bytearray] = None):
     """Shortest paths from ``source`` over the sorted ``neighbors`` rows,
-    each followed by the node's ``extra`` overlay arcs.
+    each followed by the node's ``extra`` overlay arcs: a binary-heap
+    Dijkstra keyed by (distance, node), run to exhaustion, so ties break
+    by smaller node id and paths are deterministic.
 
-    Without ``target``: a binary-heap Dijkstra keyed by (distance, node),
-    run to exhaustion, so ties break by smaller node id and paths are
-    deterministic.  It takes O((n + m) log n) interpreted steps, 25-40 ms
-    on the level-8 stretched graph (19,683 nodes) on a 2-vCPU x86 VM, so
-    it serves only where a zero-length arc or an arc off
-    ``build_model``'s layout rules out the faster routes: a geodesic
-    whose chain ties, the witness chains of such a graph, and
-    ``distance_field`` off the layout.
-
-    With ``target``: a goal-directed (A*) search keyed by
-    g + lambda |x_v - goal|, ``goal`` being the target's coordinates
-    (its projected point for a virtual node).  It pops keys up to
-    dist[target] (1 + 1e-9), so it settles roughly the nodes of an
-    ellipse around the shortest paths rather than every node nearer the
-    source than the target.  dist is exact on the target and on every node of
-    the paths within rounding of its distance; other entries may be
-    partial.  pred then holds the target's chain only, the one the
-    (distance, node) heap would pick (``_chain``).
+    With ``allowed``, a byte per node (virtual ones included), the search
+    relaxes only arcs into allowed nodes.  ``geodesic`` passes the
+    corridor of the shortest paths (``_CornerTables.corridor``), a few
+    hundred nodes; the heap then pops the corridor's nodes in the order
+    the unrestricted heap would, so dist and pred on every node of the
+    paths within rounding of the optimum are those of the full search.
+    Unrestricted, it takes O((n + m) log n) interpreted steps, 25-40 ms on
+    the level-8 stretched graph (19,683 nodes) on a 2-vCPU x86 VM, and
+    serves only where a zero-length arc or an arc off ``build_model``'s
+    layout rules out the corner tables.
 
     Returns the ``(dist, pred)`` lists.
     """
@@ -221,72 +203,24 @@ def _dijkstra(graph: MetricGraph, source: int,
         rows = list(rows) + [()] * (max(extra) + 1 - len(rows))
         for u, arcs in extra.items():
             rows[u] = rows[u] + tuple(arcs)
+    if allowed is None:
+        allowed = b"\x01" * len(rows)
     dist = [math.inf] * len(rows)
+    pred = [-1] * len(rows)
     dist[source] = 0.0
     pop, push = heapq.heappop, heapq.heappush
-    if target is None:
-        pred = [-1] * len(rows)
-        heap = [(0.0, source)]
-        while heap:
-            d, u = pop(heap)
-            if d > dist[u]:
-                continue
-            for v, w in rows[u]:
-                nd = d + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    pred[v] = u
-                    push(heap, (nd, v))
-        return dist, pred
-
-    xs, ys = graph.coords
-    gx, gy = goal if goal is not None else (xs[target], ys[target])
-    scale, hypot, n = graph.heuristic_scale, math.hypot, graph.node_count
-    heap = [(0.0, source, 0.0)]
+    heap = [(0.0, source)]
     while heap:
-        key, u, d = pop(heap)
-        if key > dist[target] * _KEY_SLACK:
-            break
-        if d > dist[u] or u == target:
+        d, u = pop(heap)
+        if d > dist[u]:
             continue
         for v, w in rows[u]:
             nd = d + w
-            if nd < dist[v]:
+            if nd < dist[v] and allowed[v]:
                 dist[v] = nd
-                # a virtual node is pushed only as the target, where h = 0
-                h = scale * hypot(xs[v] - gx, ys[v] - gy) if v < n else 0.0
-                push(heap, (nd + h, v, nd))
-    pred = _chain(rows, dist, source, target)
-    if pred is None:
-        return _dijkstra(graph, source, extra)
+                pred[v] = u
+                push(heap, (nd, v))
     return dist, pred
-
-
-def _chain(rows, dist, source: int, target: int) -> Optional[list[int]]:
-    """The target's predecessor chain as the (distance, node) heap sets it.
-
-    That heap settles nodes in (distance, id) order, and a node's
-    predecessor is the first settled neighbour u with
-    dist[u] + w == dist[v]: the one with the smallest (dist[u], u).  The
-    walk back from the target takes it at every step.  The order holds
-    only while each step strictly lowers the distance; an arc too light
-    to do so (a zero-length edge) returns None, and the caller falls back
-    to the heap's own predecessors.
-    """
-    pred = [-1] * len(rows)
-    v = target
-    while v != source:
-        dv = dist[v]
-        best = (dv, -1)
-        for u, w in rows[v]:
-            du = dist[u]
-            if du + w == dv and (du, u) < best:
-                best = (du, u)
-        if best[0] >= dv:
-            return None
-        pred[v] = best[1]
-        v = best[1]
-    return pred
 
 
 # The nine nodes of a cell are its children's corners, child-major: node
@@ -313,39 +247,112 @@ class _CornerTables:
     ``corners[r, j]`` is the node at corner j of level-L cell r (mesh row
     order), ``leaf[r]`` the 3x3 distances between those corners, and
     ``nine[k][r]`` the 9x9 distances between the nine nodes of level-k
-    cell r, for k < L.  The gasket is finitely ramified, so a path between
+    cell r, for k < L.  ``slot[v]`` is 3r + j for the first corner j of a
+    cell r at node v.  The gasket is finitely ramified, so a path between
     a cell and the rest of the graph passes through one of the cell's
-    corners; distances from one node therefore follow from these tables
-    in one min-plus step per cell.
+    corners; distances from one point therefore follow from these tables
+    in one min-plus step per cell: up the point's cell address
+    (``chain``), then down to every cell (``field``) or only to the cells
+    near a shortest path (``corridor``).
     """
 
     corners: np.ndarray
     leaf: np.ndarray
     nine: tuple[np.ndarray, ...]
+    slot: np.ndarray
 
-    def field(self, source: int, node_count: int) -> np.ndarray:
-        cell, corner = divmod(int(np.argmax(self.corners.ravel() == source)), 3)
-        level = len(self.nine)
-        # up the source's address: distances to the nine nodes of each
-        # ancestor, from the distances to the corners of its child that
-        # holds the source
-        near = self.leaf[cell, corner]
+    def _ascend(self, level: int, cell: int, near: np.ndarray) -> list:
+        """(ancestor, distances to its nine nodes) at levels 0 .. level-1,
+        from the distances ``near`` to the corners of level-``level`` cell
+        ``cell``, which holds the point: each ancestor's distances follow
+        from those to the corners of its child that holds the point."""
         ups = []
         for k in reversed(range(level)):
             parent, child = divmod(cell // 3 ** (level - 1 - k), 3)
             up = (near[:, None] + self.nine[k][parent, 3 * child:3 * child + 3]).min(axis=0)
             ups.append((parent, up))
             near = up[_OWN]
+        return ups[::-1]
+
+    def chain(self, endpoint: _Endpoint) -> list:
+        """(cell, distances) at each level, root first, for every cell that
+        holds the endpoint.  Above the last entry the distances run to the
+        cell's nine nodes.  A node's chain ends at its leaf cell, with the
+        distances to that cell's three corners.  A point inside a joining
+        arc (a virtual node) lies in the cell the arc belongs to and in none
+        of its children, so its chain ends there, with the nine distances
+        through the arc's two ends."""
+        level = len(self.nine)
+        if endpoint.arc is None:
+            cell, corner = divmod(int(self.slot[endpoint.node]), 3)
+            near = self.leaf[cell, corner]
+            return self._ascend(level, cell, near) + [(cell, near)]
+        # generation k's 3^k cells hold the joining arcs from 3(3^k - 1)/2 on,
+        # three per cell, in the order of _JOINS
+        k = 0
+        while 3 * (3 ** (k + 1) - 1) // 2 <= endpoint.arc:
+            k += 1
+        cell, pair = divmod(endpoint.arc - 3 * (3 ** k - 1) // 2, 3)
+        (_, a), (_, b) = endpoint.extra
+        table = self.nine[k][cell]
+        up = np.minimum(a + table[_JOINS[pair, 0]], b + table[_JOINS[pair, 1]])
+        return self._ascend(k, cell, up[_OWN]) + [(cell, up)]
+
+    def field(self, source: int, node_count: int) -> np.ndarray:
+        cell, corner = divmod(int(self.slot[source]), 3)
+        near = self.leaf[cell, corner]
+        ups = self._ascend(len(self.nine), cell, near)
         # down every level: a cell without the source reaches its children's
         # corners through its own corners
-        values = near[None, :]
-        for (parent, up), table in zip(reversed(ups), self.nine):
+        values = (ups[0][1][_OWN] if ups else near)[None, :]
+        for (parent, up), table in zip(ups, self.nine):
             values = (values[:, :, None] + table[:, _OWN, :]).min(axis=1)
             values[parent] = up
             values = values.reshape(-1, 3)
         field = np.empty(node_count)
         field[self.corners] = values
         return field
+
+    def corridor(self, src: _Endpoint, dst: _Endpoint, direct: float) -> bytearray:
+        """A byte per node id, and for the two virtual ids after them: 1 on
+        every node v with d(p, v) + d(v, q) <= d(p, q) (1 + 1e-9) and on
+        the virtual ids, 0 elsewhere.  ``direct`` is the length of a
+        joining-arc piece between p and q, or inf.
+
+        d(p, q) is read off the deepest cell both chains hold: a path leaves
+        the child holding one end (or the arc holding it) through nodes
+        among that cell's nine.  The descent then keeps, level by level,
+        the cells that hold an end and the cells whose corners give
+        min (d_p + d_q) within the bound, which bounds d_p + d_q from below
+        on every node inside a cell holding neither end.  It carries d_p
+        and d_q to the kept cells' corners, one min-plus step per kept cell
+        as in ``field``, so the work is O(L x corridor), not O(N).
+        """
+        chains = (self.chain(src), self.chain(dst))
+        common = max(k for k in range(min(map(len, chains)))
+                     if chains[0][k][0] == chains[1][k][0])
+        bound = min(float((chains[0][common][1] + chains[1][common][1]).min()),
+                    direct) * _CORRIDOR_SLACK
+        level = len(self.nine)
+        cells = np.zeros(1, dtype=np.int64)
+        # a level-0 chain holds only its leaf's three corners
+        near = np.array([c[0][1][_OWN] if level else c[0][1] for c in chains])[:, None]
+        for k, table in enumerate(self.nine):
+            nine = (near[..., None] + table[cells[:, None], _OWN]).min(axis=2)
+            for side, c in enumerate(chains):
+                if k < len(c):
+                    nine[side, np.searchsorted(cells, c[k][0])] = c[k][1]
+            cells = (3 * cells[:, None] + np.arange(3)).ravel()
+            near = nine.reshape(2, -1, 3)
+            keep = (near[0] + near[1]).min(axis=1) <= bound
+            for c in chains:
+                if k + 1 < len(c):
+                    keep[np.searchsorted(cells, c[k + 1][0])] = True
+            cells, near = cells[keep], near[:, keep]
+        mask = np.zeros(len(self.slot) + 2, dtype=np.uint8)
+        mask[self.corners[cells][near[0] + near[1] <= bound]] = 1
+        mask[-2:] = 1
+        return bytearray(mask)
 
 
 def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
@@ -421,9 +428,10 @@ def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
         _close(table, _OWN)
         blocks = np.diagonal(table.reshape(3 ** k, 3, 3, 3, 3), axis1=1, axis2=3)
         outside = blocks.transpose(0, 3, 1, 2).reshape(-1, 3, 3)
-    for arr in (corners, outside, *nine):
+    _, slot = np.unique(corners.ravel(), return_index=True)
+    for arr in (corners, outside, slot, *nine):
         arr.flags.writeable = False
-    return _CornerTables(corners, outside, tuple(nine))
+    return _CornerTables(corners, outside, tuple(nine), slot)
 
 
 def distance_field(graph: MetricGraph, source: int) -> np.ndarray:
@@ -457,7 +465,6 @@ class _Endpoint:
     snap_error: float              # error-bar contribution
     arc: Optional[int] = None      # split arc index, when interior to a joining edge
     extra: tuple = ()              # overlay arcs (v, w) for a virtual node
-    point: tuple = ()              # coordinates of ``node``; a virtual node's lie on its arc
 
 
 def _nearest_arc(graph: MetricGraph, x: np.ndarray, candidates) -> tuple[float, int, float]:
@@ -487,8 +494,7 @@ def _locate(graph: MetricGraph, point, virtual_id: int) -> _Endpoint:
         gaps = np.linalg.norm(graph.nodes[lo:hi] - x, axis=1)
         nearest = int(np.argmin(gaps))
         if gaps[nearest] <= SNAP_TOL:
-            node = lo + nearest
-            return _Endpoint(node, 0.0, point=tuple(graph.nodes[node].tolist()))
+            return _Endpoint(lo + nearest, 0.0)
 
     # only an arc whose grown box holds x can lie within SNAP_TOL of it
     box = graph.arc_boxes
@@ -514,14 +520,10 @@ def _locate(graph: MetricGraph, point, virtual_id: int) -> _Endpoint:
     u, v = int(graph.arc_u[idx]), int(graph.arc_v[idx])
     w, kind = float(graph.arc_w[idx]), graph.arc_kind[idx]
     if kind == "stretched-joining":
-        extra = ((u, t * w), (v, (1.0 - t) * w))
-        a = graph.nodes[u]
-        at = tuple((a + t * (graph.nodes[v] - a)).tolist())
-        return _Endpoint(virtual_id, 0.0, arc=idx, extra=extra, point=at)
+        return _Endpoint(virtual_id, 0.0, arc=idx, extra=((u, t * w), (v, (1.0 - t) * w)))
     # interior of a finest triangle edge: snap to the nearer endpoint,
     # report one finest-edge length as the error bar
-    node = u if t <= 0.5 else v
-    return _Endpoint(node, w, point=tuple(graph.nodes[node].tolist()))
+    return _Endpoint(u if t <= 0.5 else v, w)
 
 
 @dataclass(frozen=True)
@@ -546,11 +548,17 @@ def geodesic(
     carry the finest edge length as error bar.
 
     Cost: locating a point bisects the sorted node x coordinates and
-    projects onto the arcs whose boxes hold it; the search then settles
-    only the nodes whose distance from p plus lambda times their
-    straight-line distance to q stays within the p-q distance (a few
-    thousand of the 19,683 nodes on the level-8 stretched graph).  Distances and paths are those of
-    the (distance, node)-heap Dijkstra, bit for bit.
+    projects onto the arcs whose boxes hold it.  On a graph in
+    ``build_model``'s layout the corner tables (``corner_tables``, built
+    once per graph on first use) then give d(p, q) and the corridor of
+    nodes v with d(p, v) + d(v, q) within 1e-9 of it, in O(L) numpy steps
+    per cell near the shortest paths, and the heap search runs over the
+    corridor only: a few hundred of the 19,683 nodes of the level-8
+    stretched graph, about 1.3 ms on a 2-vCPU x86 VM.  Every node of a
+    path within rounding of the optimum lies in the corridor, and so does
+    every neighbour that ties for its predecessor, so distances and paths
+    are those of the unrestricted (distance, node)-heap Dijkstra, bit for
+    bit.  Any other graph runs that full search.
     """
     graph = to_metric_graph(model, level)
     n = graph.node_count
@@ -563,16 +571,18 @@ def geodesic(
             extra[ep.node] = list(ep.extra)
             for v, w in ep.extra:
                 extra.setdefault(v, []).append((ep.node, w))
+    direct = math.inf
     if (src.arc is not None and src.arc == dst.arc):
         # both interior to the same joining segment: include the direct piece
         a = graph.nodes[graph.arc_u[src.arc]]
-        tdist = abs(np.linalg.norm(np.asarray(p, float) - a)
-                    - np.linalg.norm(np.asarray(q, float) - a))
-        extra[src.node].append((dst.node, float(tdist)))
-        extra[dst.node].append((src.node, float(tdist)))
+        direct = float(abs(np.linalg.norm(np.asarray(p, float) - a)
+                           - np.linalg.norm(np.asarray(q, float) - a)))
+        extra[src.node].append((dst.node, direct))
+        extra[dst.node].append((src.node, direct))
 
-    dist, pred = _dijkstra(graph, src.node, extra or None, target=dst.node,
-                           goal=dst.point)
+    tables = graph.corner_tables
+    allowed = None if tables is None else tables.corridor(src, dst, direct)
+    dist, pred = _dijkstra(graph, src.node, extra or None, allowed)
     d = dist[dst.node]
     if math.isinf(d):
         raise GasketError("endpoints are not connected (construction bug)")
@@ -609,36 +619,46 @@ def _chains_attain(graph: MetricGraph, field: np.ndarray, pred: Sequence[int],
     The chain is a path, so its length bounds d(t, q) from above; with
     field 1-Lipschitz along every arc and field[q] == 0, field[t] bounds
     it from below, so both checks together give field[t] == d(t, q).
-    Each step's lightest arc is found in one sorted lookup over
+    Chains of several targets share their parts near q, so each node is
+    walked once: its chain length is S(v) = S(pred v) + w(pred v, v) with
+    S(q) = 0.0, the same left fold from q that summing each chain does.
+    The steps' lightest arcs are found in one sorted lookup over
     ``arc_keys``.
     """
     if field[q] != 0.0:
         return False
-    n = graph.node_count
-    steps: list[int] = []          # keys prev * n + node, target by target
-    ends = []                      # (target, end of its steps)
-    for t in np.asarray(targets).tolist():
+    pred = np.asarray(pred)
+    back = pred.tolist()
+    walked = {q: -1}               # node -> its index in ``steps``
+    steps: list[int] = []          # walked nodes, walk by walk
+    walks = []                     # (start, end) of each walk's steps
+    targets = np.asarray(targets).tolist()
+    for t in targets:
         node, start = t, len(steps)
-        while node != q:
-            prev = int(pred[node])
-            if prev < 0 or len(steps) - start == n:
+        while node not in walked:
+            if back[node] < 0:
                 return False
-            steps.append(prev * n + node)
-            node = prev
-        ends.append((t, len(steps)))
+            walked[node] = len(steps)
+            steps.append(node)
+            node = back[node]
+        if walked[node] >= start:  # the walk closed a cycle
+            return False
+        walks.append((start, len(steps)))
+    heads = np.array(steps, dtype=np.int64)
+    wanted = pred[heads] * graph.node_count + heads
     keys, weights = graph.arc_keys
-    at = np.minimum(np.searchsorted(keys, steps), len(keys) - 1)
-    if not np.array_equal(keys[at], steps):
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    if not np.array_equal(keys[at], wanted):
         return False
     found = weights[at].tolist()
-    start = 0
-    for t, end in ends:
-        total = 0.0
-        for w in reversed(found[start:end]):
-            total += w
-        if abs(total - field[t]) > rtol * field[t]:
+    length = {q: 0.0}
+    for start, end in walks:       # each walk from its known end outward
+        for i in reversed(range(start, end)):
+            node = steps[i]
+            length[node] = length[back[node]] + found[i]
+    for t in targets:
+        if abs(length[t] - field[t]) > rtol * field[t]:
             return False
-        start = end
     return True
 
 

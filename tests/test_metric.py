@@ -73,7 +73,8 @@ def _old_style_graph(model):
 
 def heap_dijkstra(graph, source, extra=None, target=None):
     """The (distance, node)-heap Dijkstra stopped at the target, which
-    geodesics ran before the goal-directed search; kept as its reference."""
+    geodesics ran before the goal-directed and corridor searches; kept as
+    their reference."""
     rows = graph.neighbors
     if extra:
         rows = list(rows) + [()] * (max(extra) + 1 - len(rows))
@@ -100,7 +101,7 @@ def heap_dijkstra(graph, source, extra=None, target=None):
 
 def scan_locate(graph, point, virtual_id):
     """Point location by projection onto every arc, as before the node
-    bisection and arc boxes; the endpoint carries no ``point``."""
+    bisection and arc boxes."""
     x = np.asarray(point, dtype=float)
     gaps = np.linalg.norm(graph.nodes - x, axis=1)
     nearest = int(np.argmin(gaps))
@@ -339,12 +340,15 @@ def test_offnode_geodesics_against_scipy_with_split_arc(kind):
             assert abs(res.distance - exact) <= res.error_bar + 1e-12
 
 
-def test_stopping_dijkstra_matches_full_run():
+def test_corridor_dijkstra_matches_full_run():
     graph = to_metric_graph(gl.build_model("stretched", 4, 0.2))
-    for s in (0, 17, graph.node_count - 1):
+    n = graph.node_count
+    for s in (0, 17, n - 1):
         full_dist, full_pred = _dijkstra(graph, s)
-        for t in range(graph.node_count):
-            dist, pred = _dijkstra(graph, s, target=t)
+        for t in range(n):
+            allowed = graph.corner_tables.corridor(_Endpoint(s, 0.0), _Endpoint(t, 0.0),
+                                                   math.inf)
+            dist, pred = _dijkstra(graph, s, allowed=allowed)
             assert dist[t] == full_dist[t]
             assert _path_of(pred, s, t) == _path_of(full_pred, s, t)
 
@@ -382,6 +386,62 @@ def test_goal_directed_geodesics_match_heap_search_at_level_seven(level_seven):
         arc = rng.choice(joining)
         s, t = rng.uniform(0.02, 0.98, size=2)
         _assert_same_geodesic(model, _point_on(graph, arc, s), _point_on(graph, arc, t))
+    for _ in range(100):                       # ends on two joining arcs
+        (a, b), (s, t) = rng.choice(joining, size=2, replace=False), rng.uniform(0.02, 0.98, 2)
+        _assert_same_geodesic(model, _point_on(graph, a, s), _point_on(graph, b, t))
+
+
+def test_sg_geodesics_match_heap_search_at_level_seven():
+    # sg has many shortest paths of one length, so ties decide the path
+    model = gl.build_model("sg", 7)
+    graph = to_metric_graph(model)
+    assert graph.corner_tables is not None
+    rng = np.random.default_rng(54)
+    for a, b in rng.integers(0, graph.node_count, size=(300, 2)):
+        _assert_same_geodesic(model, graph.nodes[a], graph.nodes[b])
+
+
+def test_geodesics_match_heap_search_at_level_nine():
+    model = gl.build_model("stretched", 9, 0.2)
+    graph = to_metric_graph(model)
+    rng = np.random.default_rng(55)
+    joining = np.flatnonzero(np.array(graph.arc_kind) == "stretched-joining")
+    for a, b in rng.integers(0, graph.node_count, size=(4, 2)):
+        _assert_same_geodesic(model, graph.nodes[a], graph.nodes[b])
+    for arc in rng.choice(joining, size=2):
+        vertex = graph.nodes[rng.integers(graph.node_count)]
+        _assert_same_geodesic(model, _point_on(graph, arc, rng.uniform(0.02, 0.98)), vertex)
+
+
+def _nearby(graph, node, steps, rng):
+    """The end of a random walk of ``steps`` arcs from ``node``."""
+    for _ in range(steps):
+        row = graph.neighbors[node]
+        node = row[rng.integers(len(row))][0]
+    return node
+
+
+def test_corridor_holds_little_more_than_the_path(level_seven):
+    # the stretched gasket has one shortest path between most pairs, so a
+    # corridor far larger than the path means pruning failed, and a silent
+    # fallback to the full search would allow all 6,561 nodes
+    model, graph = level_seven
+    n = graph.node_count
+    rng = np.random.default_rng(56)
+    joining = np.flatnonzero(np.array(graph.arc_kind) == "stretched-joining")
+    ends = []
+    for a in rng.integers(0, n, size=100):
+        b = rng.integers(n) if rng.random() < 0.5 else _nearby(graph, a, rng.integers(1, 8), rng)
+        ends.append((graph.nodes[a], graph.nodes[b]))
+    for arc in rng.choice(joining, size=60):
+        point = _point_on(graph, arc, rng.uniform(0.02, 0.98))
+        vertex = graph.nodes[_nearby(graph, graph.arc_u[arc], rng.integers(0, 8), rng)
+                             if rng.random() < 0.5 else rng.integers(n)]
+        ends.append((point, vertex) if rng.random() < 0.5 else (vertex, point))
+    for p, q in ends:
+        src, dst = _locate(graph, p, n), _locate(graph, q, n + 1)
+        allowed = graph.corner_tables.corridor(src, dst, math.inf)
+        assert sum(allowed[:n]) <= 3 * len(gl.geodesic(model, p, q).path) + 16
 
 
 def test_edge_shorter_than_its_chord_keeps_the_search_exact():
@@ -389,7 +449,9 @@ def test_edge_shorter_than_its_chord_keeps_the_search_exact():
     arc = 40
     model = _edited_model(base, arc, 0.5 * base.edges[arc].length)
     graph = to_metric_graph(model)
-    assert graph.heuristic_scale == pytest.approx(0.5, rel=1e-9)
+    chord = np.hypot(*(graph.nodes[graph.arc_v[arc]] - graph.nodes[graph.arc_u[arc]]))
+    assert graph.arc_w[arc] == pytest.approx(0.5 * chord, rel=1e-9)
+    assert graph.corner_tables is not None
     for p in graph.nodes:
         for q in graph.nodes[::4]:
             _assert_same_geodesic(model, p, q)
@@ -399,28 +461,19 @@ def test_edge_shorter_than_its_chord_keeps_the_search_exact():
             _assert_same_geodesic(model, _point_on(graph, arc, 0.3), q)
 
 
-def test_zero_length_arc_falls_back_to_the_heap_order(monkeypatch):
+def test_zero_length_arc_falls_back_to_the_heap_order():
     # a zero-length side of a cell leaves its two corners at one distance,
     # so the third corner has two predecessors there, and which one the
-    # heap settles first depends on the route, not on node ids
+    # heap settles first depends on the route, not on node ids; both lie
+    # in the corridor, which the heap then pops in its own order
     base = gl.build_model("stretched", 2, 0.2)
     arc = next(i for i, e in enumerate(base.edges) if e.kind == "stretched-triangle")
     model = _edited_model(base, arc, 0.0)
     graph = to_metric_graph(model)
-    assert graph.heuristic_scale == 0.0
-    fallbacks = []
-
-    def counted(rows, dist, source, target):
-        pred = real(rows, dist, source, target)
-        fallbacks.append(pred is None)
-        return pred
-
-    real = metric._chain
-    monkeypatch.setattr(metric, "_chain", counted)
+    assert graph.corner_tables is not None
     for p in graph.nodes:
         for q in graph.nodes:
             _assert_same_geodesic(model, p, q)
-    assert any(fallbacks) and not all(fallbacks)
 
 
 def test_locate_matches_the_full_scan_near_arcs(level_seven):
@@ -441,7 +494,7 @@ def test_locate_matches_the_full_scan_near_arcs(level_seven):
                     _locate(graph, x, n)
                 assert str(got.value) == str(exc)
                 continue
-            assert dataclasses.replace(_locate(graph, x, n), point=()) == ref
+            assert _locate(graph, x, n) == ref
 
 
 def test_off_structure_message_is_unchanged(level_seven):
@@ -595,6 +648,9 @@ def test_table_fields_route_around_a_heavy_cell(variant, alpha):
     assert graph.corner_tables is not None
     heavy = [i for i, e in enumerate(model.edges) if e.word.startswith("12")]
     _assert_fields_match_heap(graph, [0, *np.unique(graph.arc_u[heavy])[::3]])
+    inside = np.unique(graph.arc_u[heavy])
+    for a, b in np.random.default_rng(58).choice(inside, size=(40, 2)):
+        _assert_same_geodesic(model, graph.nodes[a], graph.nodes[b])
 
 
 def _swapped_edges(model, i, j):
@@ -618,10 +674,16 @@ def test_off_layout_graphs_fall_back_to_the_heap_search(variant, alpha):
               _moved_endpoint(base, joins + 4, 1e-3)]      # a corner split in two
     if joins:
         broken.append(_swapped_edges(base, 3, 5))          # two joining labels traded
+    rng = np.random.default_rng(57)
     for model in broken:
         graph = to_metric_graph(model)
         assert graph.corner_tables is None
         _assert_fields_match_heap(graph, _sources(graph))
+        for a, b in rng.integers(0, graph.node_count, size=(10, 2)):
+            _assert_same_geodesic(model, graph.nodes[a], graph.nodes[b])
+        if joins:
+            point = _point_on(graph, int(rng.integers(joins)), 0.3)
+            _assert_same_geodesic(model, point, graph.nodes[rng.integers(graph.node_count)])
 
 
 # -- witness check -----------------------------------------------------------
@@ -678,6 +740,31 @@ def test_chain_check_rejects_a_step_that_is_not_an_arc():
         field = np.zeros(graph.node_count)
         field[t] = graph.arc_w[0]
         assert not _chains_attain(graph, field, pred, q, [t])
+
+
+def test_chain_check_sees_a_wrong_weight_on_a_shared_chain():
+    # the nearer target's walk sums the shared part of the chain; the
+    # farther target's walk stops there and must still carry its weights
+    base = gl.build_model("stretched", 3, 0.2)
+    graph = to_metric_graph(base)
+    q = 5
+    dist, pred = _dijkstra(graph, q)
+    field = np.array(dist)
+    far = int(np.argmax(field))
+    chain = _path_of(pred, q, far)
+    near = chain[len(chain) // 2]
+    arc = next(i for i, a in enumerate(graph.arcs) if set(a[:2]) == {chain[1], chain[2]})
+    wrong = to_metric_graph(_edited_model(base, arc, 1.5 * base.edges[arc].length))
+    assert _chains_attain(graph, field, pred, q, [near, far])
+    # a field that agrees with the wrong weight at the nearer target
+    weight = {frozenset(a[:2]): a[2] for a in wrong.arcs}
+    shifted = field.copy()
+    shifted[near] = 0.0
+    for u, v in zip(chain, chain[1:chain.index(near) + 1]):
+        shifted[near] += weight[frozenset((u, v))]
+    assert _chains_attain(wrong, shifted, pred, q, [near])
+    assert not _chains_attain(wrong, shifted, pred, q, [near, far])
+    assert not _chains_attain(wrong, shifted, pred, q, [far, near])
 
 
 def test_witness_attained_all_fails_for_wrong_field(monkeypatch):
