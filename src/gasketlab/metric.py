@@ -38,16 +38,13 @@ class MetricGraph:
 
     ``nodes`` are sorted lexicographically by coordinates.  Arc i joins
     ``arc_u[i]`` and ``arc_v[i]`` with weight ``arc_w[i]`` and kind
-    ``arc_kind[i]``, in model edge order.  ``neighbors[u]`` holds the
-    (neighbour, weight) pairs of node u sorted by neighbour, then weight,
-    which fixes Dijkstra's tie-breaking; the shortest-path loops iterate
-    these tuples faster than index arrays.  The cached properties below
-    (the ``arcs`` tuple view, coordinate lists, arc boxes, arc runs and
-    keys, and the cells' corner tables) are built on first use, so
-    assembly pays for none of them.  A geodesic query locates an endpoint
-    by bisecting the sorted x coordinates, or by projecting onto the few
-    arcs whose box holds it, reads the corridor of its shortest paths off
-    the corner tables and searches that corridor only.  A witness check
+    ``arc_kind[i]``, in model edge order.  The cached properties below
+    (the ``arcs`` tuple view, the sorted x column, arc boxes, the arcs
+    sorted once into runs with the ``neighbors`` rows and arc keys read
+    off them, and the cells' corner tables) are built on first use.  A geodesic query locates an endpoint by bisecting
+    the sorted x coordinates, or by projecting onto the few arcs whose
+    box holds it, reads the corridor of its shortest paths off the
+    corner tables and searches that corridor only.  A witness check
     reads its distance field off the corner tables, takes each node's
     tight predecessor in one array pass and looks up its chains' arcs in
     one sorted pass.
@@ -59,7 +56,6 @@ class MetricGraph:
     arc_v: np.ndarray
     arc_w: np.ndarray
     arc_kind: tuple[str, ...]
-    neighbors: tuple[tuple[tuple[int, float], ...], ...]
 
     @property
     def node_count(self) -> int:
@@ -72,9 +68,9 @@ class MetricGraph:
                          self.arc_w.tolist(), self.arc_kind))
 
     @cached_property
-    def coords(self) -> tuple[list[float], list[float]]:
-        """Node x and y coordinates as lists; x is sorted."""
-        return self.nodes[:, 0].tolist(), self.nodes[:, 1].tolist()
+    def xs(self) -> list[float]:
+        """Node x coordinates as a list, sorted."""
+        return self.nodes[:, 0].tolist()
 
     @cached_property
     def arc_boxes(self) -> np.ndarray:
@@ -92,9 +88,23 @@ class MetricGraph:
         """Both directions of every arc as (tail, head, weight) arrays sorted
         by tail, head, then weight, and the index where each tail's run
         starts.  Arcs are undirected, so the run of v also lists the arcs
-        into v."""
-        tail, head, weight = _directed_arcs(self.arc_u, self.arc_v, self.arc_w)
-        return tail, head, weight, np.flatnonzero(np.diff(tail, prepend=-1))
+        into v; every node is an arc end, so run v belongs to node v."""
+        tail = np.concatenate([self.arc_u, self.arc_v])
+        head = np.concatenate([self.arc_v, self.arc_u])
+        weight = np.concatenate([self.arc_w, self.arc_w])
+        order = np.lexsort((weight, head, tail))
+        tail = tail[order]
+        return tail, head[order], weight[order], np.flatnonzero(np.diff(tail, prepend=-1))
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per node, the (neighbour, weight) pairs of its arc run, sorted by
+        neighbour, then weight, which fixes Dijkstra's tie-breaking; the
+        heap loop iterates these tuples faster than index arrays."""
+        _, head, weight, starts = self.arc_runs
+        pairs = list(zip(head.tolist(), weight.tolist()))
+        ends = starts.tolist() + [len(pairs)]
+        return tuple(tuple(pairs[a:b]) for a, b in zip(ends, ends[1:]))
 
     @cached_property
     def arc_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -108,15 +118,6 @@ class MetricGraph:
         """Exact corner distances of every cell, or None when the arcs do
         not follow the layout ``build_model`` gives sg and stretched models."""
         return _corner_tables(self)
-
-
-def _directed_arcs(arc_u, arc_v, arc_w):
-    """Both directions of every arc, sorted by tail, head, then weight."""
-    tail = np.concatenate([arc_u, arc_v])
-    head = np.concatenate([arc_v, arc_u])
-    weight = np.concatenate([arc_w, arc_w])
-    order = np.lexsort((weight, head, tail))
-    return tail[order], head[order], weight[order]
 
 
 def _is_connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
@@ -144,21 +145,15 @@ def _is_connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
 def _assemble_graph(model: GasketModel) -> MetricGraph:
     nodes, inverse = _endpoint_nodes(model)
     m = len(model.edges)
-    n = len(nodes)
     arc_u, arc_v = inverse[:m], inverse[m:]
     arc_w = np.fromiter((e.length for e in model.edges), float, m)
     arc_kind = tuple(e.kind for e in model.edges)
     # connectivity guard: a correct construction is always connected
-    if not _is_connected(n, arc_u, arc_v):
+    if not _is_connected(len(nodes), arc_u, arc_v):
         raise GasketError("metric graph is disconnected (construction bug)")
-    tail, head, weight = _directed_arcs(arc_u, arc_v, arc_w)
-    pairs = list(zip(head.tolist(), weight.tolist()))
-    ends = np.cumsum(np.bincount(tail, minlength=n)).tolist()
-    neighbors = tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
     for arr in (nodes, arc_u, arc_v, arc_w):
         arr.flags.writeable = False
-    return MetricGraph(model.level, nodes, arc_u, arc_v, arc_w, arc_kind,
-                       neighbors)
+    return MetricGraph(model.level, nodes, arc_u, arc_v, arc_w, arc_kind)
 
 
 @lru_cache(maxsize=16)
@@ -178,45 +173,41 @@ def to_metric_graph(model: GasketModel, level: Optional[int] = None) -> MetricGr
 
 
 def _dijkstra(graph: MetricGraph, source: int,
-              extra: Optional[dict[int, list[tuple[int, float]]]] = None,
-              allowed: Optional[bytearray] = None):
-    """Shortest paths from ``source`` over the sorted ``neighbors`` rows,
-    each followed by the node's ``extra`` overlay arcs: a binary-heap
-    Dijkstra keyed by (distance, node), run to exhaustion, so ties break
-    by smaller node id and paths are deterministic.
+              extra: Optional[dict[int, tuple[tuple[int, float], ...]]] = None,
+              allowed: Optional[set[int]] = None):
+    """Shortest paths from ``source``: a binary-heap Dijkstra keyed by
+    (distance, node) over the sorted ``neighbors`` rows, run to
+    exhaustion, so ties break by smaller node id and paths are
+    deterministic.  ``extra`` gives the full row (``neighbors`` row, then
+    overlay arcs) of each node a virtual endpoint touches.
 
-    With ``allowed``, a byte per node (virtual ones included), the search
-    relaxes only arcs into allowed nodes.  ``geodesic`` passes the
-    corridor of the shortest paths (``_CornerTables.corridor``), a few
+    With ``allowed``, a set of node ids (virtual ones included), the
+    search relaxes only arcs into allowed nodes and keeps state for them
+    only.  ``geodesic`` passes the corridor of the shortest paths, a few
     hundred nodes; the heap then pops the corridor's nodes in the order
     the unrestricted heap would, so dist and pred on every node of the
     paths within rounding of the optimum are those of the full search.
     Unrestricted, it takes O((n + m) log n) interpreted steps, 25-40 ms on
     the level-8 stretched graph (19,683 nodes) on a 2-vCPU x86 VM, and
     serves only where a zero-length arc or an arc off ``build_model``'s
-    layout rules out the corner tables.
-
-    Returns the ``(dist, pred)`` lists.
+    layout rules out the corner tables.  Returns the ``(dist, pred)``
+    dicts; dist is inf on allowed nodes not reached.
     """
-    rows = graph.neighbors
-    if extra:
-        rows = list(rows) + [()] * (max(extra) + 1 - len(rows))
-        for u, arcs in extra.items():
-            rows[u] = rows[u] + tuple(arcs)
-    if allowed is None:
-        allowed = b"\x01" * len(rows)
-    dist = [math.inf] * len(rows)
-    pred = [-1] * len(rows)
-    dist[source] = 0.0
+    rows, extra = graph.neighbors, extra or {}
+    dist = dict.fromkeys(range(graph.node_count + 2) if allowed is None else allowed,
+                         math.inf)
+    dist[source], pred = 0.0, {}
+    # a node outside ``allowed`` reads -inf, so no arc into it relaxes
+    get, outside = dist.get, -math.inf
     pop, push = heapq.heappop, heapq.heappush
     heap = [(0.0, source)]
     while heap:
         d, u = pop(heap)
         if d > dist[u]:
             continue
-        for v, w in rows[u]:
+        for v, w in extra[u] if u in extra else rows[u]:
             nd = d + w
-            if nd < dist[v] and allowed[v]:
+            if nd < get(v, outside):
                 dist[v] = nd
                 pred[v] = u
                 push(heap, (nd, v))
@@ -247,18 +238,20 @@ class _CornerTables:
     ``corners[r, j]`` is the node at corner j of level-L cell r (mesh row
     order), ``leaf[r]`` the 3x3 distances between those corners, and
     ``nine[k][r]`` the 9x9 distances between the nine nodes of level-k
-    cell r, for k < L.  ``slot[v]`` is 3r + j for the first corner j of a
-    cell r at node v.  The gasket is finitely ramified, so a path between
+    cell r, for k < L, with ``own[k][r]`` its rows at the cell's own
+    corners.  ``slot[v]`` is 3r + j for the first corner j of a cell r at
+    node v.  The gasket is finitely ramified, so a path between
     a cell and the rest of the graph passes through one of the cell's
     corners; distances from one point therefore follow from these tables
     in one min-plus step per cell: up the point's cell address
-    (``chain``), then down to every cell (``field``) or only to the cells
-    near a shortest path (``corridor``).
+    (``chain``), then down (``_descend``) to every cell or only to the
+    cells near a shortest path (``corridor``).
     """
 
     corners: np.ndarray
     leaf: np.ndarray
     nine: tuple[np.ndarray, ...]
+    own: tuple[np.ndarray, ...]
     slot: np.ndarray
 
     def _ascend(self, level: int, cell: int, near: np.ndarray) -> list:
@@ -298,61 +291,51 @@ class _CornerTables:
         up = np.minimum(a + table[_JOINS[pair, 0]], b + table[_JOINS[pair, 1]])
         return self._ascend(k, cell, up[_OWN]) + [(cell, up)]
 
-    def field(self, source: int, node_count: int) -> np.ndarray:
-        cell, corner = divmod(int(self.slot[source]), 3)
-        near = self.leaf[cell, corner]
-        ups = self._ascend(len(self.nine), cell, near)
-        # down every level: a cell without the source reaches its children's
-        # corners through its own corners
-        values = (ups[0][1][_OWN] if ups else near)[None, :]
-        for (parent, up), table in zip(ups, self.nine):
-            values = (values[:, :, None] + table[:, _OWN, :]).min(axis=1)
-            values[parent] = up
-            values = values.reshape(-1, 3)
-        field = np.empty(node_count)
-        field[self.corners] = values
-        return field
+    def _descend(self, chains, bound: Optional[float] = None):
+        """(cells, near): the level-L cells a descent from the root keeps,
+        and near[i, c] the distances from the point of ``chains[i]`` to the
+        corners of ``cells[c]``, one min-plus step per kept cell and level.
+        Without ``bound`` it keeps every cell.  With it, for two chains, it
+        keeps the cells that hold an end and those whose corners give
+        min (d_p + d_q) <= bound, a lower bound on d_p + d_q inside a cell
+        holding neither end: O(L x corridor) work.
+        """
+        level = len(self.nine)
+        cells = np.zeros(1, dtype=np.int64)
+        # a level-0 chain holds only its leaf's three corners
+        near = np.array([c[0][1][_OWN] if level else c[0][1] for c in chains])[:, None]
+        for k, rows in enumerate(self.own):
+            nine = (near[..., None] + rows[cells]).min(axis=2)
+            for side, c in enumerate(chains):
+                if k < len(c):
+                    nine[side, np.searchsorted(cells, c[k][0])] = c[k][1]
+            cells = (3 * cells[:, None] + np.arange(3)).ravel()
+            near = nine.reshape(len(chains), -1, 3)
+            if bound is not None:
+                keep = (near[0] + near[1]).min(axis=1) <= bound
+                for c in chains:
+                    if k + 1 < len(c):
+                        keep[np.searchsorted(cells, c[k + 1][0])] = True
+                cells, near = cells[keep], near[:, keep]
+        return cells, near
 
-    def corridor(self, src: _Endpoint, dst: _Endpoint, direct: float) -> bytearray:
-        """A byte per node id, and for the two virtual ids after them: 1 on
-        every node v with d(p, v) + d(v, q) <= d(p, q) (1 + 1e-9) and on
-        the virtual ids, 0 elsewhere.  ``direct`` is the length of a
-        joining-arc piece between p and q, or inf.
+    def corridor(self, src: _Endpoint, dst: _Endpoint, direct: float) -> set[int]:
+        """The node ids v with d(p, v) + d(v, q) <= d(p, q) (1 + 1e-9), and
+        the two virtual ids.  ``direct`` is the length of a joining-arc
+        piece between p and q, or inf.
 
         d(p, q) is read off the deepest cell both chains hold: a path leaves
         the child holding one end (or the arc holding it) through nodes
-        among that cell's nine.  The descent then keeps, level by level,
-        the cells that hold an end and the cells whose corners give
-        min (d_p + d_q) within the bound, which bounds d_p + d_q from below
-        on every node inside a cell holding neither end.  It carries d_p
-        and d_q to the kept cells' corners, one min-plus step per kept cell
-        as in ``field``, so the work is O(L x corridor), not O(N).
+        among that cell's nine.
         """
         chains = (self.chain(src), self.chain(dst))
         common = max(k for k in range(min(map(len, chains)))
                      if chains[0][k][0] == chains[1][k][0])
         bound = min(float((chains[0][common][1] + chains[1][common][1]).min()),
                     direct) * _CORRIDOR_SLACK
-        level = len(self.nine)
-        cells = np.zeros(1, dtype=np.int64)
-        # a level-0 chain holds only its leaf's three corners
-        near = np.array([c[0][1][_OWN] if level else c[0][1] for c in chains])[:, None]
-        for k, table in enumerate(self.nine):
-            nine = (near[..., None] + table[cells[:, None], _OWN]).min(axis=2)
-            for side, c in enumerate(chains):
-                if k < len(c):
-                    nine[side, np.searchsorted(cells, c[k][0])] = c[k][1]
-            cells = (3 * cells[:, None] + np.arange(3)).ravel()
-            near = nine.reshape(2, -1, 3)
-            keep = (near[0] + near[1]).min(axis=1) <= bound
-            for c in chains:
-                if k + 1 < len(c):
-                    keep[np.searchsorted(cells, c[k + 1][0])] = True
-            cells, near = cells[keep], near[:, keep]
-        mask = np.zeros(len(self.slot) + 2, dtype=np.uint8)
-        mask[self.corners[cells][near[0] + near[1] <= bound]] = 1
-        mask[-2:] = 1
-        return bytearray(mask)
+        cells, near = self._descend(chains, bound)
+        n = len(self.slot)
+        return set(self.corners[cells][near[0] + near[1] <= bound].tolist()) | {n, n + 1}
 
 
 def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
@@ -428,10 +411,11 @@ def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
         _close(table, _OWN)
         blocks = np.diagonal(table.reshape(3 ** k, 3, 3, 3, 3), axis1=1, axis2=3)
         outside = blocks.transpose(0, 3, 1, 2).reshape(-1, 3, 3)
+    own = [table[:, _OWN] for table in nine]
     _, slot = np.unique(corners.ravel(), return_index=True)
-    for arr in (corners, outside, slot, *nine):
+    for arr in (corners, outside, slot, *nine, *own):
         arr.flags.writeable = False
-    return _CornerTables(corners, outside, tuple(nine), slot)
+    return _CornerTables(corners, outside, tuple(nine), tuple(own), slot)
 
 
 def distance_field(graph: MetricGraph, source: int) -> np.ndarray:
@@ -439,18 +423,23 @@ def distance_field(graph: MetricGraph, source: int) -> np.ndarray:
 
     On a graph in ``build_model``'s layout this is one numpy pass over the
     graph's ``corner_tables`` (built once per graph, on first use): up the
-    source's cell address, then one min-plus step per level for all cells.
-    It takes O(N) array work, about 1 ms on the level-8 stretched graph
+    source's cell address, then the unbounded descent that geodesics bound
+    to their corridor, one min-plus step per level for all cells.  It
+    takes O(N) array work, about 1 ms on the level-8 stretched graph
     (19,683 nodes) on a 2-vCPU x86 VM after the tables' one-off 15-20 ms,
     and agrees with the heap Dijkstra to a few ulps.  Any other graph
-    runs the exhaustive ``_dijkstra``.
+    runs the exhaustive ``_dijkstra`` once and converts its dict.
     """
     if not 0 <= source < graph.node_count:
         raise GasketError(f"source {source} is not a node id")
     tables = graph.corner_tables
     if tables is None:
-        return np.array(_dijkstra(graph, source)[0])
-    return tables.field(source, graph.node_count)
+        dist = _dijkstra(graph, source)[0]
+        return np.array([dist[v] for v in range(graph.node_count)])
+    _, near = tables._descend([tables.chain(_Endpoint(source, 0.0))])
+    field = np.empty(graph.node_count)
+    field[tables.corners] = near[0]
+    return field
 
 
 def arc_slacks(graph: MetricGraph, values: np.ndarray) -> np.ndarray:
@@ -487,7 +476,7 @@ def _locate(graph: MetricGraph, point, virtual_id: int) -> _Endpoint:
     if x.shape != (2,):
         raise GasketError(f"query point must be 2-d, got {point}")
     # nodes are sorted by x: only those within 2 SNAP_TOL in x can snap
-    xs = graph.coords[0]
+    xs = graph.xs
     lo = bisect_left(xs, float(x[0]) - 2 * SNAP_TOL)
     hi = bisect_right(xs, float(x[0]) + 2 * SNAP_TOL)
     if lo < hi:
@@ -514,7 +503,7 @@ def _locate(graph: MetricGraph, point, virtual_id: int) -> _Endpoint:
         near = np.flatnonzero(gaps <= np.fmin.reduce(gaps) + 1e-12)
         gap = _nearest_arc(graph, x, near.tolist())[0]
         raise GasketError(
-            f"point {tuple(x)} is not on the structure "
+            f"point {tuple(x.tolist())} is not on the structure "
             f"(distance {gap:.3e} > {SNAP_TOL})"
         )
     u, v = int(graph.arc_u[idx]), int(graph.arc_v[idx])
@@ -552,37 +541,40 @@ def geodesic(
     ``build_model``'s layout the corner tables (``corner_tables``, built
     once per graph on first use) then give d(p, q) and the corridor of
     nodes v with d(p, v) + d(v, q) within 1e-9 of it, in O(L) numpy steps
-    per cell near the shortest paths, and the heap search runs over the
-    corridor only: a few hundred of the 19,683 nodes of the level-8
-    stretched graph, about 1.3 ms on a 2-vCPU x86 VM.  Every node of a
-    path within rounding of the optimum lies in the corridor, and so does
-    every neighbour that ties for its predecessor, so distances and paths
-    are those of the unrestricted (distance, node)-heap Dijkstra, bit for
-    bit.  Any other graph runs that full search.
+    per cell near the shortest paths.  The heap search runs over the
+    corridor only, its state in dicts over the corridor and a virtual
+    end's arcs in full rows beside the shared ``neighbors``: a few
+    hundred of the 19,683 nodes of the level-8 stretched graph, about
+    1.2-1.4 ms on a 2-vCPU x86 VM.  Every node of a path within rounding
+    of the optimum lies in the corridor, and so does every neighbour that
+    ties for its predecessor, so distances and paths are those of the
+    unrestricted (distance, node)-heap Dijkstra, bit for bit.  Any other
+    graph runs that full search.
     """
     graph = to_metric_graph(model, level)
     n = graph.node_count
     src = _locate(graph, p, n)
     dst = _locate(graph, q, n + 1)
 
-    extra: dict[int, list[tuple[int, float]]] = {}
+    # full rows of the virtual ends and of the nodes they touch
+    extra: dict[int, tuple[tuple[int, float], ...]] = {}
     for ep in (src, dst):
         if ep.arc is not None:
-            extra[ep.node] = list(ep.extra)
+            extra[ep.node] = ep.extra
             for v, w in ep.extra:
-                extra.setdefault(v, []).append((ep.node, w))
+                extra[v] = extra.get(v, graph.neighbors[v]) + ((ep.node, w),)
     direct = math.inf
     if (src.arc is not None and src.arc == dst.arc):
         # both interior to the same joining segment: include the direct piece
         a = graph.nodes[graph.arc_u[src.arc]]
         direct = float(abs(np.linalg.norm(np.asarray(p, float) - a)
                            - np.linalg.norm(np.asarray(q, float) - a)))
-        extra[src.node].append((dst.node, direct))
-        extra[dst.node].append((src.node, direct))
+        extra[src.node] += ((dst.node, direct),)
+        extra[dst.node] += ((src.node, direct),)
 
     tables = graph.corner_tables
     allowed = None if tables is None else tables.corridor(src, dst, direct)
-    dist, pred = _dijkstra(graph, src.node, extra or None, allowed)
+    dist, pred = _dijkstra(graph, src.node, extra, allowed)
     d = dist[dst.node]
     if math.isinf(d):
         raise GasketError("endpoints are not connected (construction bug)")
@@ -623,12 +615,12 @@ def _chains_attain(graph: MetricGraph, field: np.ndarray, pred: Sequence[int],
     walked once: its chain length is S(v) = S(pred v) + w(pred v, v) with
     S(q) = 0.0, the same left fold from q that summing each chain does.
     The steps' lightest arcs are found in one sorted lookup over
-    ``arc_keys``.
+    ``arc_keys``, and ``pred`` is read only at the walked nodes.
     """
     if field[q] != 0.0:
         return False
-    pred = np.asarray(pred)
-    back = pred.tolist()
+    pred = np.ascontiguousarray(pred)
+    back = memoryview(pred)        # Python ints at single indices
     walked = {q: -1}               # node -> its index in ``steps``
     steps: list[int] = []          # walked nodes, walk by walk
     walks = []                     # (start, end) of each walk's steps
@@ -707,7 +699,8 @@ def lipschitz_witness_check(
     if (graph.arc_w > 0).all():
         pred = _tight_predecessors(graph, field)
     else:
-        pred = _dijkstra(graph, q)[1]
+        chain = _dijkstra(graph, q)[1]
+        pred = np.array([chain.get(v, -1) for v in range(graph.node_count)])
     rng = np.random.default_rng(seed)
     targets = rng.integers(0, graph.node_count, size=n_targets)
     return WitnessReport(

@@ -379,6 +379,15 @@ def test_computation_error_exits_one():
                  "--to", "1,0"]) == 1
 
 
+def test_off_structure_error_prints_plain_floats(capsys):
+    assert main(["distance", "--variant", "stretched", "--alpha", "0.2", "--level", "3",
+                 "--from", "0.5,0.5", "--to", "0,0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: point (0.5, 0.5) is not on the structure (distance ")
+    assert "np." not in captured.err
+
+
 def test_unknown_flags_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["build", "--variant", "sg", "--bogus"])

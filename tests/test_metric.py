@@ -123,7 +123,7 @@ def scan_locate(graph, point, virtual_id):
     gap, idx, t = best
     if gap > SNAP_TOL:
         raise GasketError(
-            f"point {tuple(x)} is not on the structure "
+            f"point {tuple(x.tolist())} is not on the structure "
             f"(distance {gap:.3e} > {SNAP_TOL})"
         )
     u, v = int(graph.arc_u[idx]), int(graph.arc_v[idx])
@@ -171,6 +171,13 @@ def _edited_model(model, index, length):
     doc = json.loads(model_to_json(model))
     doc["edges"][index]["length"] = length
     return model_from_json(json.dumps(doc))
+
+
+def _full_run(graph, q):
+    """Field and predecessor arrays of the unrestricted ``_dijkstra`` from q."""
+    dist, pred = _dijkstra(graph, q)
+    nodes = range(graph.node_count)
+    return np.array([dist[v] for v in nodes]), np.array([pred.get(v, -1) for v in nodes])
 
 
 def _path_of(pred, source, target):
@@ -441,7 +448,37 @@ def test_corridor_holds_little_more_than_the_path(level_seven):
     for p, q in ends:
         src, dst = _locate(graph, p, n), _locate(graph, q, n + 1)
         allowed = graph.corner_tables.corridor(src, dst, math.inf)
-        assert sum(allowed[:n]) <= 3 * len(gl.geodesic(model, p, q).path) + 16
+        assert len(allowed) - 2 <= 3 * len(gl.geodesic(model, p, q).path) + 16
+
+
+def test_corridor_search_state_stays_in_the_corridor(level_seven, monkeypatch):
+    # the search keeps dist and pred only on the corridor it may enter, and
+    # an endpoint inside an arc overlays its arcs without touching any row
+    model, graph = level_seven
+    rows = [tuple(row) for row in graph.neighbors]
+    searches, real = [], metric._dijkstra
+
+    def recorded(graph, source, extra=None, allowed=None):
+        dist, pred = real(graph, source, extra, allowed)
+        searches.append((set(dist), set(pred), allowed))
+        return dist, pred
+
+    monkeypatch.setattr(metric, "_dijkstra", recorded)
+    rng = np.random.default_rng(59)
+    joining = np.flatnonzero(np.array(graph.arc_kind) == "stretched-joining")
+    for a, b in rng.integers(0, graph.node_count, size=(20, 2)):
+        gl.geodesic(model, graph.nodes[a], graph.nodes[b])
+    for arc in rng.choice(joining, size=20):
+        point = _point_on(graph, arc, rng.uniform(0.02, 0.98))
+        gl.geodesic(model, point, graph.nodes[rng.integers(graph.node_count)])
+        gl.geodesic(model, graph.nodes[rng.integers(graph.node_count)], point)
+        gl.geodesic(model, point, _point_on(graph, arc, rng.uniform(0.02, 0.98)))
+    assert len(searches) == 80
+    for reached, preceded, allowed in searches:
+        assert reached <= allowed and preceded <= reached
+        assert len(reached) <= len(allowed) < graph.node_count
+    assert graph.neighbors is graph.neighbors  # built once, not per query
+    assert list(graph.neighbors) == rows
 
 
 def test_edge_shorter_than_its_chord_keeps_the_search_exact():
@@ -715,8 +752,7 @@ def test_doubled_distance_field_violates_an_arc():
 def test_chain_check_rejects_one_perturbed_entry():
     graph = to_metric_graph(gl.build_model("stretched", 3, 0.2))
     q = 5
-    dist, pred = _dijkstra(graph, q)
-    field = np.array(dist)
+    field, pred = _full_run(graph, q)
     targets = np.random.default_rng(24).integers(0, graph.node_count, size=20)
     assert _chains_attain(graph, field, pred, q, targets)
     bad = field.copy()
@@ -748,8 +784,7 @@ def test_chain_check_sees_a_wrong_weight_on_a_shared_chain():
     base = gl.build_model("stretched", 3, 0.2)
     graph = to_metric_graph(base)
     q = 5
-    dist, pred = _dijkstra(graph, q)
-    field = np.array(dist)
+    field, pred = _full_run(graph, q)
     far = int(np.argmax(field))
     chain = _path_of(pred, q, far)
     near = chain[len(chain) // 2]
