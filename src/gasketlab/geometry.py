@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Optional
 
 import numpy as np
 
@@ -402,6 +404,117 @@ class EdgeCurve:
     length_hi: Optional[float] = None
 
 
+_EDGE_FIELDS = ("id", "kind", "gen", "p", "q", "length", "word", "length_lo", "length_hi")
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.asarray(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
+def _bound_list(column: Optional[np.ndarray], count: int):
+    """A bound column as a list of floats, None where an edge has no bound."""
+    if column is None:
+        return repeat(None, count)
+    return [None if math.isnan(v) else v for v in column.tolist()]
+
+
+def _point_column(points: Sequence) -> np.ndarray:
+    if len(set(map(len, points))) > 1:
+        raise ValueError("edge endpoints differ in dimension")
+    return np.array(points, dtype=float) if points else np.empty((0, 2))
+
+
+class EdgeTable(Sequence):
+    """A model's edges as columns, read as a sequence of ``EdgeCurve`` rows.
+
+    ``id`` and ``gen`` are int64 arrays, ``p`` and ``q`` (E, dim) float
+    arrays, ``length`` a float array, ``kind`` and ``word`` tuples of str.
+    ``length_lo`` and ``length_hi`` are None when no edge carries the
+    bound, else float arrays holding NaN where an edge carries none.  The
+    arrays are frozen, not copied.  ``len`` costs O(1); a row is built
+    only when it is indexed or iterated.  Equality and the hash go by the
+    columns' contents, bytes for the numbers.
+    """
+
+    __slots__ = _EDGE_FIELDS
+
+    def __init__(self, id, kind, gen, p, q, length, word,
+                 length_lo=None, length_hi=None):
+        self.id, self.gen = _frozen(id, np.int64), _frozen(gen, np.int64)
+        self.p, self.q = _frozen(p, float), _frozen(q, float)
+        self.length = _frozen(length, float)
+        self.kind, self.word = tuple(kind), tuple(word)
+        self.length_lo = None if length_lo is None else _frozen(length_lo, float)
+        self.length_hi = None if length_hi is None else _frozen(length_hi, float)
+        columns = [getattr(self, name) for name in _EDGE_FIELDS]
+        if self.p.ndim != 2 or self.q.ndim != 2 or len(
+                {len(c) for c in columns if c is not None}) > 1:
+            raise ValueError("edge columns differ in length or shape")
+
+    @classmethod
+    def from_rows(cls, rows) -> "EdgeTable":
+        """The table of a sequence of ``EdgeCurve`` rows."""
+        cols = list(zip(*map(attrgetter(*_EDGE_FIELDS), rows))) or [()] * len(_EDGE_FIELDS)
+        ids, kinds, gens, ps, qs, lengths, words, los, his = cols
+        bounds = [None if all(v is None for v in col) else np.array(col, dtype=float)
+                  for col in (los, his)]
+        return cls(ids, kinds, gens, _point_column(ps), _point_column(qs),
+                   lengths, words, *bounds)
+
+    @classmethod
+    def concat(cls, tables: Sequence["EdgeTable"]) -> "EdgeTable":
+        """The rows of ``tables`` one after another; all or none carry bounds."""
+        def join(name):
+            cols = [getattr(t, name) for t in tables]
+            return None if cols[0] is None else np.concatenate(cols)
+
+        return cls(join("id"), chain.from_iterable(t.kind for t in tables),
+                   join("gen"), join("p"), join("q"), join("length"),
+                   chain.from_iterable(t.word for t in tables),
+                   join("length_lo"), join("length_hi"))
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        lo, hi = (None if col is None or math.isnan(col[i]) else float(col[i])
+                  for col in (self.length_lo, self.length_hi))
+        return EdgeCurve(int(self.id[i]), self.kind[i], int(self.gen[i]),
+                         tuple(self.p[i].tolist()), tuple(self.q[i].tolist()),
+                         float(self.length[i]), self.word[i], lo, hi)
+
+    def __iter__(self):
+        count = len(self)
+        return map(EdgeCurve, self.id.tolist(), self.kind, self.gen.tolist(),
+                   map(tuple, self.p.tolist()), map(tuple, self.q.tolist()),
+                   self.length.tolist(), self.word,
+                   _bound_list(self.length_lo, count), _bound_list(self.length_hi, count))
+
+    def _content(self) -> tuple:
+        numbers = (self.id, self.gen, self.p, self.q, self.length,
+                   self.length_lo, self.length_hi)
+        return (self.kind, self.word, self.p.shape, self.q.shape,
+                *(None if a is None else a.tobytes() for a in numbers))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EdgeTable):
+            return NotImplemented
+        return self is other or self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(self._content())
+
+    def __reduce__(self):
+        return EdgeTable, tuple(getattr(self, name) for name in _EDGE_FIELDS)
+
+    def __repr__(self) -> str:
+        return f"EdgeTable({len(self)} edges)"
+
+
 @dataclass(frozen=True)
 class GasketModel:
     """Immutable edge-list model of one gasket variant at one level."""
@@ -409,10 +522,10 @@ class GasketModel:
     variant: str
     alpha: Optional[float]
     level: int
-    edges: tuple[EdgeCurve, ...]
+    edges: EdgeTable
 
     def __hash__(self) -> int:
-        # the generated hash walks every edge; the model is immutable, so
+        # hashing the table reads every column; the model is immutable, so
         # compute it once and make later cache lookups O(1)
         cached = self.__dict__.get("_hash")
         if cached is None:
@@ -449,12 +562,12 @@ def _level_words(level: int) -> tuple[str, ...]:
     return tuple(w + c for w in _level_words(level - 1) for c in "123")
 
 
-def _edge_rows(kind: str, gen: int, points: np.ndarray, ends: np.ndarray,
-               start_id: int = 0,
-               bounds: Optional[tuple[np.ndarray, np.ndarray]] = None) -> list[EdgeCurve]:
-    """``EdgeCurve`` rows for the edges ``points[ends[i, 0]] -> points[ends[i, 1]]``.
+def _edge_table(kind: str, gen: int, points: np.ndarray, ends: np.ndarray,
+                start_id: int = 0,
+                bounds: Optional[tuple[np.ndarray, np.ndarray]] = None) -> EdgeTable:
+    """Edge columns for the edges ``points[ends[i, 0]] -> points[ends[i, 1]]``.
 
-    Rows run word-major, three per generation-``gen`` cell, and take ids
+    Edges run word-major, three per generation-``gen`` cell, and take ids
     from ``start_id`` on.  Straight edges take their chord as length;
     harmonic-image edges pass their ``(lo, hi)`` bound arrays as
     ``bounds`` and take lo as length.
@@ -463,16 +576,11 @@ def _edge_rows(kind: str, gen: int, points: np.ndarray, ends: np.ndarray,
     p = points[ends[:, 0]]
     q = points[ends[:, 1]]
     words = _level_words(gen)
-    if bounds is None:
-        length = np.hypot(*(q - p).T).tolist()
-        lo, hi = repeat(None, count), repeat(None, count)
-    else:
-        length = lo = bounds[0].tolist()
-        hi = bounds[1].tolist()
-    return list(map(EdgeCurve, range(start_id, start_id + count),
-                    repeat(kind, count), repeat(gen, count),
-                    map(tuple, p.tolist()), map(tuple, q.tolist()), length,
-                    chain.from_iterable(zip(words, words, words)), lo, hi))
+    lo, hi = (None, None) if bounds is None else bounds
+    return EdgeTable(np.arange(start_id, start_id + count), (kind,) * count,
+                     np.full(count, gen), p, q,
+                     np.hypot(*(q - p).T) if bounds is None else lo,
+                     chain.from_iterable(zip(words, words, words)), lo, hi)
 
 
 def _triangle_ends(cells: np.ndarray) -> np.ndarray:
@@ -511,20 +619,20 @@ def build_model(
         if alpha is not None:
             raise GasketError("sg variant takes no alpha")
         mesh = sg_hierarchy(level)[level]
-        return GasketModel("sg", None, level, tuple(_edge_rows(
-            "sg-triangle", level, mesh.points, _triangle_ends(mesh.cells))))
+        return GasketModel("sg", None, level, _edge_table(
+            "sg-triangle", level, mesh.points, _triangle_ends(mesh.cells)))
 
     alpha = check_alpha(alpha) if alpha is not None else None
     if alpha is None:
         raise GasketError("stretched variant requires alpha")
     meshes, joins = stretched_hierarchy(level, alpha)
-    edges: list[EdgeCurve] = []
+    parts: list[EdgeTable] = []
     for m in range(level):
-        edges += _edge_rows("stretched-joining", m, meshes[m + 1].points,
-                            joins[m].reshape(-1, 2), len(edges))
-    edges += _edge_rows("stretched-triangle", level, meshes[level].points,
-                        _triangle_ends(meshes[level].cells), len(edges))
-    return GasketModel("stretched", alpha, level, tuple(edges))
+        parts.append(_edge_table("stretched-joining", m, meshes[m + 1].points,
+                                 joins[m].reshape(-1, 2), sum(map(len, parts))))
+    parts.append(_edge_table("stretched-triangle", level, meshes[level].points,
+                             _triangle_ends(meshes[level].cells), sum(map(len, parts))))
+    return GasketModel("stretched", alpha, level, EdgeTable.concat(parts))
 
 
 def _endpoint_nodes(model: GasketModel, decimals: int = 12):
@@ -536,12 +644,7 @@ def _endpoint_nodes(model: GasketModel, decimals: int = 12):
     Same output as ``np.unique(..., axis=0, return_inverse=True)``, from a
     column-wise ``np.lexsort`` instead of its much slower row sort.
     """
-    edges = model.edges
-    dim = len(edges[0].p) if edges else 2
-    flat = np.fromiter((c for e in edges for c in e.p + e.q), float,
-                       2 * dim * len(edges))
-    pts = np.round(flat.reshape(-1, 2, dim).transpose(1, 0, 2).reshape(-1, dim),
-                   decimals)
+    pts = np.round(np.concatenate([model.edges.p, model.edges.q]), decimals)
     order = np.lexsort(pts.T[::-1])
     ranked = pts[order]
     fresh = np.ones(len(pts), dtype=bool)

@@ -56,7 +56,7 @@ from gasketlab.geometry import (
     ResourceCapError,
     TRIANGLE_EDGE_CORNERS,
     AffineMap,
-    _edge_rows,
+    _edge_table,
     _triangle_ends,
     as_word,
     cell_index,
@@ -496,7 +496,6 @@ def build_harmonic_model(level: int, depth: int = 4) -> GasketModel:
     (polyline) estimate.
     """
     cells = sg_hierarchy(level)[level].cells
-    rows = _edge_rows("harmonic-image", level, phi_coordinates(level),
-                      _triangle_ends(cells),
-                      bounds=edge_length_tables(level, depth)[level])
-    return GasketModel("harmonic", None, level, tuple(rows))
+    return GasketModel("harmonic", None, level, _edge_table(
+        "harmonic-image", level, phi_coordinates(level), _triangle_ends(cells),
+        bounds=edge_length_tables(level, depth)[level]))

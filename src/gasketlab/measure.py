@@ -43,6 +43,7 @@ from gasketlab.geometry import (
 from gasketlab.spectrum import (
     ResidueResult,
     _bisect,
+    _ladder_eps,
     curve_trace_constant,
     extrapolate_ladder,
     stretched_dimension,
@@ -230,6 +231,41 @@ def dixmier_functional(
     return extrapolate_ladder(g, eps_start, rungs)
 
 
+def _check_ladder(depth: int, eps_start: float, rungs: int) -> None:
+    harmonic._check_tables(depth, depth)
+
+
+@harmonic._checked_cache(_check_ladder, maxsize=8)
+def _kh_ladder(depth: int, eps_start: float, rungs: int) -> tuple[dict, dict]:
+    """The part of ``kh_dixmier_ratio`` that does not depend on f (cached).
+
+    Per length side (polyline bound, envelope bound), a dict from each
+    ladder rung eps to, with p = ds (1 + eps) at that side's pole ds: the
+    powers lengths[m] ** p of every generation m, their total, and the
+    frozen geometric tail.  The cap check runs on every call, hits included.
+    """
+    tables = harmonic.edge_length_tables(depth, depth)
+    sides = []
+    for side in (0, 1):
+        lengths = [t[side] for t in tables]
+
+        def last_ratio(p: float) -> float:
+            return float(np.sum(lengths[-1] ** p) / np.sum(lengths[-2] ** p))
+
+        # this side's pole: the exponent at which the frozen geometric
+        # tail would stop converging
+        lo_p, hi_p = _bisect(lambda p: last_ratio(p) > 1.0, 1.0, 3.0, steps=60)
+        ds = 0.5 * (lo_p + hi_p)
+        rung = {}
+        for eps in _ladder_eps(eps_start, rungs):
+            powers = [x ** (ds * (1.0 + eps)) for x in lengths]
+            terms = np.array([np.sum(x) for x in powers])
+            gr = terms[-1] / terms[-2]
+            rung[eps] = (powers, float(terms.sum()), terms[-1] * gr / (1.0 - gr))
+        sides.append(rung)
+    return tuple(sides)
+
+
 def kh_dixmier_ratio(
     f: PointFunction,
     depth: int,
@@ -243,9 +279,10 @@ def kh_dixmier_ratio(
     each at its own growth-root exponent, and the min/max returned.  The
     ratio cancels the unknown normalization; its limit is the
     self-affine integral of f, so it should be compared against the
-    embedded midpoint functionals at large n.
+    embedded midpoint functionals at large n.  Everything but the f
+    averages comes from the cached ``_kh_ladder``.
     """
-    tables = harmonic.edge_length_tables(depth, depth)
+    ladder = _kh_ladder(depth, eps_start, rungs)
 
     fbar_sums = []
     for gen in range(depth + 1):
@@ -256,31 +293,17 @@ def kh_dixmier_ratio(
         fc = _evaluate(f, imgs[:, 2])
         fbar = np.stack([(fa + fc) / 2, (fc + fb) / 2, (fb + fa) / 2], axis=1)
         fbar_sums.append(fbar.reshape(-1))
+    f_last = float(fbar_sums[-1].mean())
 
-    def ratio_limit(side: int) -> float:
-        lengths = [t[side] for t in tables]
-        f_last = float(fbar_sums[-1].mean())
-
-        def last_ratio(p: float) -> float:
-            return float(np.sum(lengths[-1] ** p) / np.sum(lengths[-2] ** p))
-
-        # this side's pole: the exponent at which the frozen geometric
-        # tail would stop converging
-        lo_p, hi_p = _bisect(lambda p: last_ratio(p) > 1.0, 1.0, 3.0, steps=60)
-        ds = 0.5 * (lo_p + hi_p)
-
+    def ratio_limit(rung: dict) -> float:
         def ratio(eps: float) -> float:
-            p = ds * (1.0 + eps)
-            terms = np.array([np.sum(lengths[m] ** p) for m in range(depth + 1)])
-            num = sum(float(fbar_sums[m] @ lengths[m] ** p) for m in range(depth + 1))
-            den = float(terms.sum())
-            gr = terms[-1] / terms[-2]
-            tail = terms[-1] * gr / (1.0 - gr)
+            powers, den, tail = rung[eps]
+            num = sum(float(s @ x) for s, x in zip(fbar_sums, powers))
             return (num + f_last * tail) / (den + tail)
 
         return extrapolate_ladder(ratio, eps_start, rungs).value
 
-    corners = [ratio_limit(side) for side in (0, 1)]
+    corners = [ratio_limit(rung) for rung in ladder]
     return min(corners), max(corners)
 
 

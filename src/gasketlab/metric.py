@@ -39,12 +39,14 @@ class MetricGraph:
     ``nodes`` are sorted lexicographically by coordinates.  Arc i joins
     ``arc_u[i]`` and ``arc_v[i]`` with weight ``arc_w[i]`` and kind
     ``arc_kind[i]``, in model edge order.  The cached properties below
-    (the ``arcs`` tuple view, the sorted x column, arc boxes, the arcs
-    sorted once into runs with the ``neighbors`` rows and arc keys read
-    off them, and the cells' corner tables) are built on first use.  A geodesic query locates an endpoint by bisecting
-    the sorted x coordinates, or by projecting onto the few arcs whose
-    box holds it, reads the corridor of its shortest paths off the
-    corner tables and searches that corridor only.  A witness check
+    (the ``arcs`` tuple view, the sorted x column, the arc boxes sorted
+    by x-min, the arcs sorted once into runs with the ``neighbors`` rows
+    and arc keys read off them, and the cells' corner tables) are built
+    on first use.  A geodesic query locates an endpoint by bisecting the
+    sorted x coordinates, or by projecting onto the few arcs whose box
+    holds it (found by bisecting the box x-mins), reads the corridor of
+    its shortest paths off the corner tables and searches that corridor
+    only.  A witness check
     reads its distance field off the corner tables, takes each node's
     tight predecessor in one array pass and looks up its chains' arcs in
     one sorted pass.
@@ -73,15 +75,20 @@ class MetricGraph:
         return self.nodes[:, 0].tolist()
 
     @cached_property
-    def arc_boxes(self) -> np.ndarray:
-        """(4, arcs) x-min, x-max, y-min, y-max of each arc, grown by
-        2 SNAP_TOL; NaN for a zero-length arc, which projects nowhere."""
+    def arc_boxes(self) -> tuple[list[float], np.ndarray, np.ndarray, float]:
+        """Arc boxes sorted by x-min: the x-mins as a list, the arc ids, the
+        (4, k) x-min, x-max, y-min, y-max rows in that order, and the widest
+        box's x-extent plus SNAP_TOL, so rounding drops no arc from a window.
+        Boxes are grown by 2 SNAP_TOL; a zero-length arc projects nowhere and
+        has none."""
         p, q = self.nodes[self.arc_u], self.nodes[self.arc_v]
-        lo = np.minimum(p, q) - 2 * SNAP_TOL
-        hi = np.maximum(p, q) + 2 * SNAP_TOL
-        boxes = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]])
-        boxes[:, (p == q).all(axis=1)] = np.nan
-        return boxes
+        ids = np.flatnonzero((p != q).any(axis=1))
+        lo = np.minimum(p[ids], q[ids]) - 2 * SNAP_TOL
+        hi = np.maximum(p[ids], q[ids]) + 2 * SNAP_TOL
+        order = np.argsort(lo[:, 0], kind="stable")
+        boxes = np.stack([lo[:, 0], hi[:, 0], lo[:, 1], hi[:, 1]])[:, order]
+        width = float((boxes[1] - boxes[0]).max(initial=0.0)) + SNAP_TOL
+        return boxes[0].tolist(), ids[order], boxes, width
 
     @cached_property
     def arc_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -143,17 +150,18 @@ def _is_connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
 
 
 def _assemble_graph(model: GasketModel) -> MetricGraph:
+    """The graph of a model: nodes from its deduplicated endpoints, arcs
+    weighted by its (frozen) length column."""
     nodes, inverse = _endpoint_nodes(model)
     m = len(model.edges)
     arc_u, arc_v = inverse[:m], inverse[m:]
-    arc_w = np.fromiter((e.length for e in model.edges), float, m)
-    arc_kind = tuple(e.kind for e in model.edges)
     # connectivity guard: a correct construction is always connected
     if not _is_connected(len(nodes), arc_u, arc_v):
         raise GasketError("metric graph is disconnected (construction bug)")
-    for arr in (nodes, arc_u, arc_v, arc_w):
+    for arr in (nodes, arc_u, arc_v):
         arr.flags.writeable = False
-    return MetricGraph(model.level, nodes, arc_u, arc_v, arc_w, arc_kind)
+    return MetricGraph(model.level, nodes, arc_u, arc_v, model.edges.length,
+                       model.edges.kind)
 
 
 @lru_cache(maxsize=16)
@@ -485,11 +493,14 @@ def _locate(graph: MetricGraph, point, virtual_id: int) -> _Endpoint:
         if gaps[nearest] <= SNAP_TOL:
             return _Endpoint(lo + nearest, 0.0)
 
-    # only an arc whose grown box holds x can lie within SNAP_TOL of it
-    box = graph.arc_boxes
-    inside = np.flatnonzero((box[0] <= x[0]) & (x[0] <= box[1])
-                            & (box[2] <= x[1]) & (x[1] <= box[3]))
-    gap, idx, t = _nearest_arc(graph, x, inside.tolist())
+    # only an arc whose grown box holds x can lie within SNAP_TOL of it, and
+    # such a box starts at most the widest box's extent left of x
+    xmins, ids, box, width = graph.arc_boxes
+    lo = bisect_left(xmins, float(x[0]) - width)
+    hi = bisect_right(xmins, float(x[0]))
+    box = box[:, lo:hi]
+    inside = ids[lo:hi][(x[0] <= box[1]) & (box[2] <= x[1]) & (x[1] <= box[3])]
+    gap, idx, t = _nearest_arc(graph, x, np.sort(inside).tolist())
     if gap > SNAP_TOL:
         # off the structure: find the nearest arc over all of them for the
         # message, projecting in one pass and rescanning those within

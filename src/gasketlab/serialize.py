@@ -16,9 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable
+from json.encoder import encode_basestring_ascii
 
-from gasketlab.geometry import EdgeCurve, GasketError, GasketModel
+import numpy as np
+
+from gasketlab.geometry import EdgeCurve, EdgeTable, GasketError, GasketModel
+
+_FIELDS = ("id", "kind", "gen", "p", "q", "length", "word")
+_BOUNDS = ("length_lo", "length_hi")
 
 
 def format_number(x: float) -> str:
@@ -26,24 +31,38 @@ def format_number(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _point(values: Iterable[float]) -> str:
-    return "[" + ", ".join(format_number(v) for v in values) + "]"
+def _point(dim: int) -> str:
+    return "[" + ", ".join(["%s"] * dim) + "]"
 
 
-def _edge_json(edge: EdgeCurve) -> str:
-    fields = [
-        f'"id": {edge.id}',
-        f'"kind": {json.dumps(edge.kind)}',
-        f'"gen": {edge.gen}',
-        f'"p": {_point(edge.p)}',
-        f'"q": {_point(edge.q)}',
-        f'"length": {format_number(edge.length)}',
-        f'"word": {json.dumps(edge.word)}',
-    ]
-    if edge.length_lo is not None:
-        fields.append(f'"length_lo": {format_number(edge.length_lo)}')
-        fields.append(f'"length_hi": {format_number(edge.length_hi)}')
-    return "{" + ", ".join(fields) + "}"
+def _formatted(numbers: np.ndarray) -> list[list[str]]:
+    """``format_number`` of every entry of an (E, k) float array, as k
+    column lists.  Model coordinates and lengths repeat (a node is an end
+    of several edges), so each distinct double is formatted once, told
+    apart by its bits so that -0.0 keeps its sign."""
+    bits, inverse = np.unique(numbers.view(np.int64), return_inverse=True)
+    text = np.array(["%.17g" % v for v in bits.view(float).tolist()], dtype=object)
+    return text[inverse.reshape(numbers.shape)].T.tolist()
+
+
+def _edge_lines(edges: EdgeTable) -> list[str]:
+    """One line per edge, each from one %-template over the column lists."""
+    dp, dq = edges.p.shape[1], edges.q.shape[1]
+    template = ('  {"id": %d, "kind": %s, "gen": %d, "p": ' + _point(dp) + ', "q": '
+                + _point(dq) + ', "length": %s, "word": %s}')
+    bounds = [] if edges.length_lo is None else [edges.length_lo, edges.length_hi]
+    numbers = _formatted(np.column_stack([edges.p, edges.q, edges.length, *bounds]))
+    # json.dumps of a str is encode_basestring_ascii, without the call overhead
+    columns = [edges.id.tolist(), map(encode_basestring_ascii, edges.kind),
+               edges.gen.tolist(), *numbers[:dp + dq + 1],
+               map(encode_basestring_ascii, edges.word)]
+    lines = [template % row for row in zip(*columns)]
+    if bounds:
+        lines = [line if math.isnan(lo) else
+                 line[:-1] + ', "length_lo": %s, "length_hi": %s}' % (lo_text, hi_text)
+                 for line, lo, lo_text, hi_text in zip(lines, edges.length_lo.tolist(),
+                                                       *numbers[dp + dq + 1:])]
+    return lines
 
 
 def model_to_json(model: GasketModel) -> str:
@@ -53,11 +72,61 @@ def model_to_json(model: GasketModel) -> str:
         head.append(f'"alpha": {format_number(model.alpha)}')
     head.append(f'"level": {model.level}')
     lines = ["{" + ", ".join(head) + ', "edges": [']
-    body = ",\n".join("  " + _edge_json(e) for e in model.edges)
+    body = ",\n".join(_edge_lines(model.edges))
     if body:
         lines.append(body)
     lines.append("]}")
     return "\n".join(lines) + "\n"
+
+
+def _uniform_table(edges) -> "EdgeTable | None":
+    """The columns of edges that all carry the same keys, read with one
+    ``np.array`` call per numeric field and checked with one vectorised
+    finite and non-negative test; None when an edge needs ``_row_table``:
+    a key set that varies, a value that will not convert or gives the wrong
+    shape, a null (which ``np.array`` reads as NaN) or a bad length."""
+    try:
+        keys = _FIELDS + _BOUNDS if edges and "length_lo" in edges[0] else _FIELDS
+        if sum(map(len, edges)) != len(keys) * len(edges):
+            return None
+        if not edges:
+            return EdgeTable.from_rows(())
+        cols = {k: [e[k] for e in edges] for k in keys}
+        lengths = ("length",) + keys[len(_FIELDS):]
+        num = {k: np.array(cols[k], dtype=float) for k in ("p", "q") + lengths}
+        table = EdgeTable(np.array(cols["id"], dtype=np.int64), map(str, cols["kind"]),
+                          np.array(cols["gen"], dtype=np.int64), num["p"], num["q"],
+                          num["length"], map(str, cols["word"]),
+                          num.get("length_lo"), num.get("length_hi"))
+    except (KeyError, TypeError, ValueError, OverflowError, IndexError):
+        return None
+    every = np.concatenate([num[k] for k in lengths])
+    if np.isnan(num["p"]).any() or np.isnan(num["q"]).any() or not (
+            np.isfinite(every).all() and (every >= 0.0).all()):
+        return None
+    return table
+
+
+def _row_table(edges) -> EdgeTable:
+    """Edge by edge, with Python's int, float and str conversions: the
+    first conversion error in document order, or else the first edge with
+    a bad length, is the one raised."""
+    rows = tuple(
+        EdgeCurve(
+            id=int(e["id"]),
+            kind=str(e["kind"]),
+            gen=int(e["gen"]),
+            p=tuple(float(v) for v in e["p"]),
+            q=tuple(float(v) for v in e["q"]),
+            length=float(e["length"]),
+            word=str(e["word"]),
+            length_lo=float(e["length_lo"]) if "length_lo" in e else None,
+            length_hi=float(e["length_hi"]) if "length_hi" in e else None,
+        )
+        for e in edges
+    )
+    _check_lengths(rows)
+    return EdgeTable.from_rows(rows)
 
 
 def _check_lengths(edges: tuple[EdgeCurve, ...]) -> None:
@@ -77,34 +146,30 @@ def _check_lengths(edges: tuple[EdgeCurve, ...]) -> None:
 
 
 def model_from_json(text: str) -> GasketModel:
-    """Parse a model document back into an immutable model."""
+    """Parse a model document back into an immutable model.
+
+    A document whose edges all carry the same keys with valid values (every
+    document ``model_to_json`` writes) is read column by column.  Any other
+    is read again edge by edge, so that a malformed document reports its
+    first fault in document order, and one with bounds on only some edges
+    keeps them where they are.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GasketError(f"invalid model JSON: {exc}") from exc
     try:
-        edges = tuple(
-            EdgeCurve(
-                id=int(e["id"]),
-                kind=str(e["kind"]),
-                gen=int(e["gen"]),
-                p=tuple(float(v) for v in e["p"]),
-                q=tuple(float(v) for v in e["q"]),
-                length=float(e["length"]),
-                word=str(e["word"]),
-                length_lo=float(e["length_lo"]) if "length_lo" in e else None,
-                length_hi=float(e["length_hi"]) if "length_hi" in e else None,
-            )
-            for e in doc["edges"]
-        )
-        _check_lengths(edges)
+        edges = doc["edges"]
+        table = _uniform_table(edges)
+        if table is None:
+            table = _row_table(edges)
         return GasketModel(
             variant=str(doc["variant"]),
             alpha=float(doc["alpha"]) if "alpha" in doc else None,
             level=int(doc["level"]),
-            edges=edges,
+            edges=table,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise GasketError(f"malformed model document: {exc}") from exc
 
 

@@ -382,6 +382,11 @@ def _richardson(g: np.ndarray) -> np.ndarray:
     return (4.0 * r1[1:] - r1[:-1]) / 3.0
 
 
+def _ladder_eps(eps_start: float, rungs: int) -> np.ndarray:
+    """The epsilon rungs ``extrapolate_ladder`` evaluates: eps_start / 2^k."""
+    return eps_start * 0.5 ** np.arange(rungs)
+
+
 def extrapolate_ladder(
     values: Callable[[float], float],
     eps_start: float = 0.1,
@@ -397,7 +402,7 @@ def extrapolate_ladder(
     """
     if rungs < 3:
         raise GasketError("ladder needs at least 3 rungs")
-    eps = eps_start * 0.5 ** np.arange(rungs)
+    eps = _ladder_eps(eps_start, rungs)
     g = np.array([values(e) for e in eps])
     extr = _richardson(g)
     diff = abs(extr[-1] - extr[-2])

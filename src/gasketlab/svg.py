@@ -29,15 +29,14 @@ def _project_plane(points: np.ndarray) -> np.ndarray:
 
 def _model_segments(model: GasketModel) -> np.ndarray:
     """Per edge, its polyline vertices in drawing coordinates, (E, k, 2)."""
+    edges = model.edges
     if model.variant != "harmonic":
-        return np.array([(e.p, e.q) for e in model.edges], dtype=float)
+        return np.stack([edges.p, edges.q], axis=1)
     from gasketlab import harmonic
 
     # harmonic models enumerate edges word-major, so id mod 3 is the
     # local edge index
-    pts = harmonic.edge_polylines([e.word for e in model.edges],
-                                  [e.id % 3 + 1 for e in model.edges],
-                                  _POLYLINE_DEPTH)
+    pts = harmonic.edge_polylines(edges.word, edges.id % 3 + 1, _POLYLINE_DEPTH)
     return _project_plane(pts)
 
 

@@ -16,6 +16,7 @@ from gasketlab.cli import main
 from gasketlab import harmonic, svg
 from gasketlab.geometry import (
     TRIANGLE_EDGE_CORNERS,
+    EdgeTable,
     GasketError,
     GasketModel,
     cell_index,
@@ -107,7 +108,7 @@ def test_svg_harmonic_uses_polylines():
 
 
 def test_svg_of_empty_model_is_valid():
-    text = render_svg(GasketModel("sg", None, 0, ()))
+    text = render_svg(GasketModel("sg", None, 0, EdgeTable.from_rows(())))
     assert text.startswith("<?xml")
     assert "<line" not in text and "<polyline" not in text
     assert "</svg>" in text
@@ -182,7 +183,7 @@ def per_edge_render_svg(model, width=800):
     lambda: gl.build_model("sg", 8),
     lambda: gl.build_model("stretched", 8, 0.2),
     lambda: gl.build_model("harmonic", 5),
-    lambda: GasketModel("sg", None, 0, ()),
+    lambda: GasketModel("sg", None, 0, EdgeTable.from_rows(())),
 ], ids=["sg-8", "stretched-8", "harmonic-5", "empty"])
 def test_svg_matches_per_edge_route(make):
     model = make()

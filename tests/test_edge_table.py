@@ -1,0 +1,312 @@
+"""The columnar edge table: row views, content equality and hashing, and the
+columnar JSON reader and writer against per-edge references."""
+
+import copy
+import json
+import math
+import pickle
+
+import numpy as np
+import pytest
+from test_geometry import per_edge_rows
+from test_harmonic import per_edge_harmonic_rows
+
+import gasketlab as gl
+from gasketlab import metric
+from gasketlab.geometry import EdgeCurve, EdgeTable, GasketError, GasketModel
+from gasketlab.serialize import (
+    format_number,
+    model_from_json,
+    model_to_json,
+    read_model,
+    write_model,
+)
+from gasketlab.svg import render_svg
+
+
+def per_edge_json(variant, alpha, level, rows):
+    """The per-edge writer, one f-string per field, as the reference."""
+    def point(values):
+        return "[" + ", ".join(format_number(v) for v in values) + "]"
+
+    def edge(e):
+        fields = [f'"id": {e.id}', f'"kind": {json.dumps(e.kind)}', f'"gen": {e.gen}',
+                  f'"p": {point(e.p)}', f'"q": {point(e.q)}',
+                  f'"length": {format_number(e.length)}', f'"word": {json.dumps(e.word)}']
+        if e.length_lo is not None:
+            fields += [f'"length_lo": {format_number(e.length_lo)}',
+                       f'"length_hi": {format_number(e.length_hi)}']
+        return "{" + ", ".join(fields) + "}"
+
+    head = [f'"variant": {json.dumps(variant)}']
+    if alpha is not None:
+        head.append(f'"alpha": {format_number(alpha)}')
+    head.append(f'"level": {level}')
+    lines = ["{" + ", ".join(head) + ', "edges": [']
+    body = ",\n".join("  " + edge(e) for e in rows)
+    if body:
+        lines.append(body)
+    lines.append("]}")
+    return "\n".join(lines) + "\n"
+
+
+def per_edge_read(doc):
+    """The rows the per-edge reader made of a document it accepted."""
+    return tuple(EdgeCurve(int(e["id"]), str(e["kind"]), int(e["gen"]),
+                           tuple(float(v) for v in e["p"]),
+                           tuple(float(v) for v in e["q"]), float(e["length"]),
+                           str(e["word"]),
+                           float(e["length_lo"]) if "length_lo" in e else None,
+                           float(e["length_hi"]) if "length_hi" in e else None)
+                 for e in doc["edges"])
+
+
+def reference_rows(variant, level):
+    if variant == "harmonic":
+        return per_edge_harmonic_rows(level, 4)
+    return per_edge_rows(variant, level, 0.2 if variant == "stretched" else None)
+
+
+def build(variant, level):
+    return gl.build_model(variant, level, 0.2 if variant == "stretched" else None)
+
+
+@pytest.fixture
+def rows_made(monkeypatch):
+    """Counts every ``EdgeCurve`` built while the test runs."""
+    made = []
+    init = EdgeCurve.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EdgeCurve, "__init__", counting)
+    return made
+
+
+# -- writer and reader round trip ---------------------------------------------
+
+@pytest.mark.parametrize("level", range(7))
+@pytest.mark.parametrize("variant", ["sg", "stretched", "harmonic"])
+def test_json_matches_the_per_edge_writer_and_round_trips(variant, level):
+    model = build(variant, level)
+    text = model_to_json(model)
+    rows = reference_rows(variant, level)
+    assert text == per_edge_json(variant, model.alpha, level, rows)
+    read = model_from_json(text)
+    assert model_to_json(read) == text
+    assert read == model and tuple(read.edges) == rows
+
+
+def test_round_trip_with_bounds_on_some_edges_only():
+    doc = json.loads(model_to_json(build("harmonic", 2)))
+    for e in doc["edges"][::3]:
+        del e["length_lo"], e["length_hi"]
+    text = per_edge_json("harmonic", None, 2, per_edge_read(doc))
+    model = model_from_json(text)
+    assert model_to_json(model) == text
+    assert [e.length_lo is None for e in model.edges] == [i % 3 == 0 for i in range(27)]
+    assert np.isnan(model.edges.length_lo[::3]).all()
+
+
+def test_upper_bounds_without_lower_bounds_are_read_and_dropped():
+    # an upper bound alone was accepted and never written back
+    doc = json.loads(model_to_json(build("harmonic", 1)))
+    for e in doc["edges"][:4]:
+        del e["length_lo"]
+    model = model_from_json(json.dumps(doc))
+    assert [e.length_lo for e in model.edges[:4]] == [None] * 4
+    assert model.edges[0].length_hi == doc["edges"][0]["length_hi"]
+    assert model_to_json(model) == per_edge_json("harmonic", None, 1, per_edge_read(doc))
+    assert '"length_hi"' not in model_to_json(model).splitlines()[1]
+
+
+def test_writer_keeps_the_sign_of_zero():
+    rows = list(build("stretched", 1).edges)
+    rows[1] = EdgeCurve(1, rows[1].kind, 0, (0.4, -0.0), rows[1].q, -0.0, "")
+    text = model_to_json(GasketModel("stretched", 0.2, 1, EdgeTable.from_rows(rows)))
+    assert text == per_edge_json("stretched", 0.2, 1, rows)
+    assert '"p": [0.40000000000000002, -0], "q": [0.59999999999999998, 0], "length": -0,' in text
+
+
+# -- the reader accepts and rejects what the per-edge reader did ----------------
+
+def _malformed(convert):
+    try:
+        convert()
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        return f"malformed model document: {exc}"
+    raise AssertionError("conversion did not fail")
+
+
+def _bad_length(i, length, lo=None, hi=None):
+    return (f"edge {i}: lengths must be finite and non-negative, got "
+            f"length={length}, length_lo={lo}, length_hi={hi}")
+
+
+def _set(i, key, value):
+    return lambda doc: doc["edges"][i].__setitem__(key, value)
+
+
+def _drop(i, *keys):
+    return lambda doc: [doc["edges"][i].pop(k) for k in keys]
+
+
+def _both(first, second):
+    return lambda doc: (first(doc), second(doc))
+
+
+STRETCHED = json.loads(model_to_json(gl.build_model("stretched", 1, 0.2)))
+HARMONIC = json.loads(model_to_json(gl.build_model("harmonic", 1, harmonic_depth=2)))
+H5 = HARMONIC["edges"][5]
+
+CASES = {
+    # name: (document, edit, expected message or None when accepted)
+    **{f"missing {key}": (STRETCHED, _drop(2, key), f"malformed model document: '{key}'")
+       for key in ("id", "kind", "gen", "p", "q", "length", "word")},
+    "missing edges": (STRETCHED, lambda d: d.pop("edges"),
+                      "malformed model document: 'edges'"),
+    "missing level": (STRETCHED, lambda d: d.pop("level"),
+                      "malformed model document: 'level'"),
+    "ragged p": (STRETCHED, _set(1, "p", [[0.0, 1.0], [2.0]]),
+                 _malformed(lambda: float([0.0, 1.0]))),
+    "nested p": (STRETCHED, _set(1, "p", [[0.0], [1.0]]), _malformed(lambda: float([0.0]))),
+    "scalar p": (STRETCHED, _set(1, "p", 3.0), _malformed(lambda: iter(3.0))),
+    "text p": (STRETCHED, _set(1, "p", "ab"), _malformed(lambda: float("a"))),
+    "null in p": (STRETCHED, _set(1, "p", [None, 1.0]), _malformed(lambda: float(None))),
+    "text in q": (STRETCHED, _set(4, "q", [0.5, "x"]), _malformed(lambda: float("x"))),
+    "text length": (STRETCHED, _set(1, "length", "x"), _malformed(lambda: float("x"))),
+    "null length": (STRETCHED, _set(1, "length", None), _malformed(lambda: float(None))),
+    "list length": (STRETCHED, _set(1, "length", [0.5]), _malformed(lambda: float([0.5]))),
+    "text id": (STRETCHED, _set(1, "id", "x"), _malformed(lambda: int("x"))),
+    "NaN id": (STRETCHED, _set(1, "id", math.nan), _malformed(lambda: int(math.nan))),
+    "null gen": (STRETCHED, _set(1, "gen", None), _malformed(lambda: int(None))),
+    "text length_lo": (HARMONIC, _set(2, "length_lo", "x"), _malformed(lambda: float("x"))),
+    "null length_hi": (HARMONIC, _set(2, "length_hi", None), _malformed(lambda: float(None))),
+    # the per-edge reader let this OverflowError escape unwrapped
+    "huge length": (STRETCHED, _set(1, "length", 10 ** 400),
+                    _malformed(lambda: float(10 ** 400))),
+    "length_lo without length_hi": (HARMONIC, _drop(5, "length_hi"),
+                                    _malformed(lambda: 0.0 <= None)),
+    "bad length_lo without length_hi": (
+        HARMONIC, _both(_drop(5, "length_hi"), _set(5, "length_lo", -1.0)),
+        _bad_length(5, H5["length"], -1.0, None)),
+    # the first error in document order is the one reported
+    "bad p after a missing word": (
+        STRETCHED, _both(_drop(2, "word"), _set(5, "p", ["x", 0.0])),
+        "malformed model document: 'word'"),
+    "bad length before a missing word": (
+        STRETCHED, _both(_set(1, "length", -1.0), _drop(6, "word")),
+        "malformed model document: 'word'"),
+    # the endpoints of every edge share one dimension: the per-edge reader
+    # accepted a mix, which then failed in graph assembly or SVG rendering
+    "mixed-dim p": (STRETCHED, _set(1, "p", [0.0, 1.0, 2.0]),
+                    "malformed model document: edge endpoints differ in dimension"),
+    "mixed-dim q": (STRETCHED, _set(1, "q", [0.0]),
+                    "malformed model document: edge endpoints differ in dimension"),
+    # accepted
+    "numeric text length": (STRETCHED, _set(1, "length", "0.5"), None),
+    "integer length": (STRETCHED, _set(1, "length", 2), None),
+    "negative zero length": (STRETCHED, _set(1, "length", -0.0), None),
+    "boolean in p": (STRETCHED, _set(1, "p", [True, 0.0]), None),
+    "NaN in p": (STRETCHED, _set(1, "p", [math.nan, 0.0]), None),
+    "extra key": (STRETCHED, _set(3, "note", 1), None),
+    "integer kind": (STRETCHED, _set(3, "kind", 7), None),
+    "fractional id": (STRETCHED, _set(3, "id", 1.7), None),
+    "no edges": (STRETCHED, lambda d: d.__setitem__("edges", []), None),
+}
+for _field in ("length", "length_lo", "length_hi"):
+    for _value in (-0.1, math.nan, math.inf, -math.inf):
+        for _i in (0, 5):
+            _doc = STRETCHED if _field == "length" else HARMONIC
+            _e = dict(_doc["edges"][_i], **{_field: _value})
+            CASES[f"{_field}={_value} at {_i}"] = (
+                _doc, _set(_i, _field, _value),
+                _bad_length(_i, _e["length"], _e.get("length_lo"), _e.get("length_hi")))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_reader_accepts_and_rejects_like_the_per_edge_reader(name):
+    base, edit, expected = CASES[name]
+    doc = copy.deepcopy(base)
+    edit(doc)
+    text = json.dumps(doc)
+    if expected is not None:
+        with pytest.raises(GasketError) as err:
+            model_from_json(text)
+        assert str(err.value) == expected
+        return
+    model = model_from_json(text)
+    rows = per_edge_read(doc)
+    assert len(model.edges) == len(rows)
+    for got, want in zip(model.edges, rows):
+        # NaN != NaN: compare the written numbers
+        assert got.id == want.id and got.kind == want.kind and got.word == want.word
+        assert list(map(format_number, got.p + got.q + (got.length,))) == \
+            list(map(format_number, want.p + want.q + (want.length,)))
+
+
+# -- row views ------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant, level", [("sg", 3), ("stretched", 3), ("harmonic", 2)])
+def test_rows_are_the_per_edge_rows(variant, level):
+    model = build(variant, level)
+    rows = reference_rows(variant, level)
+    assert len(model.edges) == len(rows)
+    assert all(model.edges[i] == rows[i] for i in range(len(rows)))
+    assert tuple(model.edges) == rows
+    assert model.edges[-1] == rows[-1] and model.edges[2:9:3] == rows[2:9:3]
+    with pytest.raises(IndexError):
+        model.edges[len(rows)]
+    for e in (model.edges[5], next(iter(model.edges))):
+        assert type(e.id) is type(e.gen) is int
+        assert {type(v) for v in (*e.p, *e.q, e.length)} == {float}
+        assert type(e.kind) is type(e.word) is str
+
+
+def test_tables_are_frozen_and_pickle_by_content():
+    edges = build("harmonic", 2).edges
+    for col in (edges.id, edges.gen, edges.p, edges.q, edges.length,
+                edges.length_lo, edges.length_hi):
+        assert not col.flags.writeable
+    again = pickle.loads(pickle.dumps(edges))
+    assert again == edges and not again.p.flags.writeable
+    assert edges != tuple(edges)
+    empty = EdgeTable.from_rows(())
+    assert len(empty) == 0 and empty.p.shape == (0, 2)
+    assert model_to_json(GasketModel("sg", None, 0, empty)) == per_edge_json("sg", None, 0, ())
+
+
+def test_build_read_assemble_and_write_make_no_rows(rows_made, tmp_path):
+    path = str(tmp_path / "model.json")
+    for variant in ("sg", "stretched", "harmonic"):
+        model = build(variant, 4)
+        write_model(model, path)
+        read = read_model(path)
+        render_svg(read)
+        if variant != "harmonic":
+            metric._assemble_graph(read)
+            metric.to_metric_graph(read)
+        assert len(model.edges) == len(read.edges) > 0
+        assert hash(read) == hash(model)
+    assert rows_made == []
+    read.edges[3]
+    assert len(rows_made) == 1
+
+
+def test_read_model_shares_the_built_models_graph():
+    built = gl.build_model("stretched", 3, 0.1234)
+    read = model_from_json(model_to_json(built))
+    assert read is not built and read == built and hash(read) == hash(built)
+    misses = metric._graph_of_model.cache_info().misses
+    graph = metric.to_metric_graph(built)
+    assert metric.to_metric_graph(read) is graph
+    assert metric._graph_of_model.cache_info().misses == misses + 1
+    doc = json.loads(model_to_json(built))
+    doc["edges"][4]["length"] *= 0.5
+    edited = model_from_json(json.dumps(doc))
+    assert edited != built
+    other = metric.to_metric_graph(edited)
+    assert other is not graph and metric._graph_of_model.cache_info().misses == misses + 2
+    assert other.arc_w[4] == 0.5 * graph.arc_w[4]

@@ -12,6 +12,7 @@ from gasketlab.geometry import (
     CORNERS,
     TRIANGLE_EDGE_CORNERS,
     EdgeCurve,
+    EdgeTable,
     GasketError,
     GasketModel,
     ResourceCapError,
@@ -279,10 +280,15 @@ def per_edge_triangle_edges(mesh, kind, start_id):
 
 def per_edge_model(variant, level, alpha=None):
     """The per-edge construction route, as the shared row builder's reference."""
+    return GasketModel(variant, alpha, level,
+                       EdgeTable.from_rows(per_edge_rows(variant, level, alpha)))
+
+
+def per_edge_rows(variant, level, alpha=None):
+    """The rows of ``per_edge_model``, one ``EdgeCurve`` per edge."""
     if variant == "sg":
         mesh = sg_hierarchy(level)[level]
-        return GasketModel("sg", None, level,
-                           tuple(per_edge_triangle_edges(mesh, "sg-triangle", 0)))
+        return tuple(per_edge_triangle_edges(mesh, "sg-triangle", 0))
     meshes, joins = stretched_hierarchy(level, alpha)
     edges = []
     for m in range(level):
@@ -295,7 +301,7 @@ def per_edge_model(variant, level, alpha=None):
                                        tuple(p), tuple(q),
                                        float(np.hypot(*(q - p))), word))
     edges += per_edge_triangle_edges(meshes[level], "stretched-triangle", len(edges))
-    return GasketModel("stretched", alpha, level, tuple(edges))
+    return tuple(edges)
 
 
 @pytest.mark.parametrize("variant,alpha",

@@ -12,6 +12,7 @@ from gasketlab.geometry import (
     CORNERS,
     TRIANGLE_EDGE_CORNERS,
     EdgeCurve,
+    EdgeTable,
     GasketError,
     GasketModel,
     ResourceCapError,
@@ -457,6 +458,12 @@ def test_harmonic_model_contents():
 
 def per_edge_harmonic_model(level, depth):
     """The per-edge construction route, as the shared row builder's reference."""
+    return GasketModel("harmonic", None, level,
+                       EdgeTable.from_rows(per_edge_harmonic_rows(level, depth)))
+
+
+def per_edge_harmonic_rows(level, depth):
+    """The rows of ``per_edge_harmonic_model``, one ``EdgeCurve`` per edge."""
     mesh = sg_hierarchy(level)[level]
     phis = phi_coordinates(level)
     lo, hi = edge_length_tables(level, depth)[level]
@@ -470,7 +477,7 @@ def per_edge_harmonic_model(level, depth):
                 tuple(phis[mesh.cells[row, i]]), tuple(phis[mesh.cells[row, j]]),
                 float(lo[eid]), word, float(lo[eid]), float(hi[eid]),
             ))
-    return GasketModel("harmonic", None, level, tuple(edges))
+    return tuple(edges)
 
 
 @pytest.mark.parametrize("depth", [1, 4])

@@ -6,7 +6,7 @@ from conftest import POLY_2D, POLY_3D, oracle_phi
 
 import gasketlab as gl
 from gasketlab import harmonic, measure
-from gasketlab.geometry import GasketError, sg_hierarchy
+from gasketlab.geometry import GasketError, ResourceCapError, sg_hierarchy
 from gasketlab.harmonic import vertex_count
 from gasketlab.spectrum import extrapolate_ladder
 
@@ -188,6 +188,19 @@ def loop_kh_dixmier_ratio(f, depth, eps_start=0.4, rungs=8):
 def test_kh_ratio_matches_bisection_loop(name, depth):
     f = POLY_3D[name]
     assert measure.kh_dixmier_ratio(f, depth) == loop_kh_dixmier_ratio(f, depth)
+
+
+def test_kh_ratio_ladder_is_cached_across_functions(monkeypatch):
+    measure._kh_ladder.cache_clear()
+    for name in ("x", "x^2", "x*y", "x"):
+        f = POLY_3D[name]
+        assert measure.kh_dixmier_ratio(f, 3, 0.3, 6) == loop_kh_dixmier_ratio(f, 3, 0.3, 6)
+    info = measure._kh_ladder.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    # the edge cap still holds on a cache hit
+    monkeypatch.setenv("GASKET_MAX_EDGES", "10")
+    with pytest.raises(ResourceCapError):
+        measure.kh_dixmier_ratio(POLY_3D["x"], 3, 0.3, 6)
 
 
 # -- mass spread ---------------------------------------------------------------

@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 import gasketlab as gl
 from gasketlab import metric
-from gasketlab.geometry import EdgeCurve, GasketError, GasketModel
+from gasketlab.geometry import EdgeCurve, EdgeTable, GasketError, GasketModel
 from gasketlab.metric import (
     SNAP_TOL,
     _chains_attain,
@@ -242,7 +242,7 @@ def test_zero_length_edge_does_not_hide_other_arcs():
     node = tuple(graph.nodes[0].tolist())
     stub = EdgeCurve(len(model.edges), "stretched-triangle", 0, node, node, 0.0, "")
     padded = GasketModel(model.variant, model.alpha, model.level,
-                         model.edges + (stub,))
+                         EdgeTable.from_rows((*model.edges, stub)))
     arc = next(i for i, a in enumerate(graph.arcs) if a[3] == "stretched-joining")
     u, v, _, _ = graph.arcs[arc]
     point = 0.3 * graph.nodes[u] + 0.7 * graph.nodes[v]
@@ -256,7 +256,7 @@ def test_disconnected_construction_is_rejected():
         EdgeCurve(1, "sg-triangle", 0, (5.0, 5.0), (6.0, 5.0), 1.0, ""),
     )
     with pytest.raises(GasketError):
-        to_metric_graph(GasketModel("sg", None, 0, edges))
+        to_metric_graph(GasketModel("sg", None, 0, EdgeTable.from_rows(edges)))
 
 
 def test_harmonic_graphs_are_out_of_scope():
@@ -532,6 +532,21 @@ def test_locate_matches_the_full_scan_near_arcs(level_seven):
                 assert str(got.value) == str(exc)
                 continue
             assert _locate(graph, x, n) == ref
+
+
+def test_locate_breaks_ties_by_the_lower_arc_id():
+    # a triangle-kind twin appended to a joining arc is as near to every
+    # point of it: the joining arc, first in arc order, must win
+    model = gl.build_model("stretched", 2, 0.2)
+    joining = model.edges[4]
+    twin = dataclasses.replace(joining, id=len(model.edges), kind="stretched-triangle")
+    doubled = GasketModel(model.variant, model.alpha, model.level,
+                          EdgeTable.from_rows((*model.edges, twin)))
+    graph = to_metric_graph(doubled)
+    for t in (0.2, 0.5, 0.7):
+        x = (1 - t) * np.array(joining.p) + t * np.array(joining.q)
+        end = _locate(graph, x, graph.node_count)
+        assert end.arc == 4 and end.snap_error == 0.0
 
 
 def test_off_structure_message_is_unchanged(level_seven):
