@@ -43,6 +43,7 @@ from gasketlab.geometry import (
 from gasketlab.spectrum import (
     ResidueResult,
     _bisect,
+    _check_rungs,
     _ladder_eps,
     curve_trace_constant,
     extrapolate_ladder,
@@ -232,6 +233,7 @@ def dixmier_functional(
 
 
 def _check_ladder(depth: int, eps_start: float, rungs: int) -> None:
+    _check_rungs(rungs)
     harmonic._check_tables(depth, depth)
 
 

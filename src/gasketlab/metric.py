@@ -464,16 +464,31 @@ class _Endpoint:
     extra: tuple = ()              # overlay arcs (v, w) for a virtual node
 
 
-def _nearest_arc(graph: MetricGraph, x: np.ndarray, candidates) -> tuple[float, int, float]:
+def _nearest_arc(graph: MetricGraph, x: np.ndarray,
+                 candidates: np.ndarray) -> tuple[float, int, float]:
     """(gap, arc, t) of the first candidate arc nearest to x, t being the
-    clipped projection parameter; a zero-length arc projects to NaN and
-    never wins."""
+    clipped projection parameter; candidates have positive length.  One
+    vectorised projection keeps the arcs within rounding of the best gap
+    (a lone candidate needs none), and only those are rescanned with the
+    scalar formula, in ascending arc order, so the result is the scalar
+    scan's over all candidates."""
+    if len(candidates) > 1:
+        ends = graph.nodes[graph.arc_u[candidates]]
+        dirs = graph.nodes[graph.arc_v[candidates]] - ends
+        rel = x - ends
+        ts = np.minimum(np.maximum((rel * dirs).sum(axis=1) / (dirs * dirs).sum(axis=1),
+                                   0.0), 1.0)
+        gaps = np.hypot(*(rel - ts[:, None] * dirs).T)
+        candidates = np.sort(candidates[gaps <= np.fmin.reduce(gaps) + 1e-12])
     best = (math.inf, -1, 0.0)
-    for idx in candidates:
+    for idx in candidates.tolist():
         a = graph.nodes[graph.arc_u[idx]]
         d = graph.nodes[graph.arc_v[idx]] - a
-        t = float(np.clip(np.dot(x - a, d) / np.dot(d, d), 0.0, 1.0))
-        gap = float(np.linalg.norm(x - (a + t * d)))
+        # float(np.clip(...)) and np.linalg.norm(...) bit for bit, in fewer
+        # numpy calls: the length is positive, so the quotient is finite
+        t = float(min(1.0, max(0.0, np.dot(x - a, d) / np.dot(d, d))))
+        r = x - (a + t * d)
+        gap = math.sqrt(r.dot(r))
         if gap < best[0]:
             best = (gap, idx, t)
     return best
@@ -500,19 +515,10 @@ def _locate(graph: MetricGraph, point, virtual_id: int) -> _Endpoint:
     hi = bisect_right(xmins, float(x[0]))
     box = box[:, lo:hi]
     inside = ids[lo:hi][(x[0] <= box[1]) & (box[2] <= x[1]) & (x[1] <= box[3])]
-    gap, idx, t = _nearest_arc(graph, x, np.sort(inside).tolist())
+    gap, idx, t = _nearest_arc(graph, x, inside)
     if gap > SNAP_TOL:
-        # off the structure: find the nearest arc over all of them for the
-        # message, projecting in one pass and rescanning those within
-        # rounding of the best gap
-        ends = graph.nodes[graph.arc_u]
-        dirs = graph.nodes[graph.arc_v] - ends
-        with np.errstate(invalid="ignore", divide="ignore"):
-            ts = np.clip(np.einsum("ij,ij->i", x - ends, dirs)
-                         / np.einsum("ij,ij->i", dirs, dirs), 0.0, 1.0)
-        gaps = np.hypot(*(x - (ends + ts[:, None] * dirs)).T)
-        near = np.flatnonzero(gaps <= np.fmin.reduce(gaps) + 1e-12)
-        gap = _nearest_arc(graph, x, near.tolist())[0]
+        # off the structure: the nearest arc over all of them, for the message
+        gap = _nearest_arc(graph, x, ids)[0]
         raise GasketError(
             f"point {tuple(x.tolist())} is not on the structure "
             f"(distance {gap:.3e} > {SNAP_TOL})"

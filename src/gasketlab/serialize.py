@@ -10,20 +10,47 @@ The on-disk schema is fixed, field order included:
 ``length_lo``/``length_hi`` appear only on harmonic-image edges.  All
 numbers carry 17 significant digits, which round-trips doubles exactly,
 so serialize(parse(text)) == text byte for byte.
+
+An sg or stretched document that ``model_to_json`` wrote for a built
+model is fixed by its header: it is ``model_to_json`` of
+``build_model(variant, level, alpha)``.  So the reader first checks
+whether the text is exactly that document.  If the header is canonical
+and the document has as many edge lines as the level implies, it
+rebuilds the model, writes it, and returns it when the whole text
+matches byte for byte, which costs a fraction of ``json.loads`` of the
+text.  The writer round-trips every double, -0.0 included, so the
+rebuilt model equals the parsed one.  Any other document (harmonic,
+edited, laid out differently, or one whose build hits the cap) is
+parsed, with the same results and errors as without the check; a
+canonical-looking document that differs pays one wasted build and write.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from gasketlab.geometry import EdgeCurve, EdgeTable, GasketError, GasketModel
+from gasketlab.geometry import (
+    EdgeCurve,
+    EdgeTable,
+    GasketError,
+    GasketModel,
+    build_model,
+    edge_count,
+)
 
 _FIELDS = ("id", "kind", "gen", "p", "q", "length", "word")
 _BOUNDS = ("length_lo", "length_hi")
+
+# the first line of a document that ``build_model`` fixes; ``_header`` then
+# decides whether it is the canonical one
+_BUILT_HEADER = re.compile(r'\{"variant": "(sg|stretched)", '
+                           r'(?:"alpha": (-?\d+(?:\.\d+)?(?:e[-+]\d+)?), )?'
+                           r'"level": (\d{1,3}), "edges": \[\n')
 
 
 def format_number(x: float) -> str:
@@ -65,13 +92,17 @@ def _edge_lines(edges: EdgeTable) -> list[str]:
     return lines
 
 
+def _header(variant: str, alpha: "float | None", level: int) -> str:
+    head = [f'"variant": {json.dumps(variant)}']
+    if alpha is not None:
+        head.append(f'"alpha": {format_number(alpha)}')
+    head.append(f'"level": {level}')
+    return "{" + ", ".join(head) + ', "edges": ['
+
+
 def model_to_json(model: GasketModel) -> str:
     """Serialize a model to the fixed-order schema (trailing newline)."""
-    head = [f'"variant": {json.dumps(model.variant)}']
-    if model.alpha is not None:
-        head.append(f'"alpha": {format_number(model.alpha)}')
-    head.append(f'"level": {model.level}')
-    lines = ["{" + ", ".join(head) + ', "edges": [']
+    lines = [_header(model.variant, model.alpha, model.level)]
     body = ",\n".join(_edge_lines(model.edges))
     if body:
         lines.append(body)
@@ -145,8 +176,41 @@ def _check_lengths(edges: tuple[EdgeCurve, ...]) -> None:
                 f"length={e.length}, length_lo={e.length_lo}, length_hi={e.length_hi}")
 
 
+def _rebuilt(text: str) -> "GasketModel | None":
+    """The built model whose document is exactly ``text``, or None.
+
+    Only a canonical sg or stretched header with as many edge lines as its
+    level implies gets as far as ``build_model``; a build that fails (the
+    cap, a bad alpha) gives None too.
+    """
+    head = _BUILT_HEADER.match(text) if isinstance(text, str) else None
+    if head is None:
+        return None
+    variant, level = head[1], int(head[3])
+    alpha = None if head[2] is None else float(head[2])
+    if (_header(variant, alpha, level) + "\n" != head[0]
+            or text.count("\n") != edge_count(variant, level) + 2):
+        return None
+    try:
+        model = build_model(variant, level, alpha)
+    except GasketError:
+        return None
+    return model if model_to_json(model) == text else None
+
+
 def model_from_json(text: str) -> GasketModel:
-    """Parse a model document back into an immutable model.
+    """Read a model document back into an immutable model.
+
+    A document that ``model_to_json`` writes for a built sg or stretched
+    model is rebuilt and checked byte for byte (``_rebuilt``); any other
+    is parsed.
+    """
+    model = _rebuilt(text)
+    return _parsed(text) if model is None else model
+
+
+def _parsed(text: str) -> GasketModel:
+    """Parse a model document.
 
     A document whose edges all carry the same keys with valid values (every
     document ``model_to_json`` writes) is read column by column.  Any other

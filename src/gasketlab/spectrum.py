@@ -382,6 +382,13 @@ def _richardson(g: np.ndarray) -> np.ndarray:
     return (4.0 * r1[1:] - r1[:-1]) / 3.0
 
 
+def _check_rungs(rungs: int) -> None:
+    """Two order-2 Richardson passes leave rungs - 2 extrapolants, and the
+    convergence test compares the last two."""
+    if rungs < 4:
+        raise GasketError("ladder needs at least 4 rungs")
+
+
 def _ladder_eps(eps_start: float, rungs: int) -> np.ndarray:
     """The epsilon rungs ``extrapolate_ladder`` evaluates: eps_start / 2^k."""
     return eps_start * 0.5 ** np.arange(rungs)
@@ -400,8 +407,7 @@ def extrapolate_ladder(
     vanishing limits register as converged rather than forever failing a
     pure relative test).
     """
-    if rungs < 3:
-        raise GasketError("ladder needs at least 3 rungs")
+    _check_rungs(rungs)
     eps = _ladder_eps(eps_start, rungs)
     g = np.array([values(e) for e in eps])
     extr = _richardson(g)

@@ -12,7 +12,7 @@ from test_geometry import per_edge_rows
 from test_harmonic import per_edge_harmonic_rows
 
 import gasketlab as gl
-from gasketlab import metric
+from gasketlab import metric, serialize
 from gasketlab.geometry import EdgeCurve, EdgeTable, GasketError, GasketModel
 from gasketlab.serialize import (
     format_number,
@@ -97,6 +97,10 @@ def test_json_matches_the_per_edge_writer_and_round_trips(variant, level):
     read = model_from_json(text)
     assert model_to_json(read) == text
     assert read == model and tuple(read.edges) == rows
+    # the parse path, which the reader skips for a built sg or stretched document
+    parsed = serialize._parsed(text)
+    assert model_to_json(parsed) == text
+    assert parsed == model and tuple(parsed.edges) == rows
 
 
 def test_round_trip_with_bounds_on_some_edges_only():
@@ -128,6 +132,104 @@ def test_writer_keeps_the_sign_of_zero():
     text = model_to_json(GasketModel("stretched", 0.2, 1, EdgeTable.from_rows(rows)))
     assert text == per_edge_json("stretched", 0.2, 1, rows)
     assert '"p": [0.40000000000000002, -0], "q": [0.59999999999999998, 0], "length": -0,' in text
+
+
+# -- a built document is rebuilt and checked, not parsed --------------------------
+
+def _bits(model):
+    """Everything a model holds, numbers as their bytes (so -0.0 != 0.0)."""
+    e = model.edges
+    numbers = (e.id, e.gen, e.p, e.q, e.length, e.length_lo, e.length_hi)
+    return (model.variant, type(model.alpha), np.float64(model.alpha or 0.0).tobytes(),
+            type(model.level), model.level, e.kind, e.word,
+            *(None if c is None else (c.dtype.str, c.shape, c.tobytes()) for c in numbers))
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the reader's calls of ``build_model``."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gl.build_model(*args, **kwargs)
+
+    monkeypatch.setattr(serialize, "build_model", counting)
+    return calls
+
+
+@pytest.mark.parametrize("level", range(8))
+@pytest.mark.parametrize("variant, alpha", [("sg", None)] + [
+    ("stretched", a) for a in (1e-9, 0.05, 0.13, 0.2, 0.3)])
+def test_rebuilt_model_is_the_parsed_model_bit_for_bit(variant, alpha, level, builds):
+    text = model_to_json(gl.build_model(variant, level, alpha))
+    rebuilt = model_from_json(text)
+    assert builds == [(variant, level, alpha)]
+    parsed = serialize._parsed(text)
+    assert _bits(rebuilt) == _bits(parsed)
+    metric._graph_of_model.cache_clear()
+    assert metric.to_metric_graph(rebuilt) is metric.to_metric_graph(parsed)
+    info = metric._graph_of_model.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+STRETCHED_3 = model_to_json(gl.build_model("stretched", 3, 0.2))
+
+
+def _edit(text, old, new, nth=0):
+    """``text`` with the nth occurrence of ``old`` replaced by ``new``."""
+    at = -1
+    for _ in range(nth + 1):
+        at = text.index(old, at + 1)
+    return text[:at] + new + text[at + len(old):]
+
+
+FALLBACKS = {
+    # name: (document, expected build_model calls)
+    "coordinate digit": (_edit(STRETCHED_3, '"p": [0.4', '"p": [0.5', 3), 1),
+    "length digit": (_edit(STRETCHED_3, '"length": 0.0', '"length": 0.1', 7), 1),
+    "word digit": (_edit(STRETCHED_3, '"word": "12"', '"word": "13"'), 1),
+    "kind letter": (_edit(STRETCHED_3, '"stretched-triangle"', '"stretched-triangla"', 5), 1),
+    # 0.10000000000000001 is format_number(0.1): a canonical header, other edges
+    "header alpha digit": (_edit(STRETCHED_3, '"alpha": 0.2', '"alpha": 0.1'), 1),
+    "harmonic": (model_to_json(gl.build_model("harmonic", 2)), 0),
+    "json.dumps": (json.dumps(json.loads(STRETCHED_3)), 0),
+    "indented": (json.dumps(json.loads(STRETCHED_3), indent=1), 0),
+    "non-canonical alpha": (_edit(STRETCHED_3, '"alpha": 0.20000000000000001',
+                                  '"alpha": 0.2'), 0),
+    "level above the edge lines": (_edit(STRETCHED_3, '"level": 3', '"level": 4'), 0),
+    "level below the edge lines": (_edit(STRETCHED_3, '"level": 3', '"level": 2'), 0),
+    "an edge line dropped": (_edit(STRETCHED_3, STRETCHED_3.splitlines()[5] + "\n", ""), 0),
+    "an edge split over two lines": (_edit(STRETCHED_3, '"word": "1"', '\n"word": "1"'), 0),
+    "negative length": (_edit(STRETCHED_3, '"length": 0.0', '"length": -0.0', 7), 1),
+    "text gen": (_edit(STRETCHED_3, '"gen": 1', '"gen": "x"'), 1),
+    "truncated": (STRETCHED_3[:-3] + "\n", 1),
+}
+
+
+@pytest.mark.parametrize("name", list(FALLBACKS))
+def test_other_documents_are_parsed(name, builds):
+    text, calls = FALLBACKS[name]
+    try:
+        expected = serialize._parsed(text)
+    except GasketError as exc:
+        with pytest.raises(GasketError) as err:
+            model_from_json(text)
+        assert str(err.value) == str(exc)
+    else:
+        got = model_from_json(text)
+        assert _bits(got) == _bits(expected)
+        assert tuple(got.edges) == per_edge_read(json.loads(text))
+    assert len(builds) == calls
+
+
+def test_a_build_over_the_cap_is_parsed(builds, monkeypatch):
+    monkeypatch.setenv("GASKET_MAX_EDGES", "50")
+    read = model_from_json(STRETCHED_3)
+    assert len(builds) == 1 and len(read.edges) == 120
+    assert _bits(read) == _bits(serialize._parsed(STRETCHED_3))
+    with pytest.raises(gl.ResourceCapError):
+        gl.build_model("stretched", 3, 0.2)
 
 
 # -- the reader accepts and rejects what the per-edge reader did ----------------

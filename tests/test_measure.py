@@ -203,6 +203,16 @@ def test_kh_ratio_ladder_is_cached_across_functions(monkeypatch):
         measure.kh_dixmier_ratio(POLY_3D["x"], 3, 0.3, 6)
 
 
+def test_kh_ratio_needs_four_rungs():
+    # three rungs leave one extrapolant, too few for the convergence test
+    measure._kh_ladder.cache_clear()
+    with pytest.raises(GasketError, match="at least 4 rungs"):
+        measure.kh_dixmier_ratio(POLY_3D["x"], 3, 0.3, 3)
+    assert measure._kh_ladder.cache_info().misses == 0
+    lo, hi = measure.kh_dixmier_ratio(POLY_3D["x"], 3, 0.3, 4)
+    assert (lo, hi) == loop_kh_dixmier_ratio(POLY_3D["x"], 3, 0.3, 4)
+
+
 # -- mass spread ---------------------------------------------------------------
 
 def test_spread_is_flat_at_length_one():

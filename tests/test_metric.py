@@ -19,6 +19,7 @@ from gasketlab.metric import (
     _dijkstra,
     _Endpoint,
     _locate,
+    _nearest_arc,
     arc_slacks,
     distance_field,
     to_metric_graph,
@@ -362,7 +363,7 @@ def test_corridor_dijkstra_matches_full_run():
 
 @pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.05),
                                            ("stretched", 0.2), ("stretched", 0.3)])
-def test_goal_directed_geodesics_match_heap_search_on_all_vertex_pairs(variant, alpha):
+def test_corridor_geodesics_match_heap_search_on_all_vertex_pairs(variant, alpha):
     model = gl.build_model(variant, 3, alpha)
     nodes = to_metric_graph(model).nodes
     for p in nodes:
@@ -376,7 +377,7 @@ def level_seven():
     return model, to_metric_graph(model)
 
 
-def test_goal_directed_geodesics_match_heap_search_at_level_seven(level_seven):
+def test_corridor_geodesics_match_heap_search_at_level_seven(level_seven):
     model, graph = level_seven
     rng = np.random.default_rng(51)
     joining = np.flatnonzero(np.array(graph.arc_kind) == "stretched-joining")
@@ -547,6 +548,31 @@ def test_locate_breaks_ties_by_the_lower_arc_id():
         x = (1 - t) * np.array(joining.p) + t * np.array(joining.q)
         end = _locate(graph, x, graph.node_count)
         assert end.arc == 4 and end.snap_error == 0.0
+
+
+def test_nearest_arc_is_the_scalar_scan_bit_for_bit(level_seven):
+    # the vectorised filter and the cheaper scalar rescan against the plain
+    # per-candidate scan with np.clip and np.linalg.norm; points on an arc and
+    # near an arc's end, where other candidates come close to a tie
+    _, graph = level_seven
+    positive = graph.arc_boxes[1]
+    rng = np.random.default_rng(53)
+    for trial in range(300):
+        cand = rng.choice(positive, size=rng.integers(1, 40), replace=False)
+        if trial % 3:
+            x = graph.nodes[graph.arc_u[cand[0]]] + rng.normal(scale=10.0 ** -rng.integers(3, 12),
+                                                               size=2)
+        else:
+            x = _point_on(graph, rng.choice(cand), rng.uniform(0, 1))
+        best = (math.inf, -1, 0.0)
+        for idx in np.sort(cand).tolist():
+            a = graph.nodes[graph.arc_u[idx]]
+            d = graph.nodes[graph.arc_v[idx]] - a
+            t = float(np.clip(np.dot(x - a, d) / np.dot(d, d), 0.0, 1.0))
+            gap = float(np.linalg.norm(x - (a + t * d)))
+            if gap < best[0]:
+                best = (gap, idx, t)
+        assert repr(_nearest_arc(graph, x, cand)) == repr(best)
 
 
 def test_off_structure_message_is_unchanged(level_seven):

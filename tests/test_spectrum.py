@@ -18,6 +18,7 @@ from gasketlab.spectrum import (
     GeometricFamily,
     LengthSpectrum,
     direct_curve_trace,
+    extrapolate_ladder,
     growth_root,
     kh_trace_interval,
     scale_spectrum,
@@ -280,6 +281,15 @@ def test_residue_additive_over_disjoint_unions():
 def test_ladder_needs_three_rungs():
     with pytest.raises(GasketError):
         gl.residue_estimate(single_curve_spectrum(1.0), 2.0, rungs=2)
+
+
+def test_ladder_needs_four_rungs():
+    # three rungs leave one extrapolant, too few for the convergence test
+    with pytest.raises(GasketError, match="at least 4 rungs"):
+        extrapolate_ladder(lambda e: e, 0.1, 3)
+    result = extrapolate_ladder(lambda e: 2.0 + e * e, 0.1, 4)
+    assert len(result.extrapolants) == 2 and result.converged
+    assert result.value == pytest.approx(2.0, abs=1e-15)
 
 
 # -- harmonic-gasket truncations ---------------------------------------------
