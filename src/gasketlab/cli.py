@@ -4,6 +4,13 @@ Verbs: build, dimension, spectrum, distance, measure, compare, report.
 Exit codes: 0 success, 1 computation error, 2 usage error.  The env var
 GASKET_MAX_EDGES overrides the construction resource cap.
 
+Importing this module loads only ``gasketlab.geometry`` from the package
+(every verb needs ``build_model`` or ``GasketError``).  Each verb and
+shared helper imports the other modules it runs where it runs them, so
+a process compiles only the modules of its verb: a flat ``build`` never
+loads ``metric``, ``spectrum`` or ``measure``, and ``distance`` never
+loads ``measure``, ``expr``, ``spectrum`` or ``svg``.
+
 The dimension, spectrum, measure and compare results each come from one
 private helper that ``report`` shares, so the bundle's files hold the
 bytes the standalone verbs print for the same inputs.  ``_emit`` writes
@@ -13,17 +20,16 @@ a text result to its output file, or to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from gasketlab import measure, metric, spectrum, svg
-from gasketlab.expr import TestFunction
 from gasketlab.geometry import GasketError, build_model
-from gasketlab.serialize import format_number, write_model
+
+if TYPE_CHECKING:
+    from gasketlab.spectrum import DimensionEstimate
 
 
 class UsageError(GasketError):
@@ -65,7 +71,9 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _dimension(variant: str, alpha: Optional[float],
-               depth: int) -> spectrum.DimensionEstimate:
+               depth: int) -> DimensionEstimate:
+    from gasketlab import spectrum
+
     if variant == "sg":
         return spectrum.spectral_dimension(spectrum.sg_length_spectrum())
     if variant == "stretched":
@@ -77,6 +85,9 @@ def _dimension(variant: str, alpha: Optional[float],
 def _spectrum_scan(variant: str, alpha: Optional[float], depth: int,
                    eps_start: float, rungs: int) -> str:
     """Trace scan CSV along the residue ladder s = 1 + eps_start / 2^k."""
+    from gasketlab import spectrum
+    from gasketlab.serialize import format_number
+
     eps = eps_start * 0.5 ** np.arange(rungs)
     if variant == "harmonic":
         est = spectrum.kh_dimension_interval(depth)
@@ -105,6 +116,9 @@ def _measure_csv(family: str, functions, alpha: Optional[float], stages) -> str:
 
     ``functions`` holds (parsed function, its source text) pairs.
     """
+    from gasketlab import measure
+    from gasketlab.serialize import format_number
+
     lines = ["n,functional,f_expr,value"]
     for f, text in functions:
         for n in stages:
@@ -114,6 +128,10 @@ def _measure_csv(family: str, functions, alpha: Optional[float], stages) -> str:
 
 
 def _spread_json(d: float, length: int) -> str:
+    import json
+
+    from gasketlab import measure
+
     report = measure.selfaffine_mass_spread(d, length)
     return json.dumps({"L": report.L, "d": report.d, "min": report.min,
                        "max": report.max, "ratio": report.ratio}) + "\n"
@@ -125,16 +143,22 @@ def _spread_json(d: float, length: int) -> str:
 
 
 def cmd_build(args) -> int:
+    from gasketlab.serialize import write_model
+
     alpha = _require_alpha(args)
     model = build_model(args.variant, args.level, alpha,
                         harmonic_depth=args.depth)
     write_model(model, args.out)
     if args.svg:
+        from gasketlab import svg
+
         svg.emit_svg(model, args.svg)
     return 0
 
 
 def cmd_dimension(args) -> int:
+    from gasketlab.serialize import format_number
+
     alpha = _require_alpha(args)
     est = _dimension(args.variant, alpha, args.depth)
     if args.variant == "harmonic":
@@ -142,6 +166,8 @@ def cmd_dimension(args) -> int:
         return 0
     print(format_number(est.lower))
     if args.variant == "stretched" and args.bracket:
+        from gasketlab import spectrum
+
         lo, hi = spectrum.abscissa_bracket(
             spectrum.stretched_length_spectrum(alpha), tol=args.tol
         )
@@ -151,12 +177,19 @@ def cmd_dimension(args) -> int:
 
 def cmd_spectrum(args) -> int:
     alpha = _require_alpha(args)
+    if args.rungs < 1:
+        raise UsageError(f"--rungs {args.rungs}: the scan needs at least 1 rung")
     _emit(_spectrum_scan(args.variant, alpha, args.depth, args.eps_start,
                          args.rungs), args.out)
     return 0
 
 
 def cmd_distance(args) -> int:
+    import json
+
+    from gasketlab import metric
+    from gasketlab.serialize import format_number
+
     alpha = _require_alpha(args)
     if args.variant == "harmonic":
         raise UsageError("distance supports the sg and stretched variants")
@@ -172,6 +205,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_measure(args) -> int:
+    from gasketlab.expr import TestFunction
+
     f = TestFunction.parse(args.f)
     if args.family == "stretched-joining":
         if args.alpha is None:
@@ -181,6 +216,10 @@ def cmd_measure(args) -> int:
         if args.alpha is not None:
             raise UsageError(f"--alpha does not apply to {args.family}")
         n_min = args.n_min
+    if args.n < n_min:
+        raise UsageError(f"no stages from --n-min {args.n_min} to --n {args.n}"
+                         + (" (stretched-joining starts at stage 1)"
+                            if n_min > args.n_min else ""))
     _emit(_measure_csv(args.family, [(f, args.f)], args.alpha,
                        range(n_min, args.n + 1)), args.out)
     return 0
@@ -192,6 +231,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from gasketlab import svg
+    from gasketlab.serialize import format_number, write_model
+
     alpha = _require_alpha(args)
     os.makedirs(args.out_dir, exist_ok=True)
 
@@ -210,6 +252,8 @@ def cmd_report(args) -> int:
           path("spectrum_scan.csv"))
 
     if args.variant == "stretched":
+        from gasketlab.expr import TestFunction
+
         functions = [(TestFunction.parse(text), text)
                      for text in ("1", "x", "y", "x^2", "x*y")]
         _emit(_measure_csv("stretched-joining", functions, alpha, (2, 4, 6)),

@@ -349,9 +349,14 @@ def _on_cells(weights: np.ndarray, corners: np.ndarray) -> np.ndarray:
     ``weights`` (S, 3) holds harmonic values h(y) of base points y, or
     differences of them; ``corners`` (C, 3, 3) holds Phi(f_w p_j).
     Returns (C, S, 3): Phi(f_w y) = sum_j h_j(y) Phi(f_w p_j), or the
-    chord vectors between such images.
+    chord vectors between such images.  The three terms are summed left
+    to right, (w0 c0 + w1 c1) + w2 c2, as plain multiplies and adds:
+    faster than ``np.einsum`` here, and unlike ``np.matmul`` it rounds
+    as the scalar formula does.
     """
-    return np.einsum("sj,cjx->csx", weights, corners)
+    return ((weights[:, 0, None] * corners[:, None, 0]
+             + weights[:, 1, None] * corners[:, None, 1])
+            + weights[:, 2, None] * corners[:, None, 2])
 
 
 def _segment_bounds(gen: int, depth: int) -> tuple[np.ndarray, np.ndarray]:

@@ -231,16 +231,20 @@ def test_dimension_verb_prints_closed_form(capsys):
     assert printed == pytest.approx(gl.stretched_dimension(0.2), abs=1e-15)
 
 
-def test_bracket_at_zero_tolerance_ends_and_encloses_the_closed_form():
-    # a fresh process with a timeout: a bisection that cannot meet its
-    # tolerance would hang an in-process call
+def run_python(*args, timeout=120):
+    """Run a new interpreter that imports the sources under test."""
     src = str(Path(gl.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "gasketlab.cli", "dimension", "--variant", "stretched",
-         "--alpha", "0.2", "--bracket", "--tol", "0"],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def test_bracket_at_zero_tolerance_ends_and_encloses_the_closed_form():
+    # a fresh process with a timeout: a bisection that cannot meet its
+    # tolerance would hang an in-process call
+    done = run_python("-m", "gasketlab.cli", "dimension", "--variant", "stretched",
+                      "--alpha", "0.2", "--bracket", "--tol", "0", timeout=60)
     assert done.returncode == 0
     closed, bracket = done.stdout.splitlines()[-2:]
     name, lo, hi = bracket.split(",")
@@ -393,3 +397,130 @@ def test_unknown_flags_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["build", "--variant", "sg", "--bogus"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("argv,flags", [
+    (["spectrum", "--variant", "sg", "--rungs", "0"], ["--rungs"]),
+    (["spectrum", "--variant", "stretched", "--alpha", "0.2", "--rungs", "-1"], ["--rungs"]),
+    (["measure", "--family", "sg-midpoints", "--f", "1", "--n", "-1"], ["--n-min", "--n "]),
+    (["measure", "--family", "harmonic-midpoints", "--f", "x", "--n", "2", "--n-min", "5"],
+     ["--n-min", "--n "]),
+    (["measure", "--family", "stretched-joining", "--alpha", "0.2", "--f", "1", "--n", "0"],
+     ["--n-min", "--n ", "stage 1"]),
+])
+def test_empty_scan_or_stage_range_is_usage_error(capsys, argv, flags):
+    # these printed a header-only CSV and exited 0
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    for flag in flags:
+        assert flag in captured.err
+
+
+# -- import footprint ---------------------------------------------------------------
+
+def fresh_python(code, *args):
+    """stdout of ``code`` run in a new interpreter, which must succeed."""
+    done = run_python("-c", code, *args)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+# prints the loaded package modules on one last line
+LOADED = ("import sys\n"
+          "print(' '.join(sorted(m for m in sys.modules"
+          " if m.split('.')[0] == 'gasketlab')))\n")
+
+
+def package(*modules):
+    return ["gasketlab"] + [f"gasketlab.{m}" for m in sorted(modules)]
+
+
+def test_importing_the_cli_loads_only_geometry():
+    loaded = fresh_python("import gasketlab.cli\n" + LOADED).split()
+    assert loaded == package("cli", "geometry")
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["build", "--variant", "sg", "--level", "2", "--out", "m.json"],
+     "serialize"),
+    (["build", "--variant", "stretched", "--alpha", "0.2", "--level", "2",
+      "--out", "m.json", "--svg", "m.svg"], "serialize svg"),
+    (["build", "--variant", "harmonic", "--level", "1", "--depth", "2",
+      "--out", "m.json", "--svg", "m.svg"], "harmonic serialize svg"),
+    (["distance", "--variant", "sg", "--from", "0,0", "--to", "1,0", "--level", "2",
+      "--path-out", "p.json"], "metric serialize"),
+    (["dimension", "--variant", "stretched", "--alpha", "0.2", "--bracket"],
+     "serialize spectrum"),
+    (["dimension", "--variant", "harmonic", "--depth", "2"],
+     "harmonic serialize spectrum"),
+    (["spectrum", "--variant", "sg", "--rungs", "3"], "serialize spectrum"),
+    (["measure", "--family", "sg-midpoints", "--f", "x", "--n", "2"],
+     "expr harmonic measure serialize spectrum"),
+    (["compare", "--d", "1.5", "--length", "3"], "harmonic measure spectrum"),
+    (["report", "--variant", "sg", "--level", "1", "--out-dir", "r"],
+     "serialize spectrum svg"),
+    (["report", "--variant", "stretched", "--alpha", "0.2", "--level", "1",
+      "--out-dir", "r"], "expr harmonic measure serialize spectrum svg"),
+], ids=lambda v: ("-".join(a.lstrip("-") for a in v[:3]) if isinstance(v, list)
+                 else v.replace(" ", "+")))
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path, argv, modules):
+    # each process compiles only what its verb runs: e.g. distance loads no
+    # measure, expr, spectrum or svg, and a flat build no metric or spectrum
+    code = ("import os, sys\n"
+            "from gasketlab.cli import main\n"
+            "os.chdir(sys.argv[1])\n"
+            "assert main(sys.argv[2:]) == 0\n")
+    loaded = fresh_python(code + LOADED, str(tmp_path), *argv).splitlines()[-1]
+    assert loaded.split() == package("cli", "geometry", *modules.split())
+
+
+# the package's public names by defining module, as its __init__ imported
+# them before they resolved on first use
+EXPORTS = {
+    "geometry": "AffineMap EdgeCurve GasketError GasketModel ResourceCapError Word "
+                "build_model compose_word generator_map model_vertices",
+    "harmonic": "VertexFunction boundary_function energy estimate_edge_length "
+                "harmonic_extend harmonic_structure m_word_norm phi renormalized_energy",
+    "metric": "GeodesicResult MetricGraph geodesic lipschitz_witness_check to_metric_graph",
+    "measure": "FunctionalSample dixmier_functional functional_sample "
+               "harmonic_midpoint_functional joining_edge_functional "
+               "self_affinity_residual selfaffine_mass_spread sg_midpoint_functional",
+    "spectrum": "DimensionEstimate DivergenceError LengthSpectrum ResidueResult "
+                "abscissa_bracket curve_trace curve_trace_constant kh_dimension_interval "
+                "residue_estimate riemann_zeta sg_length_spectrum spectral_dimension "
+                "spectrum_trace stretched_dimension stretched_dixmier_constant "
+                "stretched_length_spectrum",
+    "expr": "TestFunction parse_expr",
+}
+
+
+def test_package_names_resolve_to_their_modules_objects():
+    code = (
+        "import json, sys\n"
+        "import gasketlab\n"
+        "exports = json.loads(sys.argv[1])\n"
+        "assert not [m for m in sys.modules if m.startswith('gasketlab.')]\n"
+        "for module, names in exports.items():\n"
+        "    values = [getattr(gasketlab, name) for name in names.split()]\n"
+        "    mod = sys.modules['gasketlab.' + module]\n"
+        "    for name, value in zip(names.split(), values):\n"
+        "        assert value is getattr(mod, name) is vars(gasketlab)[name], name\n"
+        "for module in ('svg', 'serialize', 'cli') + tuple(exports):\n"
+        "    assert getattr(gasketlab, module) is sys.modules['gasketlab.' + module]\n"
+        "star = {}\n"
+        "exec('from gasketlab import *', star)\n"
+        "print(' '.join(sorted(set(star) - {'__builtins__'})))\n"
+        "print(gasketlab.__version__)\n"
+        "try:\n"
+        "    gasketlab.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    names = sorted(" ".join(EXPORTS.values()).split())
+    assert len(names) == 50
+    star, version, missing = fresh_python(code, json.dumps(EXPORTS)).splitlines()
+    assert star.split() == names
+    assert version == "0.1.0"
+    assert missing == "module 'gasketlab' has no attribute 'no_such_name'"

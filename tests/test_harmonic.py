@@ -358,6 +358,20 @@ def test_barycentric_identity_on_level_two_vertices():
                 harmonic._corner_images(k)[cell_index(word)], corners)
 
 
+@pytest.mark.parametrize("gen", range(6))
+def test_on_cells_is_the_scalar_sum_bit_for_bit(gen):
+    # the chord-vector inputs the length tables pass, for all three local
+    # edges, against (w0 c0 + w1 c1) + w2 c2 in Python floats
+    corners = harmonic._corner_images(gen).tolist()
+    for i, j in TRIANGLE_EDGE_CORNERS:
+        w = harmonic._dyadic_weights(i, j, 2)
+        diffs = (w[:, [0, 0, 1]] - w[:, [1, 2, 2]]).reshape(-1, 3)
+        got = harmonic._on_cells(diffs, np.array(corners))
+        want = [[[(w0 * c[0][x] + w1 * c[1][x]) + w2 * c[2][x] for x in range(3)]
+                 for w0, w1, w2 in diffs.tolist()] for c in corners]
+        assert got.tolist() == want
+
+
 def test_tables_read_no_mesh_above_their_levels(monkeypatch):
     requested = []
 

@@ -575,6 +575,31 @@ def test_nearest_arc_is_the_scalar_scan_bit_for_bit(level_seven):
         assert repr(_nearest_arc(graph, x, cand)) == repr(best)
 
 
+def test_nearest_arc_keeps_a_scalar_tie_the_vectorised_gaps_split():
+    # two arcs on one line at the same distance from x: the scalar formula
+    # gives both the same gap, so the first arc wins, but the vectorised
+    # projection puts arc 0 one ulp farther; only the filter's margin keeps
+    # arc 0 for the rescan
+    nodes = np.array([[0.8631789223498866, 0.5414612202490917],
+                      [0.2997118905373848, 0.42268722119765845],
+                      [1.022644711268293, 0.5750752356082608],
+                      [0.45917767945579124, 0.4563012365568275]])
+    graph = metric.MetricGraph(0, nodes, np.array([0, 2]), np.array([1, 3]),
+                               np.ones(2), ("sg", "sg"))
+    x = np.array([0.7296554464299441, 0.17565562060255901])
+    ends, dirs = nodes[[0, 2]], nodes[[1, 3]] - nodes[[0, 2]]
+    rel = x - ends
+    ts = np.clip((rel * dirs).sum(axis=1) / (dirs * dirs).sum(axis=1), 0.0, 1.0)
+    vectorised = np.hypot(*(rel - ts[:, None] * dirs).T)
+    assert vectorised[0] > vectorised[1]
+    scalar = [float(np.linalg.norm(x - (a + float(np.clip(np.dot(x - a, d) / np.dot(d, d),
+                                                          0.0, 1.0)) * d)))
+              for a, d in zip(ends, dirs)]
+    assert scalar[0] == scalar[1]
+    gap, arc, _ = _nearest_arc(graph, x, np.array([0, 1]))
+    assert (gap, arc) == (scalar[0], 0)
+
+
 def test_off_structure_message_is_unchanged(level_seven):
     model, graph = level_seven
     for point in ((0.5, 0.1), (0.5, 0.3), (2.0, 2.0), (-1e-3, 0.0),
