@@ -208,6 +208,8 @@ def cmd_measure(args) -> int:
     from gasketlab.expr import TestFunction
 
     f = TestFunction.parse(args.f)
+    if args.n_min < 0:
+        raise UsageError(f"--n-min {args.n_min}: stages start at 0")
     if args.family == "stretched-joining":
         if args.alpha is None:
             raise UsageError("--alpha is required for stretched-joining")

@@ -18,7 +18,11 @@ Conventions fixed here and relied on throughout the package:
 * edges are ordered by (generation, address, local index).  Triangle
   edges of a cell run counterclockwise starting at the corner-1 image:
   local 1 = (c1 -> c3), 2 = (c3 -> c2), 3 = (c2 -> c1).  Joining edges
-  of a cell use the fixed labels 1 = right, 2 = bottom, 3 = left.
+  of a cell use the fixed labels 1 = right, 2 = bottom, 3 = left;
+* the prefix invariant: refinement only appends vertices, so level m's
+  vertex coordinates and harmonic images (``harmonic.phi_coordinates``)
+  are the first rows of every finer level's, bit for bit, and level-m
+  cells and joining ids index the finest level's arrays directly.
 """
 
 from __future__ import annotations
@@ -463,18 +467,6 @@ class EdgeTable(Sequence):
         return cls(ids, kinds, gens, _point_column(ps), _point_column(qs),
                    lengths, words, *bounds)
 
-    @classmethod
-    def concat(cls, tables: Sequence["EdgeTable"]) -> "EdgeTable":
-        """The rows of ``tables`` one after another; all or none carry bounds."""
-        def join(name):
-            cols = [getattr(t, name) for t in tables]
-            return None if cols[0] is None else np.concatenate(cols)
-
-        return cls(join("id"), chain.from_iterable(t.kind for t in tables),
-                   join("gen"), join("p"), join("q"), join("length"),
-                   chain.from_iterable(t.word for t in tables),
-                   join("length_lo"), join("length_hi"))
-
     def __len__(self) -> int:
         return len(self.kind)
 
@@ -562,23 +554,27 @@ def _level_words(level: int) -> tuple[str, ...]:
     return tuple(w + c for w in _level_words(level - 1) for c in "123")
 
 
-def _edge_table(kind: str, gen: int, points: np.ndarray, ends: np.ndarray,
-                start_id: int = 0,
+def _edge_table(points: np.ndarray, ends: np.ndarray,
+                runs: Sequence[tuple[str, int]],
                 bounds: Optional[tuple[np.ndarray, np.ndarray]] = None) -> EdgeTable:
     """Edge columns for the edges ``points[ends[i, 0]] -> points[ends[i, 1]]``.
 
-    Edges run word-major, three per generation-``gen`` cell, and take ids
-    from ``start_id`` on.  Straight edges take their chord as length;
-    harmonic-image edges pass their ``(lo, hi)`` bound arrays as
-    ``bounds`` and take lo as length.
+    ``runs`` gives the ``(kind, gen)`` of consecutive blocks of 3^(gen+1)
+    edges, word-major, three per generation-``gen`` cell; ids count from
+    0.  By the prefix invariant the finest level's ``points`` serve every
+    block.  Straight edges take their chord as length; harmonic-image
+    edges pass their ``(lo, hi)`` bound arrays as ``bounds`` and take lo
+    as length.
     """
-    count = len(ends)
+    sizes = [3 ** (gen + 1) for _, gen in runs]
     p = points[ends[:, 0]]
     q = points[ends[:, 1]]
-    words = _level_words(gen)
+    # tuple sums: a single run's tuple is used as it is, never copied
+    kinds = sum(((kind,) * size for (kind, _), size in zip(runs, sizes)), ())
+    words = sum((_level_words(gen) for _, gen in runs), ())
     lo, hi = (None, None) if bounds is None else bounds
-    return EdgeTable(np.arange(start_id, start_id + count), (kind,) * count,
-                     np.full(count, gen), p, q,
+    return EdgeTable(np.arange(len(ends)), kinds,
+                     np.repeat([gen for _, gen in runs], sizes), p, q,
                      np.hypot(*(q - p).T) if bounds is None else lo,
                      chain.from_iterable(zip(words, words, words)), lo, hi)
 
@@ -620,19 +616,17 @@ def build_model(
             raise GasketError("sg variant takes no alpha")
         mesh = sg_hierarchy(level)[level]
         return GasketModel("sg", None, level, _edge_table(
-            "sg-triangle", level, mesh.points, _triangle_ends(mesh.cells)))
+            mesh.points, _triangle_ends(mesh.cells), [("sg-triangle", level)]))
 
     alpha = check_alpha(alpha) if alpha is not None else None
     if alpha is None:
         raise GasketError("stretched variant requires alpha")
     meshes, joins = stretched_hierarchy(level, alpha)
-    parts: list[EdgeTable] = []
-    for m in range(level):
-        parts.append(_edge_table("stretched-joining", m, meshes[m + 1].points,
-                                 joins[m].reshape(-1, 2), sum(map(len, parts))))
-    parts.append(_edge_table("stretched-triangle", level, meshes[level].points,
-                             _triangle_ends(meshes[level].cells), sum(map(len, parts))))
-    return GasketModel("stretched", alpha, level, EdgeTable.concat(parts))
+    ends = np.concatenate([j.reshape(-1, 2) for j in joins]
+                          + [_triangle_ends(meshes[level].cells)])
+    runs = [("stretched-joining", m) for m in range(level)] + [("stretched-triangle", level)]
+    return GasketModel("stretched", alpha, level,
+                       _edge_table(meshes[level].points, ends, runs))
 
 
 def _endpoint_nodes(model: GasketModel, decimals: int = 12):

@@ -145,7 +145,7 @@ def harmonic_extend(fn: VertexFunction) -> VertexFunction:
     Applies the midpoint rule cell by cell; new values are appended in
     the canonical id order of the refined mesh.
     """
-    cells = sg_hierarchy(fn.level + 1)[fn.level].cells
+    cells = sg_hierarchy(fn.level)[fn.level].cells
     corner_vals = fn.values[cells]                     # (C, 3)
     new_vals = corner_vals @ MIDPOINT_RULE.T           # (C, 3) = m_ab, m_ac, m_bc
     return VertexFunction(
@@ -164,17 +164,16 @@ def renormalized_energy(fn: VertexFunction) -> float:
 
 
 @lru_cache(maxsize=16)
-def _h_arrays(level: int) -> tuple[np.ndarray, ...]:
-    """(N_m, 3) arrays of the three basis harmonics on V_m, m = 0..level."""
-    fns = [np.eye(3)]
-    for m in range(level):
-        cells = sg_hierarchy(m + 1)[m].cells
-        corner_vals = fns[-1][cells]                       # (C, 3, 3)
+def _h_arrays(level: int) -> np.ndarray:
+    """(N, 3) array of the three basis harmonics on V_level (cached); its
+    first ``vertex_count(m)`` rows are those on V_m (prefix invariant)."""
+    arr = np.eye(3)
+    for mesh in sg_hierarchy(level)[:-1]:
+        corner_vals = arr[mesh.cells]                      # (C, 3, 3)
         new_vals = np.einsum("ij,cjk->cik", MIDPOINT_RULE, corner_vals)
-        arr = np.concatenate([fns[-1], new_vals.reshape(-1, 3)])
-        arr.flags.writeable = False
-        fns.append(arr)
-    return tuple(fns)
+        arr = np.concatenate([arr, new_vals.reshape(-1, 3)])
+    arr.flags.writeable = False
+    return arr
 
 
 @lru_cache(maxsize=16)
@@ -183,7 +182,7 @@ def phi_coordinates(level: int) -> np.ndarray:
 
     Cached and shared: the array is read-only.
     """
-    out = (_h_arrays(level)[level] - 1.0 / 3.0) / SQRT2
+    out = (_h_arrays(level) - 1.0 / 3.0) / SQRT2
     out.flags.writeable = False
     return out
 
@@ -335,7 +334,7 @@ def _dyadic_weights(i: int, j: int, depth: int) -> np.ndarray:
     Shape (2^k, 3 corners, 3 values h_1..h_3), cells in walking order.
     """
     cells = sg_hierarchy(depth)[depth].cells
-    return _h_arrays(depth)[depth][cells[_dyadic_offsets(i, j, depth)]]
+    return _h_arrays(depth)[cells[_dyadic_offsets(i, j, depth)]]
 
 
 def _corner_images(gen: int) -> np.ndarray:
@@ -502,5 +501,5 @@ def build_harmonic_model(level: int, depth: int = 4) -> GasketModel:
     """
     cells = sg_hierarchy(level)[level].cells
     return GasketModel("harmonic", None, level, _edge_table(
-        "harmonic-image", level, phi_coordinates(level), _triangle_ends(cells),
+        phi_coordinates(level), _triangle_ends(cells), [("harmonic-image", level)],
         bounds=edge_length_tables(level, depth)[level]))

@@ -35,6 +35,7 @@ from gasketlab import harmonic
 from gasketlab.geometry import (
     GasketError,
     GasketModel,
+    _check_cap,
     check_alpha,
     compose_word,
     sg_hierarchy,
@@ -96,11 +97,17 @@ def functional_sample(tag: str, n: int, alpha: Optional[float] = None) -> Functi
 
     Tags: ``sg-midpoints`` and ``harmonic-midpoints`` need n >= 0;
     ``stretched-joining`` needs n >= 1 (no joining edges exist before
-    stage 1) and the variant's alpha.
+    stage 1) and the variant's alpha.  Stage n is refused, before any
+    mesh is built, when the level-n model of the family's variant (sg for
+    the midpoint families) would exceed the edge cap.
     """
+    if n < 0:
+        raise GasketError(f"functional stage must be >= 0, got {n}")
     if tag == "sg-midpoints":
+        _check_cap("sg", n)
         pts = _sg_midpoints(n)
     elif tag == "harmonic-midpoints":
+        _check_cap("sg", n)
         # midpoints of level-n cells are the fresh vertices of level n+1,
         # appended as (m_ab, m_ac, m_bc) per cell in cell order
         count = harmonic.vertex_count(n)
@@ -110,6 +117,7 @@ def functional_sample(tag: str, n: int, alpha: Optional[float] = None) -> Functi
             raise GasketError("stretched-joining functional requires alpha")
         if n < 1:
             raise GasketError("stretched-joining functional needs n >= 1")
+        _check_cap("stretched", n)
         meshes, joins = stretched_hierarchy(n, check_alpha(alpha))
         ids = joins[n - 1].reshape(-1, 2).reshape(-1)
         pts = meshes[n].points[ids]
@@ -176,22 +184,18 @@ def self_affinity_residual(
 
 
 def _stretched_generation_sums(model: GasketModel, f: PointFunction):
-    """Sums of edge-endpoint means of f, per generation and edge type."""
+    """Sums of edge-endpoint means of f, per generation and edge type.
+
+    f is evaluated once, on the finest points, which every level's cells
+    and joining ids index by the prefix invariant."""
     meshes, joins = stretched_hierarchy(model.level, model.alpha)
+    values = _evaluate(f, meshes[-1].points)
     tri_sums = []
-    for m in range(model.level + 1):
-        pts = meshes[m].points
-        cells = meshes[m].cells
-        fa = _evaluate(f, pts[cells[:, 0]])
-        fb = _evaluate(f, pts[cells[:, 1]])
-        fc = _evaluate(f, pts[cells[:, 2]])
+    for mesh in meshes:
+        fa, fb, fc = values[mesh.cells.T]
         tri_sums.append(float(((fa + fc) / 2 + (fc + fb) / 2 + (fb + fa) / 2).sum()))
-    join_sums = []
-    for m in range(model.level):
-        ids = joins[m].reshape(-1, 2)
-        pts = meshes[m + 1].points
-        vals = (_evaluate(f, pts[ids[:, 0]]) + _evaluate(f, pts[ids[:, 1]])) / 2.0
-        join_sums.append(float(vals.sum()))
+    ids = [ends.reshape(-1, 2) for ends in joins]
+    join_sums = [float(((values[e[:, 0]] + values[e[:, 1]]) / 2.0).sum()) for e in ids]
     return tri_sums, join_sums
 
 
@@ -212,6 +216,7 @@ def dixmier_functional(
     """
     if model.variant != "stretched":
         raise GasketError("dixmier_functional needs a stretched model")
+    _check_cap("stretched", model.level)
     alpha = model.alpha
     ds = stretched_dimension(alpha)
     ratio = (1.0 - alpha) / 2.0
@@ -282,17 +287,16 @@ def kh_dixmier_ratio(
     ratio cancels the unknown normalization; its limit is the
     self-affine integral of f, so it should be compared against the
     embedded midpoint functionals at large n.  Everything but the f
-    averages comes from the cached ``_kh_ladder``.
+    averages comes from the cached ``_kh_ladder``; f is evaluated once,
+    on the level-depth vertex images, which every generation's cells
+    index by the prefix invariant.
     """
     ladder = _kh_ladder(depth, eps_start, rungs)
 
+    values = _evaluate(f, harmonic.phi_coordinates(depth))
     fbar_sums = []
-    for gen in range(depth + 1):
-        mesh = sg_hierarchy(gen)[gen]
-        imgs = harmonic.phi_coordinates(gen)[mesh.cells]     # (C, 3, 3)
-        fa = _evaluate(f, imgs[:, 0])
-        fb = _evaluate(f, imgs[:, 1])
-        fc = _evaluate(f, imgs[:, 2])
+    for mesh in sg_hierarchy(depth):
+        fa, fb, fc = values[mesh.cells.T]
         fbar = np.stack([(fa + fc) / 2, (fc + fb) / 2, (fb + fa) / 2], axis=1)
         fbar_sums.append(fbar.reshape(-1))
     f_last = float(fbar_sums[-1].mean())

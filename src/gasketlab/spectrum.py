@@ -450,15 +450,17 @@ def growth_root(
     """Exponent at which per-generation power sums stop growing.
 
     Uses the mean log-ratio of the sums from generation 1 to the last
-    (generation 0 carries boundary effects); clamps to ``p_range`` when
-    the sign never flips inside it.
+    (generation 0 carries boundary effects), so only those two
+    generations are summed; clamps to ``p_range`` when the sign never
+    flips inside it.
     """
     if len(generation_lengths) < 3:
         raise GasketError("growth root needs at least 3 generations")
+    first, last = generation_lengths[1], generation_lengths[-1]
+    steps = len(generation_lengths) - 2
 
     def mean_log_growth(p: float) -> float:
-        sums = np.array([np.sum(lengths ** p) for lengths in generation_lengths])
-        return math.log(sums[-1] / sums[1]) / (len(sums) - 2)
+        return math.log(np.sum(last ** p) / np.sum(first ** p)) / steps
 
     lo, hi = p_range
     if mean_log_growth(hi) > 0.0:

@@ -20,6 +20,7 @@ from gasketlab.geometry import (
     GasketError,
     GasketModel,
     cell_index,
+    edge_count,
     sg_hierarchy,
 )
 from gasketlab.serialize import (
@@ -416,6 +417,33 @@ def test_empty_scan_or_stage_range_is_usage_error(capsys, argv, flags):
     assert captured.err.startswith("usage error: ")
     for flag in flags:
         assert flag in captured.err
+
+
+@pytest.mark.parametrize("family", ["sg-midpoints", "harmonic-midpoints",
+                                    "stretched-joining"])
+def test_negative_first_stage_is_usage_error(capsys, family):
+    # harmonic-midpoints died with a TypeError traceback, sg-midpoints exited 1
+    alpha = ["--alpha", "0.2"] if family == "stretched-joining" else []
+    assert main(["measure", "--family", family, *alpha, "--f", "1",
+                 "--n", "1", "--n-min", "-2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --n-min -2")
+
+
+@pytest.mark.parametrize("family,variant", [("sg-midpoints", "sg"),
+                                            ("harmonic-midpoints", "sg"),
+                                            ("stretched-joining", "stretched")])
+def test_measure_holds_the_edge_cap(monkeypatch, capsys, family, variant):
+    # each family printed its row and exited 0 past the cap
+    monkeypatch.setenv("GASKET_MAX_EDGES", "100")
+    alpha = ["--alpha", "0.2"] if family == "stretched-joining" else []
+    assert main(["measure", "--family", family, *alpha, "--f", "x",
+                 "--n", "8", "--n-min", "8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    edges = edge_count(variant, 8)
+    assert captured.err == f"error: {variant} level 8 needs {edges} edges, cap is 100\n"
 
 
 # -- import footprint ---------------------------------------------------------------

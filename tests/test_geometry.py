@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gasketlab as gl
+from gasketlab import harmonic
 from gasketlab.geometry import (
     CORNERS,
     TRIANGLE_EDGE_CORNERS,
@@ -342,3 +343,30 @@ def test_sg_meshes_share_midpoints():
     for m, mesh in enumerate(meshes):
         assert len(mesh.points) == 3 * (3 ** m + 1) // 2
         assert mesh.cells.shape == (3 ** m, 3)
+
+
+# -- the prefix invariant --------------------------------------------------------
+
+@pytest.mark.parametrize("level", range(8))
+def test_every_level_is_a_prefix_of_the_finest(level):
+    # each level-m mesh, whether read from the level-L hierarchy or built on
+    # its own, holds the first rows of the level-L points bit for bit
+    hierarchies = [(sg_hierarchy(level), sg_hierarchy)]
+    for alpha in (0.05, 0.2, 0.3):
+        hierarchies.append((stretched_hierarchy(level, alpha)[0],
+                            lambda m, a=alpha: stretched_hierarchy(m, a)[0]))
+    for meshes, build in hierarchies:
+        finest = meshes[level].points
+        for m, mesh in enumerate(meshes):
+            alone = build(m)[m]
+            assert mesh.cells.max() < len(mesh.points)
+            assert alone.cells.tobytes() == mesh.cells.tobytes()
+            for points in (mesh.points, alone.points):
+                assert finest[:len(points)].tobytes() == points.tobytes()
+    meshes, joins = stretched_hierarchy(level, 0.2)
+    for m, ends in enumerate(joins):
+        assert ends.max() < len(meshes[m + 1].points)
+    phi = harmonic.phi_coordinates(level)
+    for m in range(level + 1):
+        count = harmonic.vertex_count(m)
+        assert phi[:count].tobytes() == harmonic.phi_coordinates(m).tobytes()

@@ -6,9 +6,21 @@ from conftest import POLY_2D, POLY_3D, oracle_phi
 
 import gasketlab as gl
 from gasketlab import harmonic, measure
-from gasketlab.geometry import GasketError, ResourceCapError, sg_hierarchy
+from gasketlab.geometry import (
+    EdgeTable,
+    GasketError,
+    GasketModel,
+    ResourceCapError,
+    edge_count,
+    sg_hierarchy,
+    stretched_hierarchy,
+)
 from gasketlab.harmonic import vertex_count
-from gasketlab.spectrum import extrapolate_ladder
+from gasketlab.spectrum import (
+    curve_trace_constant,
+    extrapolate_ladder,
+    stretched_dimension,
+)
 
 
 def _ones(pts):
@@ -37,6 +49,41 @@ def test_sample_validation():
         measure.functional_sample("stretched-joining", 2)
     with pytest.raises(GasketError):
         measure.functional_sample("bogus", 1)
+
+
+@pytest.mark.parametrize("tag,alpha", [("sg-midpoints", None),
+                                       ("harmonic-midpoints", None),
+                                       ("stretched-joining", 0.2)])
+def test_sample_refuses_a_negative_stage(tag, alpha):
+    # harmonic-midpoints sliced the level-(n+1) images with a negative count
+    for n in (-1, -2):
+        with pytest.raises(GasketError, match="stage must be >= 0"):
+            measure.functional_sample(tag, n, alpha)
+
+
+def refuse(*args):
+    raise AssertionError(f"mesh requested past the cap: {args}")
+
+
+@pytest.mark.parametrize("tag,alpha,variant", [("sg-midpoints", None, "sg"),
+                                               ("harmonic-midpoints", None, "sg"),
+                                               ("stretched-joining", 0.2, "stretched")])
+def test_sample_refuses_a_stage_over_the_cap(monkeypatch, tag, alpha, variant):
+    cap = 100
+    top = max(n for n in range(1, 10) if edge_count(variant, n) <= cap)
+    monkeypatch.setenv("GASKET_MAX_EDGES", str(cap))
+    assert len(measure.functional_sample(tag, top, alpha).points) > 0
+    with pytest.raises(ResourceCapError) as built:
+        gl.build_model(variant, top + 1, alpha)
+    for name in ("sg_hierarchy", "stretched_hierarchy"):
+        monkeypatch.setattr(measure, name, refuse)
+    for name in ("sg_hierarchy", "_h_arrays", "phi_coordinates"):
+        monkeypatch.setattr(harmonic, name, refuse)
+    for n in (top + 1, 9):
+        with pytest.raises(ResourceCapError) as err:
+            measure.functional_sample(tag, n, alpha)
+        if n == top + 1:
+            assert str(err.value) == str(built.value)
 
 
 def test_joining_functional_normalization():
@@ -131,6 +178,110 @@ def test_dixmier_functional_ratio_for_x_is_one_half():
     assert num / den == pytest.approx(0.5, abs=1e-6)
 
 
+def loop_dixmier_functional(model, f, eps_start=0.1, rungs=8):
+    """dixmier_functional with one f evaluation per level, corner and
+    generation, each on that level's own points, as the reference."""
+    meshes, joins = stretched_hierarchy(model.level, model.alpha)
+    tri_sums = []
+    for m in range(model.level + 1):
+        pts, cells = meshes[m].points, meshes[m].cells
+        fa, fb, fc = f(pts[cells[:, 0]]), f(pts[cells[:, 1]]), f(pts[cells[:, 2]])
+        tri_sums.append(float(((fa + fc) / 2 + (fc + fb) / 2 + (fb + fa) / 2).sum()))
+    join_sums = []
+    for m in range(model.level):
+        ids, pts = joins[m].reshape(-1, 2), meshes[m + 1].points
+        join_sums.append(float(((f(pts[ids[:, 0]]) + f(pts[ids[:, 1]])) / 2.0).sum()))
+    alpha, n = model.alpha, model.level
+    ds, ratio = stretched_dimension(alpha), (1.0 - alpha) / 2.0
+    tri_avg = tri_sums[-1] / 3 ** (n + 1)
+    join_avg = (join_sums[-1] / 3 ** n) if join_sums else tri_avg
+
+    def g(eps):
+        p = ds * (1.0 + eps)
+        total = sum(s * ratio ** (m * p) for m, s in enumerate(tri_sums))
+        total += sum(s * (alpha * ratio ** m) ** p for m, s in enumerate(join_sums))
+        q = 3.0 * ratio ** p
+        total += tri_avg * 3.0 * q ** (n + 1) / (1.0 - q)
+        total += join_avg * 3.0 * alpha ** p * q ** n / (1.0 - q)
+        return eps * curve_trace_constant(p) * total
+
+    return extrapolate_ladder(g, eps_start, rungs)
+
+
+def bits(result):
+    """Every float of a residue result, as its exact hex form."""
+    return (result.converged,) + tuple(
+        tuple(float(v).hex() for v in values)
+        for values in ((result.value,), result.ladder, result.raw, result.extrapolants))
+
+
+def random_polynomials(seed, count):
+    """Seeded polynomials in x and y of degree <= 3 with small integer coefficients."""
+    rng = np.random.default_rng(seed)
+    monomials = [(i, j) for i in range(4) for j in range(4 - i)]
+    out = []
+    for _ in range(count):
+        picks = rng.choice(len(monomials), size=int(rng.integers(1, 5)), replace=False)
+        terms = [(int(rng.integers(-9, 10)) or 1, monomials[k]) for k in picks]
+        out.append(lambda pts, terms=terms: sum(
+            c * pts[:, 0] ** i * pts[:, 1] ** j for c, (i, j) in terms))
+    return out
+
+
+@pytest.mark.parametrize("alpha", (0.05, 0.2, 0.3))
+def test_dixmier_functional_matches_the_per_level_loop(alpha):
+    functions = [POLY_2D[name] for name in sorted(POLY_2D)] + [_ones]
+    functions += random_polynomials(int(alpha * 100), 4)
+    for level in range(9):
+        model = gl.build_model("stretched", level, alpha)
+        for f in functions:
+            assert bits(gl.dixmier_functional(model, f)) == bits(
+                loop_dixmier_functional(model, f))
+    assert bits(gl.dixmier_functional(model, functions[0], 0.2, 5)) == bits(
+        loop_dixmier_functional(model, functions[0], 0.2, 5))
+
+
+def counting(f):
+    """f, recording the number of points of every call."""
+    def call(pts):
+        call.sizes.append(len(pts))
+        return f(pts)
+
+    call.sizes = []
+    return call
+
+
+def test_each_functional_evaluates_f_once():
+    for level in (0, 1, 5):
+        f = counting(POLY_2D["x"])
+        gl.dixmier_functional(gl.build_model("stretched", level, 0.2), f)
+        assert f.sizes == [len(stretched_hierarchy(level, 0.2)[0][level].points)]
+    for depth in (1, 4):
+        f = counting(POLY_3D["x"])
+        measure.kh_dixmier_ratio(f, depth)
+        assert f.sizes == [vertex_count(depth)]
+
+
+def test_wrong_shape_names_the_finest_point_count():
+    model = gl.build_model("stretched", 2, 0.2)
+    with pytest.raises(GasketError, match=r"expected \(27,\)"):
+        gl.dixmier_functional(model, lambda pts: np.ones(3))
+    with pytest.raises(GasketError, match=rf"expected \({vertex_count(3)},\)"):
+        measure.kh_dixmier_ratio(lambda pts: np.ones(3), 3)
+
+
+def test_dixmier_functional_refuses_a_model_over_the_cap(monkeypatch):
+    model = gl.build_model("stretched", 3, 0.2)
+    monkeypatch.setenv("GASKET_MAX_EDGES", str(edge_count("stretched", 3) - 1))
+    monkeypatch.setattr(measure, "stretched_hierarchy", refuse)
+    with pytest.raises(ResourceCapError, match="stretched level 3 needs"):
+        gl.dixmier_functional(model, _ones)
+    # a read document may claim a level its edges do not have
+    empty = GasketModel("stretched", 0.2, 9, EdgeTable.from_rows([]))
+    with pytest.raises(ResourceCapError, match="stretched level 9 needs"):
+        gl.dixmier_functional(empty, _ones)
+
+
 def test_dixmier_functional_needs_stretched_model():
     with pytest.raises(GasketError):
         gl.dixmier_functional(gl.build_model("sg", 2), _ones)
@@ -184,7 +335,7 @@ def loop_kh_dixmier_ratio(f, depth, eps_start=0.4, rungs=8):
 
 
 @pytest.mark.parametrize("name", ["x", "x^2", "x*y"])
-@pytest.mark.parametrize("depth", [2, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 def test_kh_ratio_matches_bisection_loop(name, depth):
     f = POLY_3D[name]
     assert measure.kh_dixmier_ratio(f, depth) == loop_kh_dixmier_ratio(f, depth)

@@ -305,7 +305,8 @@ def test_kh_interval_contained_and_narrowing():
 
 def loop_growth_root(generation_lengths, p_range=(1.0, KH_DIMENSION_UPPER),
                      iterations=60):
-    """The growth root's own bisection loop, as the shared bisection's reference."""
+    """The growth root's own bisection loop, as the shared bisection's
+    reference; it sums every generation at every step."""
     def mean_log_growth(p):
         sums = np.array([np.sum(lengths ** p) for lengths in generation_lengths])
         return math.log(sums[-1] / sums[1]) / (len(sums) - 2)
@@ -331,6 +332,14 @@ def test_growth_root_matches_bisection_loop(depth):
         for iterations in (5, 60):
             assert (growth_root(lengths, iterations=iterations)
                     == loop_growth_root(lengths, iterations=iterations))
+        # both clamps: the root lies above 1.2 and below 1.5
+        for p_range, clamp in (((1.0, 1.2), 1.2), ((1.5, KH_DIMENSION_UPPER), 1.5)):
+            assert growth_root(lengths, p_range) == loop_growth_root(lengths, p_range) == clamp
+    est = gl.kh_dimension_interval(depth)
+    roots = [loop_growth_root([t[side] for t in harmonic.edge_length_tables(depth, depth)])
+             for side in (0, 1)]
+    assert (est.lower, est.upper) == (max(1.0, min(roots)),
+                                      min(KH_DIMENSION_UPPER, max(roots)))
 
 
 def test_kh_trace_interval_behaviour():
