@@ -22,7 +22,11 @@ Conventions fixed here and relied on throughout the package:
 * the prefix invariant: refinement only appends vertices, so level m's
   vertex coordinates and harmonic images (``harmonic.phi_coordinates``)
   are the first rows of every finer level's, bit for bit, and level-m
-  cells and joining ids index the finest level's arrays directly.
+  cells and joining ids index the finest level's arrays directly;
+* the stacked layout: ``_stacked_cells`` stacks the cells of generations
+  0..L generation-major, generation g from row (3^g - 1)/2 on
+  (``_generation_starts``), so one array pass serves every generation;
+  a stretched model's generation-g joining edges start at id 3 (3^g - 1)/2.
 """
 
 from __future__ import annotations
@@ -366,6 +370,16 @@ def stretched_hierarchy(level: int, alpha: float):
         meshes.append(TriangleMesh(m + 1, _freeze(points), _freeze(cells)))
         joins.append(_freeze(j))
     return tuple(meshes), tuple(joins)
+
+
+def _stacked_cells(meshes: Sequence[TriangleMesh]) -> np.ndarray:
+    """Cells of ``meshes[0..L]`` stacked generation-major, ((3^(L+1) - 1)/2, 3)."""
+    return np.concatenate([mesh.cells for mesh in meshes])
+
+
+def _generation_starts(level: int) -> tuple[int, ...]:
+    """First stacked row (3^g - 1)/2 of each generation g = 0..level+1."""
+    return tuple((3 ** g - 1) // 2 for g in range(level + 2))
 
 
 def cell_index(word: "Word | str | Sequence[int]") -> int:

@@ -57,6 +57,8 @@ from gasketlab.geometry import (
     TRIANGLE_EDGE_CORNERS,
     AffineMap,
     _edge_table,
+    _generation_starts,
+    _stacked_cells,
     _triangle_ends,
     as_word,
     cell_index,
@@ -337,11 +339,6 @@ def _dyadic_weights(i: int, j: int, depth: int) -> np.ndarray:
     return _h_arrays(depth)[cells[_dyadic_offsets(i, j, depth)]]
 
 
-def _corner_images(gen: int) -> np.ndarray:
-    """Phi(f_w p_j) for every generation-n cell w, shape (3^n, 3, 3)."""
-    return phi_coordinates(gen)[sg_hierarchy(gen)[gen].cells]
-
-
 def _on_cells(weights: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """Apply base-point weights to the corner images of many cells.
 
@@ -358,10 +355,10 @@ def _on_cells(weights: np.ndarray, corners: np.ndarray) -> np.ndarray:
             + weights[:, 2, None] * corners[:, None, 2])
 
 
-def _segment_bounds(gen: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-edge (lo, hi) arrays for all generation-``gen`` edges.
+def _segment_bounds(corners: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-edge (lo, hi) arrays for the cells with corner images ``corners``.
 
-    Edge order matches the model enumeration: word-major, local-minor.
+    Edge order: cell-major, local-minor, the model's order in a generation.
     A segment of a generation-n edge is the image of a depth-k cell u
     along the base edge; its corner images are Phi(f_w f_u p_c) =
     sum_j h_j(f_u p_c) Phi(f_w p_j), so chord vectors are differences of
@@ -373,7 +370,6 @@ def _segment_bounds(gen: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     images lie in the triangle of the three corner images and the
     sampled diameter is the largest of the three corner chords.
     """
-    corners = _corner_images(gen)
     ncell = len(corners)
     lo = np.empty((ncell, 3))
     hi = np.empty((ncell, 3))
@@ -420,18 +416,17 @@ def _check_tables(max_gen: int, depth: int) -> None:
 def edge_length_tables(max_gen: int, depth: int):
     """Length-bound tables [(lo, hi)] for generations 0..max_gen (cached).
 
-    Reads only the level-max_gen and level-depth meshes; the largest
-    table holds 3^(max_gen+1) 2^depth segments, which the edge cap
-    bounds before anything is built, and again on every cache hit.
+    Reads the level-max_gen and level-depth meshes only, in one pass over
+    the stacked cells; the largest table, 3^(max_gen+1) 2^depth segments,
+    is held to the edge cap before anything is built and on every hit.
     """
     _check_tables(max_gen, depth)
-    tables = []
-    for gen in range(max_gen + 1):
-        lo, hi = _segment_bounds(gen, depth)
-        lo.flags.writeable = False
-        hi.flags.writeable = False
-        tables.append((lo, hi))
-    return tuple(tables)
+    stack = _stacked_cells(sg_hierarchy(max_gen))
+    lo, hi = _segment_bounds(phi_coordinates(max_gen)[stack], depth)
+    lo.flags.writeable = False
+    hi.flags.writeable = False
+    starts = [3 * start for start in _generation_starts(max_gen)]
+    return tuple((lo[a:b], hi[a:b]) for a, b in zip(starts, starts[1:]))
 
 
 def estimate_edge_length(word, local_edge: int, depth: int) -> tuple[float, float]:
@@ -466,16 +461,17 @@ def edge_polylines(words, local_edges, depth: int) -> np.ndarray:
     if np.any((local < 0) | (local > 2)):
         raise GasketError("local edge index must be 1..3")
     npts = 2 ** depth + 1
-    _require_cap(int(gens.max(initial=0)), depth, len(rows) * npts)
+    max_gen = int(gens.max(initial=0))
+    _require_cap(max_gen, depth, len(rows) * npts)
+    starts = np.take(_generation_starts(max_gen), gens)
+    corners = phi_coordinates(max_gen)[_stacked_cells(sg_hierarchy(max_gen))[starts + rows]]
     out = np.empty((len(rows), npts, 3))
-    for gen in np.unique(gens):
-        corners = _corner_images(int(gen))
-        for idx, (i, j) in enumerate(TRIANGLE_EDGE_CORNERS):
-            sel = np.flatnonzero((gens == gen) & (local == idx))
-            if len(sel):
-                w = _dyadic_weights(i, j, depth)
-                pts_w = np.concatenate([w[:, i], w[-1:, j]])
-                out[sel] = _on_cells(pts_w, corners[rows[sel]])
+    for idx, (i, j) in enumerate(TRIANGLE_EDGE_CORNERS):
+        sel = np.flatnonzero(local == idx)
+        if len(sel):
+            w = _dyadic_weights(i, j, depth)
+            pts_w = np.concatenate([w[:, i], w[-1:, j]])
+            out[sel] = _on_cells(pts_w, corners[sel])
     return out
 
 

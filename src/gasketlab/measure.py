@@ -27,6 +27,7 @@ just its length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,6 +37,9 @@ from gasketlab.geometry import (
     GasketError,
     GasketModel,
     _check_cap,
+    _generation_starts,
+    _stacked_cells,
+    build_model,
     check_alpha,
     compose_word,
     sg_hierarchy,
@@ -190,13 +194,21 @@ def _stretched_generation_sums(model: GasketModel, f: PointFunction):
     and joining ids index by the prefix invariant."""
     meshes, joins = stretched_hierarchy(model.level, model.alpha)
     values = _evaluate(f, meshes[-1].points)
-    tri_sums = []
-    for mesh in meshes:
-        fa, fb, fc = values[mesh.cells.T]
-        tri_sums.append(float(((fa + fc) / 2 + (fc + fb) / 2 + (fb + fa) / 2).sum()))
+    fa, fb, fc = values[_stacked_cells(meshes).T]
+    means = (fa + fc) / 2 + (fc + fb) / 2 + (fb + fa) / 2
+    starts = _generation_starts(model.level)
+    tri_sums = [float(means[a:b].sum()) for a, b in zip(starts, starts[1:])]
     ids = [ends.reshape(-1, 2) for ends in joins]
     join_sums = [float(((values[e[:, 0]] + values[e[:, 1]]) / 2.0).sum()) for e in ids]
     return tri_sums, join_sums
+
+
+@lru_cache(maxsize=16)
+def _is_built(model: GasketModel) -> bool:
+    """Whether ``model`` is the stretched model ``build_model`` makes at its
+    level and alpha.  Cached per model, as metric graphs are: the model's
+    hash is cached, so a later call is O(1)."""
+    return model == build_model("stretched", model.level, model.alpha)
 
 
 def dixmier_functional(
@@ -213,10 +225,15 @@ def dixmier_functional(
     average is frozen at the deepest computed generation (the averages
     converge weak-*, so the tail bias shrinks with the model level).
     Converges to (Dixmier constant) * (self-affine integral of f).
+    The sums are read off the built level and alpha, so any other model,
+    such as a read document with edited edges, is refused.
     """
     if model.variant != "stretched":
         raise GasketError("dixmier_functional needs a stretched model")
     _check_cap("stretched", model.level)
+    if not _is_built(model):
+        raise GasketError("dixmier_functional needs the model build_model makes "
+                          f"at level {model.level} and alpha {model.alpha}")
     alpha = model.alpha
     ds = stretched_dimension(alpha)
     ratio = (1.0 - alpha) / 2.0
@@ -294,11 +311,10 @@ def kh_dixmier_ratio(
     ladder = _kh_ladder(depth, eps_start, rungs)
 
     values = _evaluate(f, harmonic.phi_coordinates(depth))
-    fbar_sums = []
-    for mesh in sg_hierarchy(depth):
-        fa, fb, fc = values[mesh.cells.T]
-        fbar = np.stack([(fa + fc) / 2, (fc + fb) / 2, (fb + fa) / 2], axis=1)
-        fbar_sums.append(fbar.reshape(-1))
+    fa, fb, fc = values[_stacked_cells(sg_hierarchy(depth)).T]
+    fbar = np.stack([(fa + fc) / 2, (fc + fb) / 2, (fb + fa) / 2], axis=1).reshape(-1)
+    starts = [3 * start for start in _generation_starts(depth)]
+    fbar_sums = [fbar[a:b] for a, b in zip(starts, starts[1:])]
     f_last = float(fbar_sums[-1].mean())
 
     def ratio_limit(rung: dict) -> float:

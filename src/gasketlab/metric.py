@@ -24,7 +24,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from gasketlab.geometry import GasketError, GasketModel, _endpoint_nodes, build_model
+from gasketlab.geometry import (GasketError, GasketModel, _endpoint_nodes,
+                                _generation_starts, build_model)
 
 SNAP_TOL = 1e-9
 # a node joins a geodesic's corridor when d(p, v) + d(v, q) is within this
@@ -288,12 +289,12 @@ class _CornerTables:
             cell, corner = divmod(int(self.slot[endpoint.node]), 3)
             near = self.leaf[cell, corner]
             return self._ascend(level, cell, near) + [(cell, near)]
-        # generation k's 3^k cells hold the joining arcs from 3(3^k - 1)/2 on,
+        # generation k's 3^k cells hold the joining arcs from 3 start[k] on,
         # three per cell, in the order of _JOINS
-        k = 0
-        while 3 * (3 ** (k + 1) - 1) // 2 <= endpoint.arc:
-            k += 1
-        cell, pair = divmod(endpoint.arc - 3 * (3 ** k - 1) // 2, 3)
+        row, pair = divmod(endpoint.arc, 3)
+        starts = _generation_starts(level)
+        k = bisect_right(starts, row) - 1
+        cell = row - starts[k]
         (_, a), (_, b) = endpoint.extra
         table = self.nine[k][cell]
         up = np.minimum(a + table[_JOINS[pair, 0]], b + table[_JOINS[pair, 1]])
@@ -363,11 +364,12 @@ def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
     three corners makes it global.
     """
     level, weights = graph.level, graph.arc_w
+    starts = _generation_starts(level)
     triangles = 3 ** (level + 1)
     joins = len(weights) - triangles
     if graph.arc_kind == ("sg-triangle",) * triangles:
         nodes = (triangles + 3) // 2
-    elif graph.arc_kind == (("stretched-joining",) * ((triangles - 3) // 2)
+    elif graph.arc_kind == (("stretched-joining",) * (3 * starts[level])
                             + ("stretched-triangle",) * triangles):
         nodes = triangles
     else:
@@ -391,8 +393,7 @@ def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
         ids = ends.reshape(cells, 9)
         a, b = ids[:, _JOINS[:, 0]], ids[:, _JOINS[:, 1]]
         if joins:
-            first = 3 * (cells - 1) // 2       # generation k's first joining arc
-            arcs = slice(first, first + 3 * cells)
+            arcs = slice(3 * starts[k], 3 * starts[k + 1])   # generation k's joining arcs
             if not (np.array_equal(graph.arc_u[arcs].reshape(cells, 3), a)
                     and np.array_equal(graph.arc_v[arcs].reshape(cells, 3), b)):
                 return None

@@ -119,7 +119,12 @@ class DiracSpectrum:
     k_cutoff: int = 10 ** 6
 
     def eigenvalues(self, k_cutoff: Optional[int] = None) -> np.ndarray:
-        k = np.arange(-(k_cutoff or self.k_cutoff), (k_cutoff or self.k_cutoff) + 1)
+        """The 2K+1 eigenvalues with |k| <= K, K = ``k_cutoff`` or, when it
+        is None, the family's own cutoff."""
+        cutoff = self.k_cutoff if k_cutoff is None else k_cutoff
+        if cutoff < 0:
+            raise GasketError(f"eigenvalue cutoff must be >= 0, got {cutoff}")
+        k = np.arange(-cutoff, cutoff + 1)
         return (2 * k + 1) * math.pi / (2.0 * self.length)
 
     def trace(self, p: float) -> float:

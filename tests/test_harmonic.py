@@ -16,6 +16,8 @@ from gasketlab.geometry import (
     GasketError,
     GasketModel,
     ResourceCapError,
+    _generation_starts,
+    _stacked_cells,
     cell_index,
     index_word,
     sg_hierarchy,
@@ -320,6 +322,25 @@ def test_length_tables_match_mesh_oracle(max_gen, depth):
         np.testing.assert_allclose(hi, ref_hi, rtol=1e-12, atol=0)
 
 
+def stacked_corner_images(gen, level):
+    """Phi(f_w p_j) for the generation-``gen`` cells w, read as that
+    generation's block of the cells stacked up to ``level``."""
+    starts = _generation_starts(level)
+    stack = _stacked_cells(sg_hierarchy(level))
+    return phi_coordinates(level)[stack[starts[gen]:starts[gen + 1]]]
+
+
+def test_stacked_blocks_are_each_generations_cells():
+    for level in range(7):
+        starts = _generation_starts(level)
+        assert starts == tuple((3 ** g - 1) // 2 for g in range(level + 2))
+        meshes = sg_hierarchy(level)
+        stack = _stacked_cells(meshes)
+        assert stack.shape == (starts[-1], 3)
+        for gen, mesh in enumerate(meshes):
+            np.testing.assert_array_equal(stack[starts[gen]:starts[gen + 1]], mesh.cells)
+
+
 @pytest.mark.parametrize("gen,depth", [(0, 3), (2, 2), (3, 3)])
 def test_upper_bound_is_twice_largest_corner_chord(gen, depth):
     # recomputed from the level gen+depth mesh: per segment cell, the
@@ -355,14 +376,14 @@ def test_barycentric_identity_on_level_two_vertices():
             np.testing.assert_allclose(
                 harmonic._on_cells(h, corners[None])[0], lhs, atol=1e-14)
             np.testing.assert_array_equal(
-                harmonic._corner_images(k)[cell_index(word)], corners)
+                stacked_corner_images(k, 3)[cell_index(word)], corners)
 
 
 @pytest.mark.parametrize("gen", range(6))
 def test_on_cells_is_the_scalar_sum_bit_for_bit(gen):
     # the chord-vector inputs the length tables pass, for all three local
     # edges, against (w0 c0 + w1 c1) + w2 c2 in Python floats
-    corners = harmonic._corner_images(gen).tolist()
+    corners = stacked_corner_images(gen, 5).tolist()
     for i, j in TRIANGLE_EDGE_CORNERS:
         w = harmonic._dyadic_weights(i, j, 2)
         diffs = (w[:, [0, 0, 1]] - w[:, [1, 2, 2]]).reshape(-1, 3)
@@ -381,6 +402,7 @@ def test_tables_read_no_mesh_above_their_levels(monkeypatch):
             return fn(level)
         return wrapped
 
+    caches = (harmonic.sg_hierarchy, harmonic._h_arrays, harmonic.phi_coordinates)
     monkeypatch.setattr(harmonic, "sg_hierarchy", spy(harmonic.sg_hierarchy))
     monkeypatch.setattr(harmonic, "_h_arrays", spy(harmonic._h_arrays))
     monkeypatch.setattr(harmonic, "phi_coordinates",
@@ -391,6 +413,42 @@ def test_tables_read_no_mesh_above_their_levels(monkeypatch):
     for (lo, hi), (ref_lo, ref_hi) in zip(tables, ref):
         np.testing.assert_array_equal(lo, ref_lo)
         np.testing.assert_array_equal(hi, ref_hi)
+    # the generations' tables come from the level-max_gen and level-depth
+    # meshes only
+    requested.clear()
+    edge_length_tables.__wrapped__(4, 6)
+    assert set(requested) == {4, 6}
+    monkeypatch.undo()
+    # cold: one level-6 entry in each cache serves all seven generations
+    for fn in caches:
+        fn.cache_clear()
+    edge_length_tables.__wrapped__(6, 6)
+    for fn in caches:
+        info = fn.cache_info()
+        assert (info.currsize, info.misses) == (1, 1), fn
+
+
+def per_generation_tables(max_gen, depth):
+    """Length-bound tables built one generation at a time, each from its
+    own level's meshes and embedding, as the reference."""
+    tables = []
+    for gen in range(max_gen + 1):
+        corners = phi_coordinates(gen)[sg_hierarchy(gen)[gen].cells]
+        tables.append(harmonic._segment_bounds(corners, depth))
+    return tables
+
+
+@pytest.mark.parametrize("max_gen", range(7))
+def test_stacked_tables_are_the_per_generation_tables_bit_for_bit(max_gen):
+    for depth in range(1, 7):
+        tables = edge_length_tables(max_gen, depth)
+        assert len(tables) == max_gen + 1
+        for gen, ((lo, hi), (ref_lo, ref_hi)) in enumerate(
+                zip(tables, per_generation_tables(max_gen, depth))):
+            assert lo.shape == hi.shape == (3 ** (gen + 1),)
+            assert not lo.flags.writeable and not hi.flags.writeable
+            assert lo.tobytes() == ref_lo.tobytes()
+            assert hi.tobytes() == ref_hi.tobytes()
 
 
 def test_length_tables_cap_holds_on_cache_hits(monkeypatch):
@@ -430,6 +488,39 @@ def test_length_tables_cap_counts_segments_before_building(monkeypatch):
             build(max_gen, depth)
     with pytest.raises(ResourceCapError):
         harmonic.edge_polylines([""] * 22, [1] * 22, 2)
+
+
+def per_generation_polylines(words, local_edges, depth):
+    """``edge_polylines`` one generation at a time, each generation's cells
+    carried to its own level's corner images, as the reference."""
+    gens = np.array([len(w) for w in words])
+    rows = np.array([cell_index(w) for w in words], dtype=np.int64)
+    local = np.asarray(local_edges) - 1
+    out = np.empty((len(words), 2 ** depth + 1, 3))
+    for gen in np.unique(gens):
+        gen = int(gen)
+        corners = phi_coordinates(gen)[sg_hierarchy(gen)[gen].cells]
+        for idx, (i, j) in enumerate(TRIANGLE_EDGE_CORNERS):
+            sel = np.flatnonzero((gens == gen) & (local == idx))
+            if len(sel):
+                w = harmonic._dyadic_weights(i, j, depth)
+                pts_w = np.concatenate([w[:, i], w[-1:, j]])
+                out[sel] = harmonic._on_cells(pts_w, corners[rows[sel]])
+    return out
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5])
+def test_edge_polylines_are_the_per_generation_loop_bit_for_bit(depth):
+    # every edge of generations 0..6, then a shuffled mixed batch
+    words = [str(index_word(gen, row)) for gen in range(7) for row in range(3 ** gen)
+             for _ in range(3)]
+    local = [1, 2, 3] * (len(words) // 3)
+    got = harmonic.edge_polylines(words, local, depth)
+    assert got.tobytes() == per_generation_polylines(words, local, depth).tobytes()
+    order = np.random.default_rng(depth).permutation(len(words))[:200]
+    words, local = [words[k] for k in order], [local[k] for k in order]
+    got = harmonic.edge_polylines(words, local, depth)
+    assert got.tobytes() == per_generation_polylines(words, local, depth).tobytes()
 
 
 def test_edge_polylines_match_one_edge_at_a_time():

@@ -282,6 +282,44 @@ def test_dixmier_functional_refuses_a_model_over_the_cap(monkeypatch):
         gl.dixmier_functional(empty, _ones)
 
 
+def test_dixmier_functional_refuses_a_model_it_would_not_build():
+    built = gl.build_model("stretched", 5, 0.2)
+    edges = built.edges
+    empty = GasketModel("stretched", 0.2, 5, EdgeTable.from_rows([]))
+    moved = edges.p.copy()
+    moved[7, 0] += 1e-9
+    stretched = edges.length.copy()
+    stretched[-1] *= 2.0
+    edited = [GasketModel("stretched", 0.2, 5, EdgeTable(
+        edges.id, edges.kind, edges.gen, p, edges.q, length, edges.word))
+        for p, length in ((moved, edges.length), (edges.p, stretched))]
+    for model in [empty] + edited:
+        with pytest.raises(GasketError, match="needs the model build_model makes"):
+            gl.dixmier_functional(model, _ones)
+    # an unedited copy of the columns is accepted, and the verdict is cached
+    copy = GasketModel("stretched", 0.2, 5, EdgeTable(
+        edges.id, edges.kind, edges.gen, edges.p.copy(), edges.q, edges.length,
+        edges.word))
+    assert bits(gl.dixmier_functional(copy, _ones)) == bits(
+        gl.dixmier_functional(built, _ones))
+    misses = measure._is_built.cache_info().misses
+    gl.dixmier_functional(copy, POLY_2D["x"])
+    assert measure._is_built.cache_info().misses == misses
+
+
+def test_dixmier_functional_of_a_read_model_is_bit_identical():
+    from gasketlab.serialize import _parsed, model_from_json, model_to_json
+
+    functions = [_ones, POLY_2D["x"], POLY_2D["x^2"]]
+    for level, alpha in ((0, 0.2), (3, 0.05), (6, 0.3)):
+        built = gl.build_model("stretched", level, alpha)
+        text = model_to_json(built)
+        for model in (model_from_json(text), _parsed(text)):
+            for f in functions:
+                assert bits(gl.dixmier_functional(model, f)) == bits(
+                    gl.dixmier_functional(built, f))
+
+
 def test_dixmier_functional_needs_stretched_model():
     with pytest.raises(GasketError):
         gl.dixmier_functional(gl.build_model("sg", 2), _ones)

@@ -102,6 +102,17 @@ def test_dirac_spectrum_shape():
     np.testing.assert_allclose(shifted, -shifted[::-1], atol=1e-12)
 
 
+def test_eigenvalue_cutoff_is_taken_as_given():
+    family = DiracSpectrum(1.0, 5)
+    assert len(family.eigenvalues()) == 11
+    assert family.eigenvalues(0).tolist() == [math.pi / 2.0]
+    assert len(family.eigenvalues(2)) == 5
+    with pytest.raises(GasketError, match="cutoff must be >= 0"):
+        family.eigenvalues(-1)
+    with pytest.raises(GasketError, match="cutoff must be >= 0"):
+        DiracSpectrum(1.0, -3).eigenvalues()
+
+
 # -- model traces ------------------------------------------------------------
 
 def test_stretched_trace_point_two_at_two_is_six():
