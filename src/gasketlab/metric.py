@@ -11,6 +11,12 @@ Query points that are not graph nodes are handled per the structure of
 minimal paths: interior points of joining segments split the segment
 exactly; interior points of finest triangle edges are snapped to the
 nearest node and the finest edge length is reported as the error bar.
+
+On graphs in ``build_model``'s layout, exact corner distances of every
+cell give each geodesic the corridor of nodes on its near-shortest
+paths.  A corridor that is a single path (nearly every stretched
+geodesic) is summed in one array pass; a corridor holding tied paths
+(common on sg) runs the heap Dijkstra inside it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ import heapq
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,16 +47,17 @@ class MetricGraph:
     ``arc_u[i]`` and ``arc_v[i]`` with weight ``arc_w[i]`` and kind
     ``arc_kind[i]``, in model edge order.  The cached properties below
     (the ``arcs`` tuple view, the sorted x column, the arc boxes sorted
-    by x-min, the arcs sorted once into runs with the ``neighbors`` rows
-    and arc keys read off them, and the cells' corner tables) are built
-    on first use.  A geodesic query locates an endpoint by bisecting the
-    sorted x coordinates, or by projecting onto the few arcs whose box
-    holds it (found by bisecting the box x-mins), reads the corridor of
-    its shortest paths off the corner tables and searches that corridor
-    only.  A witness check
-    reads its distance field off the corner tables, takes each node's
-    tight predecessor in one array pass and looks up its chains' arcs in
-    one sorted pass.
+    by x-min, the arcs sorted once into runs, with the padded
+    ``arc_rows``, the ``neighbors`` rows and the arc keys read off them,
+    and the cells' corner tables) are built on first use.  A geodesic
+    query locates an endpoint by bisecting the sorted x coordinates, or by
+    projecting onto the few arcs whose box holds it (found by bisecting
+    the box x-mins), and reads the corridor of its shortest paths off the
+    corner tables.  A corridor that is one path is folded along
+    ``arc_rows``; any other is searched by the heap, which alone reads
+    ``neighbors``.  A witness check reads its distance field off the
+    corner tables, takes each node's tight predecessor in one argmin over
+    ``arc_rows`` and looks up its chains' arcs in one sorted pass.
     """
 
     level: int
@@ -108,11 +115,33 @@ class MetricGraph:
     def neighbors(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """Per node, the (neighbour, weight) pairs of its arc run, sorted by
         neighbour, then weight, which fixes Dijkstra's tie-breaking; the
-        heap loop iterates these tuples faster than index arrays."""
+        heap loop iterates these tuples faster than index arrays.  Only a
+        heap search reads them."""
         _, head, weight, starts = self.arc_runs
         pairs = list(zip(head.tolist(), weight.tolist()))
         ends = starts.tolist() + [len(pairs)]
         return tuple(tuple(pairs[a:b]) for a, b in zip(ends, ends[1:]))
+
+    @cached_property
+    def arc_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``arc_runs`` as padded rows: the heads and weights of node v's
+        run in row v of two n x max-degree arrays, padded with head -1 and
+        weight inf.  The pad names no node, real or virtual; a gather
+        through it reads the last entry, which the inf weight outweighs."""
+        tail, head, weight, starts = self.arc_runs
+        col = np.arange(len(tail)) - starts[tail]
+        shape = (self.node_count, int(col.max()) + 1)
+        heads, weights = np.full(shape, -1), np.full(shape, np.inf)
+        heads[tail, col], weights[tail, col] = head, weight
+        for arr in (heads, weights):
+            arr.flags.writeable = False
+        return heads, weights
+
+    @cached_property
+    def weights_positive(self) -> bool:
+        """Whether every arc weight is positive: no two nodes are at
+        distance 0, so a node's distance ties no neighbour's."""
+        return bool((self.arc_w > 0).all())
 
     @cached_property
     def arc_keys(self) -> tuple[np.ndarray, np.ndarray]:
@@ -193,14 +222,17 @@ def _dijkstra(graph: MetricGraph, source: int,
     With ``allowed``, a set of node ids (virtual ones included), the
     search relaxes only arcs into allowed nodes and keeps state for them
     only.  ``geodesic`` passes the corridor of the shortest paths, a few
-    hundred nodes; the heap then pops the corridor's nodes in the order
-    the unrestricted heap would, so dist and pred on every node of the
-    paths within rounding of the optimum are those of the full search.
-    Unrestricted, it takes O((n + m) log n) interpreted steps, 25-40 ms on
-    the level-8 stretched graph (19,683 nodes) on a 2-vCPU x86 VM, and
-    serves only where a zero-length arc or an arc off ``build_model``'s
-    layout rules out the corner tables.  Returns the ``(dist, pred)``
-    dicts; dist is inf on allowed nodes not reached.
+    hundred nodes, when it holds more than one path (ties, common on sg,
+    or any corridor of a graph with a zero-length arc); the heap then pops
+    the corridor's nodes in the order the unrestricted heap would, so dist
+    and pred on every node of the paths within rounding of the optimum
+    are those of the full search.  A corridor that is one path is folded
+    instead (``_corridor_path``), to the same bits.  Unrestricted, it
+    takes O((n + m) log n) interpreted steps, 25-40 ms on the level-8
+    stretched graph (19,683 nodes) on a 2-vCPU x86 VM, and serves only
+    where an arc off ``build_model``'s layout rules out the corner tables,
+    or for the witness chains of a graph with a zero-length arc.  Returns
+    the ``(dist, pred)`` dicts; dist is inf on allowed nodes not reached.
     """
     rows, extra = graph.neighbors, extra or {}
     dist = dict.fromkeys(range(graph.node_count + 2) if allowed is None else allowed,
@@ -231,6 +263,14 @@ _OWN = np.array([0, 4, 8])
 # (geometry._refine_stretched) as pairs of nine-node ids; on sg each pair
 # is one shared midpoint
 _JOINS = np.array([[5, 7], [2, 6], [1, 3]])
+_CHILDREN = np.arange(3)
+
+
+def _least(a: np.ndarray) -> np.ndarray:
+    """a.min(axis=-2) over an axis of length 3, as two elementwise minimums:
+    numpy reduces so short an axis several times slower than it compares
+    its slices, and the minimum is the same either way."""
+    return np.minimum(np.minimum(a[..., 0, :], a[..., 1, :]), a[..., 2, :])
 
 
 def _close(table: np.ndarray, via) -> None:
@@ -271,7 +311,7 @@ class _CornerTables:
         ups = []
         for k in reversed(range(level)):
             parent, child = divmod(cell // 3 ** (level - 1 - k), 3)
-            up = (near[:, None] + self.nine[k][parent, 3 * child:3 * child + 3]).min(axis=0)
+            up = _least(near[:, None] + self.nine[k][parent, 3 * child:3 * child + 3])
             ups.append((parent, up))
             near = up[_OWN]
         return ups[::-1]
@@ -300,38 +340,50 @@ class _CornerTables:
         up = np.minimum(a + table[_JOINS[pair, 0]], b + table[_JOINS[pair, 1]])
         return self._ascend(k, cell, up[_OWN]) + [(cell, up)]
 
-    def _descend(self, chains, bound: Optional[float] = None):
+    def field(self, chain) -> np.ndarray:
+        """near[c] = the distances from the point of ``chain`` to the
+        corners of level-L cell c: the descent from the root that keeps
+        every cell, one min-plus step per cell and level.  Level k keeps
+        cells 0 .. 3^k - 1, so ``own[k]`` is read as it is."""
+        near = (chain[0][1][_OWN] if self.nine else chain[0][1])[None]
+        for k, rows in enumerate(self.own):
+            nine = _least(near[:, :, None] + rows)
+            if k < len(chain):
+                nine[chain[k][0]] = chain[k][1]
+            near = nine.reshape(-1, 3)
+        return near
+
+    def _descend(self, chains, bound: float):
         """(cells, near): the level-L cells a descent from the root keeps,
         and near[i, c] the distances from the point of ``chains[i]`` to the
-        corners of ``cells[c]``, one min-plus step per kept cell and level.
-        Without ``bound`` it keeps every cell.  With it, for two chains, it
-        keeps the cells that hold an end and those whose corners give
-        min (d_p + d_q) <= bound, a lower bound on d_p + d_q inside a cell
-        holding neither end: O(L x corridor) work.
+        corners of ``cells[c]``.  It keeps the cells that hold an end and
+        those whose corners give min (d_p + d_q) <= bound, a lower bound on
+        d_p + d_q inside a cell holding neither end: O(L x corridor) work.
         """
-        level = len(self.nine)
         cells = np.zeros(1, dtype=np.int64)
         # a level-0 chain holds only its leaf's three corners
-        near = np.array([c[0][1][_OWN] if level else c[0][1] for c in chains])[:, None]
+        near = np.array([c[0][1][_OWN] if self.nine else c[0][1] for c in chains])[:, None]
         for k, rows in enumerate(self.own):
-            nine = (near[..., None] + rows[cells]).min(axis=2)
+            nine = _least(near[..., None] + rows[cells])
             for side, c in enumerate(chains):
                 if k < len(c):
-                    nine[side, np.searchsorted(cells, c[k][0])] = c[k][1]
-            cells = (3 * cells[:, None] + np.arange(3)).ravel()
-            near = nine.reshape(len(chains), -1, 3)
-            if bound is not None:
-                keep = (near[0] + near[1]).min(axis=1) <= bound
-                for c in chains:
-                    if k + 1 < len(c):
-                        keep[np.searchsorted(cells, c[k + 1][0])] = True
-                cells, near = cells[keep], near[:, keep]
+                    nine[side, cells.searchsorted(c[k][0])] = c[k][1]
+            cells = (3 * cells[:, None] + _CHILDREN).ravel()
+            near = nine.reshape(2, -1, 3)
+            keep = _least((near[0] + near[1]).T) <= bound
+            for c in chains:
+                if k + 1 < len(c):
+                    keep[cells.searchsorted(c[k + 1][0])] = True
+            keep = np.flatnonzero(keep)
+            cells, near = cells.take(keep), near.take(keep, axis=1)
         return cells, near
 
-    def corridor(self, src: _Endpoint, dst: _Endpoint, direct: float) -> set[int]:
-        """The node ids v with d(p, v) + d(v, q) <= d(p, q) (1 + 1e-9), and
-        the two virtual ids.  ``direct`` is the length of a joining-arc
-        piece between p and q, or inf.
+    def corridor(self, src: _Endpoint, dst: _Endpoint,
+                 direct: float) -> tuple[np.ndarray, np.ndarray]:
+        """The real node ids v with d(p, v) + d(v, q) <= d(p, q) (1 + 1e-9),
+        in the order of d(p, v), and those distances.  ``direct`` is the
+        length of a joining-arc piece between p and q, or inf.  A node that
+        corners several cells (on sg) takes d(p, v) from the first of them.
 
         d(p, q) is read off the deepest cell both chains hold: a path leaves
         the child holding one end (or the arc holding it) through nodes
@@ -343,8 +395,11 @@ class _CornerTables:
         bound = min(float((chains[0][common][1] + chains[1][common][1]).min()),
                     direct) * _CORRIDOR_SLACK
         cells, near = self._descend(chains, bound)
-        n = len(self.slot)
-        return set(self.corners[cells][near[0] + near[1] <= bound].tolist()) | {n, n + 1}
+        tight = near[0] + near[1] <= bound
+        nodes, first = np.unique(self.corners[cells][tight], return_index=True)
+        dist = near[0][tight][first]
+        order = dist.argsort(kind="stable")
+        return nodes[order], dist[order]
 
 
 def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
@@ -433,11 +488,12 @@ def distance_field(graph: MetricGraph, source: int) -> np.ndarray:
     On a graph in ``build_model``'s layout this is one numpy pass over the
     graph's ``corner_tables`` (built once per graph, on first use): up the
     source's cell address, then the unbounded descent that geodesics bound
-    to their corridor, one min-plus step per level for all cells.  It
-    takes O(N) array work, about 1 ms on the level-8 stretched graph
-    (19,683 nodes) on a 2-vCPU x86 VM after the tables' one-off 15-20 ms,
-    and agrees with the heap Dijkstra to a few ulps.  Any other graph
-    runs the exhaustive ``_dijkstra`` once and converts its dict.
+    to their corridor, one min-plus step per level for all cells, reading
+    each level's tables as they are.  It takes O(N) array work, about
+    0.7 ms on the level-8 stretched graph (19,683 nodes) on a 2-vCPU x86
+    VM after the tables' one-off 15-20 ms, and agrees with the heap
+    Dijkstra to a few ulps.  Any other graph runs the exhaustive
+    ``_dijkstra`` once and converts its dict.
     """
     if not 0 <= source < graph.node_count:
         raise GasketError(f"source {source} is not a node id")
@@ -445,9 +501,8 @@ def distance_field(graph: MetricGraph, source: int) -> np.ndarray:
     if tables is None:
         dist = _dijkstra(graph, source)[0]
         return np.array([dist[v] for v in range(graph.node_count)])
-    _, near = tables._descend([tables.chain(_Endpoint(source, 0.0))])
     field = np.empty(graph.node_count)
-    field[tables.corners] = near[0]
+    field[tables.corners] = tables.field(tables.chain(_Endpoint(source, 0.0)))
     return field
 
 
@@ -559,20 +614,37 @@ def geodesic(
     ``build_model``'s layout the corner tables (``corner_tables``, built
     once per graph on first use) then give d(p, q) and the corridor of
     nodes v with d(p, v) + d(v, q) within 1e-9 of it, in O(L) numpy steps
-    per cell near the shortest paths.  The heap search runs over the
-    corridor only, its state in dicts over the corridor and a virtual
-    end's arcs in full rows beside the shared ``neighbors``: a few
-    hundred of the 19,683 nodes of the level-8 stretched graph, about
-    1.2-1.4 ms on a 2-vCPU x86 VM.  Every node of a path within rounding
+    per cell near the shortest paths: a few hundred of the 19,683 nodes
+    of the level-8 stretched graph.  Every node of a path within rounding
     of the optimum lies in the corridor, and so does every neighbour that
-    ties for its predecessor, so distances and paths are those of the
-    unrestricted (distance, node)-heap Dijkstra, bit for bit.  Any other
-    graph runs that full search.
+    ties for its predecessor.  When the corridor is one path, ordered by
+    d(p, .), its steps' weights are summed by ``np.cumsum``
+    (``_corridor_path``), about 0.7 ms per geodesic on a 2-vCPU x86 VM;
+    otherwise the heap search runs over the corridor only, its state in
+    dicts over the corridor and a virtual end's arcs in full rows beside
+    the shared ``neighbors``.  Either way distances and paths are those of
+    the unrestricted (distance, node)-heap Dijkstra, bit for bit.  Any
+    other graph runs that full search.
     """
     graph = to_metric_graph(model, level)
     n = graph.node_count
     src = _locate(graph, p, n)
     dst = _locate(graph, q, n + 1)
+    direct = math.inf
+    if src.arc is not None and src.arc == dst.arc:
+        # both interior to the same joining segment: include the direct piece
+        a = graph.nodes[graph.arc_u[src.arc]]
+        direct = float(abs(np.linalg.norm(np.asarray(p, float) - a)
+                           - np.linalg.norm(np.asarray(q, float) - a)))
+    error_bar = src.snap_error + dst.snap_error
+
+    tables, allowed = graph.corner_tables, None
+    if tables is not None:
+        nodes, near = tables.corridor(src, dst, direct)
+        walk = _corridor_path(graph, src, dst, direct, nodes, near)
+        if walk is not None:
+            return GeodesicResult(*walk, graph.level, error_bar)
+        allowed = set(nodes.tolist()) | {n, n + 1}
 
     # full rows of the virtual ends and of the nodes they touch
     extra: dict[int, tuple[tuple[int, float], ...]] = {}
@@ -581,17 +653,9 @@ def geodesic(
             extra[ep.node] = ep.extra
             for v, w in ep.extra:
                 extra[v] = extra.get(v, graph.neighbors[v]) + ((ep.node, w),)
-    direct = math.inf
-    if (src.arc is not None and src.arc == dst.arc):
-        # both interior to the same joining segment: include the direct piece
-        a = graph.nodes[graph.arc_u[src.arc]]
-        direct = float(abs(np.linalg.norm(np.asarray(p, float) - a)
-                           - np.linalg.norm(np.asarray(q, float) - a)))
+    if direct < math.inf:
         extra[src.node] += ((dst.node, direct),)
         extra[dst.node] += ((src.node, direct),)
-
-    tables = graph.corner_tables
-    allowed = None if tables is None else tables.corridor(src, dst, direct)
     dist, pred = _dijkstra(graph, src.node, extra, allowed)
     d = dist[dst.node]
     if math.isinf(d):
@@ -599,8 +663,52 @@ def geodesic(
     path = [dst.node]
     while path[-1] != src.node:
         path.append(pred[path[-1]])
-    return GeodesicResult(d, tuple(reversed(path)), graph.level,
-                          src.snap_error + dst.snap_error)
+    return GeodesicResult(d, tuple(reversed(path)), graph.level, error_bar)
+
+
+def _corridor_path(graph: MetricGraph, src: _Endpoint, dst: _Endpoint, direct: float,
+                   nodes: np.ndarray, near: np.ndarray) -> Optional[tuple[float, tuple]]:
+    """(distance, path) of a corridor that carries one path only, else None.
+
+    ``nodes`` are the corridor's real nodes in the order of their
+    distances ``near`` from p.  With a virtual source put first and a
+    virtual target last, that order is the path when every arc weight is
+    positive, d(p, .) strictly increases along it, each step is an arc,
+    and the corridor's induced graph, overlay and direct arcs included,
+    has no other arc.  The heap search confined to the corridor can then
+    walk only that path, and its distance is the left fold from 0.0 of the
+    steps' lightest weights, which ``np.cumsum`` takes in the same order.
+    """
+    if not graph.weights_positive or (near[1:] <= near[:-1]).any():
+        return None
+    heads, weights = graph.arc_rows
+    inside = np.zeros(graph.node_count + 1, dtype=bool)   # slot n answers the pad -1
+    inside[nodes] = True
+    arcs = np.count_nonzero(inside[heads[nodes]]) // 2    # each real arc seen from both ends
+    overlay = {}                   # (end, node) -> weight of the arcs a virtual end adds
+    for ep in (src, dst):
+        if ep.arc is not None:
+            for v, w in ep.extra:
+                overlay[ep.node, v] = overlay[v, ep.node] = w
+                arcs += int(inside[v])
+    if direct < math.inf:
+        overlay[src.node, dst.node] = direct
+        arcs += 1
+    real = nodes.tolist()
+    lead = [src.node] if src.arc is not None else []
+    trail = [dst.node] if dst.arc is not None else []
+    path = lead + real + trail
+    if path[0] != src.node or path[-1] != dst.node or arcs != len(path) - 1:
+        return None
+    tails = nodes[:-1]
+    steps = np.where(heads[tails] == nodes[1:, None], weights[tails], math.inf)
+    steps = np.concatenate([
+        [overlay.get((path[0], path[1]), math.inf)] if lead else [],
+        reduce(np.minimum, steps.T),           # per row, as _least does
+        [overlay.get((path[-2], path[-1]), math.inf)] if trail and real else []])
+    if not (steps < math.inf).all():           # a step that is no arc
+        return None
+    return float(np.cumsum(steps)[-1]) if len(steps) else 0.0, tuple(path)
 
 
 @dataclass(frozen=True)
@@ -676,15 +784,16 @@ def _tight_predecessors(graph: MetricGraph, field: np.ndarray) -> np.ndarray:
     """pred[v] = the neighbour u minimising field[u] + w over the arcs
     (u, v, w), the smallest such u on ties.
 
-    One ``np.minimum.reduceat`` over the runs of ``arc_runs``; every node
-    is an arc end, so run v belongs to node v.  On the distance field from
-    q with positive weights, field[pred[v]] < field[v] up to rounding, so
-    every chain of predecessors ends at q.
+    One ``argmin`` over the rows of ``arc_rows``: a row lists its heads in
+    ascending order, then its lightest arc first, so the first minimum is
+    the smallest head; a pad costs inf.  On the distance field from q with
+    positive weights, field[pred[v]] < field[v] up to rounding, so every
+    chain of predecessors ends at q.
     """
-    tail, head, weight, starts = graph.arc_runs
-    cost = field[head] + weight
-    tight = np.flatnonzero(cost == np.minimum.reduceat(cost, starts)[tail])
-    return head[tight[np.diff(tail[tight], prepend=-1) != 0]]
+    heads, weights = graph.arc_rows
+    best = np.argmin(field[heads] + weights, axis=1)
+    # heads[v, best[v]] for every v, gathered from the flat rows
+    return heads.ravel()[np.arange(0, heads.size, heads.shape[1]) + best]
 
 
 def lipschitz_witness_check(
@@ -704,7 +813,7 @@ def lipschitz_witness_check(
     shortest-path chain back to q and summing its arc weights.
 
     The field comes from ``distance_field`` (the corner tables, about
-    1 ms on the level-8 stretched graph) and each node's chain step from
+    0.7 ms on the level-8 stretched graph) and each node's chain step from
     its tight predecessor, the in-arc minimising field[u] + w.  A graph
     with a zero-length arc takes its chains from the heap ``_dijkstra``
     instead, since the ends of such an arc can name each other.
@@ -714,7 +823,7 @@ def lipschitz_witness_check(
         raise GasketError(f"witness target {q} is not a node id")
     field = distance_field(graph, q)
     slacks = arc_slacks(graph, field)
-    if (graph.arc_w > 0).all():
+    if graph.weights_positive:
         pred = _tight_predecessors(graph, field)
     else:
         chain = _dijkstra(graph, q)[1]

@@ -17,6 +17,7 @@ never through an extended limit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -117,6 +118,14 @@ class DiracSpectrum:
 
     length: float
     k_cutoff: int = 10 ** 6
+
+    def __post_init__(self) -> None:
+        if not (self.length > 0.0 and math.isfinite(self.length)):
+            raise GasketError(f"curve length must be positive, got {self.length}")
+        if not isinstance(self.k_cutoff, numbers.Integral):
+            raise GasketError(f"eigenvalue cutoff must be an integer, got {self.k_cutoff!r}")
+        if self.k_cutoff < 0:
+            raise GasketError(f"eigenvalue cutoff must be >= 0, got {self.k_cutoff}")
 
     def eigenvalues(self, k_cutoff: Optional[int] = None) -> np.ndarray:
         """The 2K+1 eigenvalues with |k| <= K, K = ``k_cutoff`` or, when it

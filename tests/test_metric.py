@@ -162,6 +162,27 @@ def _assert_same_geodesic(model, p, q):
     assert all(type(v) is int for v in res.path)
 
 
+@pytest.fixture
+def routes(monkeypatch):
+    """Which route served each geodesic: "fold" counts the corridors
+    ``_corridor_path`` folded into a path, "heap" the ``_dijkstra`` runs."""
+    counts = {"fold": 0, "heap": 0}
+    fold, heap = metric._corridor_path, metric._dijkstra
+
+    def counted_fold(*args):
+        walk = fold(*args)
+        counts["fold"] += walk is not None
+        return walk
+
+    def counted_heap(*args, **kwargs):
+        counts["heap"] += 1
+        return heap(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "_corridor_path", counted_fold)
+    monkeypatch.setattr(metric, "_dijkstra", counted_heap)
+    return counts
+
+
 def _point_on(graph, arc, t):
     u, v = graph.arc_u[arc], graph.arc_v[arc]
     return graph.nodes[u] + t * (graph.nodes[v] - graph.nodes[u])
@@ -348,14 +369,19 @@ def test_offnode_geodesics_against_scipy_with_split_arc(kind):
             assert abs(res.distance - exact) <= res.error_bar + 1e-12
 
 
+def _allowed(graph, src, dst, direct=math.inf):
+    """The corridor as the node set the heap search may enter."""
+    nodes, _ = graph.corner_tables.corridor(src, dst, direct)
+    return set(nodes.tolist()) | {graph.node_count, graph.node_count + 1}
+
+
 def test_corridor_dijkstra_matches_full_run():
     graph = to_metric_graph(gl.build_model("stretched", 4, 0.2))
     n = graph.node_count
     for s in (0, 17, n - 1):
         full_dist, full_pred = _dijkstra(graph, s)
         for t in range(n):
-            allowed = graph.corner_tables.corridor(_Endpoint(s, 0.0), _Endpoint(t, 0.0),
-                                                   math.inf)
+            allowed = _allowed(graph, _Endpoint(s, 0.0), _Endpoint(t, 0.0))
             dist, pred = _dijkstra(graph, s, allowed=allowed)
             assert dist[t] == full_dist[t]
             assert _path_of(pred, s, t) == _path_of(full_pred, s, t)
@@ -363,12 +389,52 @@ def test_corridor_dijkstra_matches_full_run():
 
 @pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.05),
                                            ("stretched", 0.2), ("stretched", 0.3)])
-def test_corridor_geodesics_match_heap_search_on_all_vertex_pairs(variant, alpha):
+def test_corridor_geodesics_match_heap_search_on_all_vertex_pairs(variant, alpha, routes):
     model = gl.build_model(variant, 3, alpha)
     nodes = to_metric_graph(model).nodes
     for p in nodes:
         for q in nodes:
             _assert_same_geodesic(model, p, q)
+    _assert_routes(routes, variant, len(nodes) ** 2)
+
+
+def _assert_routes(routes, variant, queries):
+    """Every query took one route: stretched geodesics nearly always have
+    one shortest path and fold; sg ties leave several, and reach the heap."""
+    assert routes["fold"] + routes["heap"] == queries
+    if variant == "sg":
+        assert routes["heap"] > 0 and routes["fold"] > 0
+    else:
+        assert routes["fold"] >= 0.95 * queries
+
+
+@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.05),
+                                           ("stretched", 0.2), ("stretched", 0.3)])
+def test_corridor_fold_matches_the_heap_search_up_to_level_four(variant, alpha, routes):
+    # all vertex pairs at levels 1 and 2 (level 3: the test above), every
+    # 32nd source at level 4, and on stretched models points inside joining
+    # arcs: to vertices, to a second arc, and to a point of the same arc
+    # (the direct piece, also of length 0)
+    queries = 0
+    for level in (1, 2, 4):
+        model = gl.build_model(variant, level, alpha)
+        graph = to_metric_graph(model)
+        nodes = graph.nodes
+        for p in nodes if level < 4 else nodes[::32]:
+            for q in nodes:
+                _assert_same_geodesic(model, p, q)
+                queries += 1
+    if variant == "stretched":
+        joining = np.flatnonzero(np.array(graph.arc_kind) == "stretched-joining")
+        for arc, other in zip(joining[::13], joining[5::13]):
+            point = _point_on(graph, arc, 0.3)
+            ends = [(point, q) for q in nodes[::23]] + [(q, point) for q in nodes[::23]]
+            ends += [(point, _point_on(graph, arc, t)) for t in (0.3, 0.7, 0.1)]
+            ends += [(_point_on(graph, arc, 0.7), point), (point, _point_on(graph, other, 0.6))]
+            for p, q in ends:
+                _assert_same_geodesic(model, p, q)
+            queries += len(ends)
+    _assert_routes(routes, variant, queries)
 
 
 @pytest.fixture(scope="module")
@@ -377,13 +443,14 @@ def level_seven():
     return model, to_metric_graph(model)
 
 
-def test_corridor_geodesics_match_heap_search_at_level_seven(level_seven):
+def test_corridor_geodesics_match_heap_search_at_level_seven(level_seven, routes):
     model, graph = level_seven
     rng = np.random.default_rng(51)
     joining = np.flatnonzero(np.array(graph.arc_kind) == "stretched-joining")
     triangle = np.flatnonzero(np.array(graph.arc_kind) == "stretched-triangle")
     for a, b in rng.integers(0, graph.node_count, size=(300, 2)):
         _assert_same_geodesic(model, graph.nodes[a], graph.nodes[b])
+    _assert_routes(routes, "stretched", 300)
     for pool in (joining, triangle):
         for _ in range(100):
             point = _point_on(graph, rng.choice(pool), rng.uniform(0.02, 0.98))
@@ -448,20 +515,22 @@ def test_corridor_holds_little_more_than_the_path(level_seven):
         ends.append((point, vertex) if rng.random() < 0.5 else (vertex, point))
     for p, q in ends:
         src, dst = _locate(graph, p, n), _locate(graph, q, n + 1)
-        allowed = graph.corner_tables.corridor(src, dst, math.inf)
+        allowed = _allowed(graph, src, dst)
         assert len(allowed) - 2 <= 3 * len(gl.geodesic(model, p, q).path) + 16
 
 
-def test_corridor_search_state_stays_in_the_corridor(level_seven, monkeypatch):
-    # the search keeps dist and pred only on the corridor it may enter, and
-    # an endpoint inside an arc overlays its arcs without touching any row
+def test_corridor_search_state_stays_in_the_corridor(level_seven, monkeypatch, routes):
+    # a query folds its corridor or runs one heap search; the search keeps
+    # dist and pred only on the corridor it may enter, and an endpoint
+    # inside an arc overlays its arcs without touching any row.  Stretched
+    # corridors nearly always fold, so sg ties supply the heap runs
     model, graph = level_seven
     rows = [tuple(row) for row in graph.neighbors]
     searches, real = [], metric._dijkstra
 
     def recorded(graph, source, extra=None, allowed=None):
         dist, pred = real(graph, source, extra, allowed)
-        searches.append((set(dist), set(pred), allowed))
+        searches.append((set(dist), set(pred), allowed, graph.node_count))
         return dist, pred
 
     monkeypatch.setattr(metric, "_dijkstra", recorded)
@@ -474,15 +543,31 @@ def test_corridor_search_state_stays_in_the_corridor(level_seven, monkeypatch):
         gl.geodesic(model, point, graph.nodes[rng.integers(graph.node_count)])
         gl.geodesic(model, graph.nodes[rng.integers(graph.node_count)], point)
         gl.geodesic(model, point, _point_on(graph, arc, rng.uniform(0.02, 0.98)))
-    assert len(searches) == 80
-    for reached, preceded, allowed in searches:
+    assert routes["fold"] + len(searches) == 80
+    sg = gl.build_model("sg", 5)
+    sg_nodes = to_metric_graph(sg).nodes
+    for a, b in rng.integers(0, len(sg_nodes), size=(40, 2)):
+        gl.geodesic(sg, sg_nodes[a], sg_nodes[b])
+    assert routes["fold"] + len(searches) == 120 and searches
+    for reached, preceded, allowed, nodes in searches:
         assert reached <= allowed and preceded <= reached
-        assert len(reached) <= len(allowed) < graph.node_count
+        assert len(reached) <= len(allowed) < nodes
     assert graph.neighbors is graph.neighbors  # built once, not per query
     assert list(graph.neighbors) == rows
 
 
-def test_edge_shorter_than_its_chord_keeps_the_search_exact():
+def test_a_folded_geodesic_builds_no_heap_rows():
+    # the fold reads the padded ``arc_rows``; the per-node ``neighbors``
+    # tuples are built only for a heap search (a fresh graph: one edge edited)
+    base = gl.build_model("stretched", 5, 0.2)
+    model = _edited_model(base, 7, 1.25 * base.edges[7].length)
+    graph = to_metric_graph(model)
+    gl.geodesic(model, graph.nodes[3], graph.nodes[-40])
+    assert "arc_rows" in vars(graph) and "neighbors" not in vars(graph)
+    _assert_same_geodesic(model, graph.nodes[3], graph.nodes[-40])   # reads ``neighbors``
+
+
+def test_edge_shorter_than_its_chord_keeps_the_search_exact(routes):
     base = gl.build_model("stretched", 3, 0.2)
     arc = 40
     model = _edited_model(base, arc, 0.5 * base.edges[arc].length)
@@ -497,13 +582,16 @@ def test_edge_shorter_than_its_chord_keeps_the_search_exact():
     for arc in joining[::3]:
         for q in graph.nodes[::9]:
             _assert_same_geodesic(model, _point_on(graph, arc, 0.3), q)
+    queries = len(graph.nodes) * len(graph.nodes[::4]) + len(joining[::3]) * len(graph.nodes[::9])
+    _assert_routes(routes, "stretched", queries)
 
 
-def test_zero_length_arc_falls_back_to_the_heap_order():
+def test_zero_length_arc_falls_back_to_the_heap_order(routes):
     # a zero-length side of a cell leaves its two corners at one distance,
     # so the third corner has two predecessors there, and which one the
     # heap settles first depends on the route, not on node ids; both lie
-    # in the corridor, which the heap then pops in its own order
+    # in the corridor, which the heap then pops in its own order.  No
+    # corridor of such a graph is folded
     base = gl.build_model("stretched", 2, 0.2)
     arc = next(i for i, e in enumerate(base.edges) if e.kind == "stretched-triangle")
     model = _edited_model(base, arc, 0.0)
@@ -512,6 +600,7 @@ def test_zero_length_arc_falls_back_to_the_heap_order():
     for p in graph.nodes:
         for q in graph.nodes:
             _assert_same_geodesic(model, p, q)
+    assert routes == {"fold": 0, "heap": graph.node_count ** 2}
 
 
 def test_locate_matches_the_full_scan_near_arcs(level_seven):
@@ -921,6 +1010,51 @@ def test_witness_with_a_zero_length_arc_matches_the_heap_witness(kind):
         assert got.ok
         assert abs(got.max_arc_violation - ref.max_arc_violation) <= 1e-15
         assert got == dataclasses.replace(ref, max_arc_violation=got.max_arc_violation)
+
+
+def reduceat_predecessors(graph, field):
+    """``_tight_predecessors`` as one ``np.minimum.reduceat`` over the runs
+    of ``arc_runs``, as it ran before the padded ``arc_rows``; kept as its
+    reference."""
+    tail, head, weight, starts = graph.arc_runs
+    cost = field[head] + weight
+    tight = np.flatnonzero(cost == np.minimum.reduceat(cost, starts)[tail])
+    return head[tight[np.diff(tail[tight], prepend=-1) != 0]]
+
+
+@pytest.mark.parametrize("variant,alpha", VARIANTS)
+def test_tight_predecessors_match_the_reduceat_reference(variant, alpha):
+    graph = to_metric_graph(gl.build_model(variant, 5, alpha))
+    for q in _sources(graph, seed=63):
+        field = distance_field(graph, int(q))
+        np.testing.assert_array_equal(metric._tight_predecessors(graph, field),
+                                      reduceat_predecessors(graph, field))
+
+
+def test_tight_predecessors_break_an_exact_tie_by_the_smaller_head():
+    # raise the weight of the arc from v's tight predecessor b until a
+    # smaller neighbour a ties with b exactly on field + weight: a must win
+    base = gl.build_model("stretched", 3, 0.2)
+    graph, q = to_metric_graph(base), 17
+    heads = graph.arc_rows[0]
+    field = distance_field(graph, q)
+    pred = metric._tight_predecessors(graph, field)
+    arc = {frozenset(ends): i for i, ends in enumerate(zip(graph.arc_u.tolist(),
+                                                           graph.arc_v.tolist()))}
+    for v in range(graph.node_count):
+        b = int(pred[v])
+        for a in heads[v][(0 <= heads[v]) & (heads[v] < b)].tolist():
+            va, vb = arc[frozenset((v, a))], arc[frozenset((v, b))]
+            weight = field[a] + graph.arc_w[va] - field[b]
+            edited = to_metric_graph(_edited_model(base, vb, float(weight)))
+            tied = distance_field(edited, q)
+            cost = tied[heads[v]] + edited.arc_rows[1][v]
+            if v != q and tied[a] + edited.arc_w[va] == tied[b] + edited.arc_w[vb] == cost.min():
+                got = metric._tight_predecessors(edited, tied)
+                np.testing.assert_array_equal(got, reduceat_predecessors(edited, tied))
+                assert got[v] == a
+                return
+    pytest.fail("no neighbour pair could be made to tie exactly")
 
 
 def test_witness_target_validation():

@@ -113,6 +113,29 @@ def test_eigenvalue_cutoff_is_taken_as_given():
         DiracSpectrum(1.0, -3).eigenvalues()
 
 
+@pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_dirac_spectrum_refuses_a_length_that_is_not_positive_and_finite(length):
+    with pytest.raises(GasketError, match="curve length must be positive"):
+        DiracSpectrum(length, 3)
+
+
+@pytest.mark.parametrize("cutoff", [-1, -3])
+def test_dirac_spectrum_refuses_a_negative_cutoff(cutoff):
+    with pytest.raises(GasketError, match="cutoff must be >= 0"):
+        DiracSpectrum(1.0, cutoff)
+
+
+@pytest.mark.parametrize("cutoff", [2.5, 3.0, math.nan, "3", None])
+def test_dirac_spectrum_refuses_a_cutoff_that_is_not_an_integer(cutoff):
+    with pytest.raises(GasketError, match="cutoff must be an integer"):
+        DiracSpectrum(1.0, cutoff)
+
+
+def test_dirac_spectrum_takes_numpy_integers_and_a_zero_cutoff():
+    assert DiracSpectrum(1.0, np.int64(0)).eigenvalues().tolist() == [math.pi / 2.0]
+    assert 0.0 < DiracSpectrum(2.0, 0).trace(2.0) < math.inf
+
+
 # -- model traces ------------------------------------------------------------
 
 def test_stretched_trace_point_two_at_two_is_six():
