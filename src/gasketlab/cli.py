@@ -160,6 +160,8 @@ def cmd_dimension(args) -> int:
     from gasketlab.serialize import format_number
 
     alpha = _require_alpha(args)
+    if np.isnan(args.tol):         # the bisection compares widths to it: never true
+        raise UsageError("--tol nan: the bracket tolerance must be a number")
     est = _dimension(args.variant, alpha, args.depth)
     if args.variant == "harmonic":
         print(f"{format_number(est.lower)},{format_number(est.upper)}")
@@ -179,6 +181,8 @@ def cmd_spectrum(args) -> int:
     alpha = _require_alpha(args)
     if args.rungs < 1:
         raise UsageError(f"--rungs {args.rungs}: the scan needs at least 1 rung")
+    if not 0.0 < args.eps_start < np.inf:
+        raise UsageError(f"--eps-start {args.eps_start}: must be finite and positive")
     _emit(_spectrum_scan(args.variant, alpha, args.depth, args.eps_start,
                          args.rungs), args.out)
     return 0

@@ -352,8 +352,8 @@ class SpreadReport:
 
 def selfaffine_mass_spread(d: float, word_length: int) -> SpreadReport:
     """Spread of norm-power cell masses across all words of one length."""
-    if d <= 0.0:
-        raise GasketError("dimension parameter d must be positive")
+    if not 0.0 < d < np.inf:       # NaN fails both comparisons
+        raise GasketError(f"dimension parameter d must be positive and finite, got {d}")
     if not 1 <= word_length <= 8:
         raise GasketError("word length limited to 1..8")
     st = harmonic.harmonic_structure()

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from gasketlab.geometry import (GasketError, GasketModel, _endpoint_nodes,
-                                _generation_starts, build_model)
+                                _generation_starts)
 
 SNAP_TOL = 1e-9
 # a node joins a geodesic's corridor when d(p, v) + d(v, q) is within this
@@ -47,17 +47,16 @@ class MetricGraph:
     ``arc_u[i]`` and ``arc_v[i]`` with weight ``arc_w[i]`` and kind
     ``arc_kind[i]``, in model edge order.  The cached properties below
     (the ``arcs`` tuple view, the sorted x column, the arc boxes sorted
-    by x-min, the arcs sorted once into runs, with the padded
-    ``arc_rows``, the ``neighbors`` rows and the arc keys read off them,
-    and the cells' corner tables) are built on first use.  A geodesic
-    query locates an endpoint by bisecting the sorted x coordinates, or by
-    projecting onto the few arcs whose box holds it (found by bisecting
-    the box x-mins), and reads the corridor of its shortest paths off the
-    corner tables.  A corridor that is one path is folded along
-    ``arc_rows``; any other is searched by the heap, which alone reads
-    ``neighbors``.  A witness check reads its distance field off the
-    corner tables, takes each node's tight predecessor in one argmin over
-    ``arc_rows`` and looks up its chains' arcs in one sorted pass.
+    by x-min, the padded ``arc_rows`` that sort every node's arcs once,
+    the ``neighbors`` rows read off them, and the cells' corner tables)
+    are built on first use.  A geodesic query locates an endpoint by
+    bisecting the sorted x coordinates, or by projecting onto the few arcs
+    whose box holds it (found by bisecting the box x-mins), and reads the
+    corridor of its shortest paths off the corner tables.  A corridor that
+    is one path is folded along ``arc_rows``; any other is searched by the
+    heap, which alone reads ``neighbors``.  A witness check reads its
+    distance field off the corner tables, and takes each node's tight
+    predecessor and its chains' arc weights from ``arc_rows``.
     """
 
     level: int
@@ -99,56 +98,44 @@ class MetricGraph:
         return boxes[0].tolist(), ids[order], boxes, width
 
     @cached_property
-    def arc_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Both directions of every arc as (tail, head, weight) arrays sorted
-        by tail, head, then weight, and the index where each tail's run
-        starts.  Arcs are undirected, so the run of v also lists the arcs
-        into v; every node is an arc end, so run v belongs to node v."""
+    def arc_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both directions of every arc, sorted by tail, head, then weight,
+        as padded rows: the heads and weights of the arcs out of node v in
+        row v of two n x max-degree arrays, padded with head -1 and weight
+        inf.  Arcs are undirected, so row v also lists the arcs into v.
+        The pad names no node, real or virtual; a gather through it reads
+        the last entry, which the inf weight outweighs."""
         tail = np.concatenate([self.arc_u, self.arc_v])
         head = np.concatenate([self.arc_v, self.arc_u])
         weight = np.concatenate([self.arc_w, self.arc_w])
         order = np.lexsort((weight, head, tail))
         tail = tail[order]
-        return tail, head[order], weight[order], np.flatnonzero(np.diff(tail, prepend=-1))
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per node, the (neighbour, weight) pairs of its arc run, sorted by
-        neighbour, then weight, which fixes Dijkstra's tie-breaking; the
-        heap loop iterates these tuples faster than index arrays.  Only a
-        heap search reads them."""
-        _, head, weight, starts = self.arc_runs
-        pairs = list(zip(head.tolist(), weight.tolist()))
-        ends = starts.tolist() + [len(pairs)]
-        return tuple(tuple(pairs[a:b]) for a, b in zip(ends, ends[1:]))
-
-    @cached_property
-    def arc_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """``arc_runs`` as padded rows: the heads and weights of node v's
-        run in row v of two n x max-degree arrays, padded with head -1 and
-        weight inf.  The pad names no node, real or virtual; a gather
-        through it reads the last entry, which the inf weight outweighs."""
-        tail, head, weight, starts = self.arc_runs
-        col = np.arange(len(tail)) - starts[tail]
-        shape = (self.node_count, int(col.max()) + 1)
+        degree = np.bincount(tail, minlength=self.node_count)
+        col = np.arange(len(tail)) - (np.cumsum(degree) - degree)[tail]
+        shape = (self.node_count, int(degree.max()))
         heads, weights = np.full(shape, -1), np.full(shape, np.inf)
-        heads[tail, col], weights[tail, col] = head, weight
+        heads[tail, col], weights[tail, col] = head[order], weight[order]
         for arr in (heads, weights):
             arr.flags.writeable = False
         return heads, weights
+
+    @cached_property
+    def neighbors(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per node, the (neighbour, weight) pairs of its ``arc_rows`` row
+        without the pad, which fixes Dijkstra's tie-breaking; the heap loop
+        iterates these tuples faster than index arrays.  Only a heap search
+        reads them."""
+        heads, weights = self.arc_rows
+        real = heads >= 0
+        pairs = list(zip(heads[real].tolist(), weights[real].tolist()))
+        ends = np.cumsum(np.count_nonzero(real, axis=1)).tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
 
     @cached_property
     def weights_positive(self) -> bool:
         """Whether every arc weight is positive: no two nodes are at
         distance 0, so a node's distance ties no neighbour's."""
         return bool((self.arc_w > 0).all())
-
-    @cached_property
-    def arc_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted keys tail * n + head of both directions of every arc, and
-        their weights; the lightest of parallel arcs comes first."""
-        tail, head, weight, _ = self.arc_runs
-        return tail * self.node_count + head, weight
 
     @cached_property
     def corner_tables(self) -> Optional[_CornerTables]:
@@ -199,25 +186,23 @@ def _graph_of_model(model: GasketModel) -> MetricGraph:
     return _assemble_graph(model)
 
 
-def to_metric_graph(model: GasketModel, level: Optional[int] = None) -> MetricGraph:
-    """Metric graph of a built model, optionally at a coarser level."""
+def to_metric_graph(model: GasketModel) -> MetricGraph:
+    """Metric graph of a built model, at its level."""
     if model.variant == "harmonic":
         raise GasketError("geodesics on the harmonic gasket are out of scope")
-    if level is None or level == model.level:
-        return _graph_of_model(model)
-    if level > model.level:
-        raise GasketError(f"level {level} exceeds model level {model.level}")
-    return _graph_of_model(build_model(model.variant, level, model.alpha))
+    return _graph_of_model(model)
 
 
 def _dijkstra(graph: MetricGraph, source: int,
-              extra: Optional[dict[int, tuple[tuple[int, float], ...]]] = None,
+              overlay: Optional[dict[tuple[int, int], float]] = None,
               allowed: Optional[set[int]] = None):
     """Shortest paths from ``source``: a binary-heap Dijkstra keyed by
     (distance, node) over the sorted ``neighbors`` rows, run to
     exhaustion, so ties break by smaller node id and paths are
-    deterministic.  ``extra`` gives the full row (``neighbors`` row, then
-    overlay arcs) of each node a virtual endpoint touches.
+    deterministic.  ``overlay`` maps (tail, head) to the weight of each
+    arc the virtual ends add (see ``geodesic``); a node reads its
+    overlay arcs after its ``neighbors`` row, in insertion order, and a
+    virtual node reads only those.
 
     With ``allowed``, a set of node ids (virtual ones included), the
     search relaxes only arcs into allowed nodes and keeps state for them
@@ -234,9 +219,11 @@ def _dijkstra(graph: MetricGraph, source: int,
     or for the witness chains of a graph with a zero-length arc.  Returns
     the ``(dist, pred)`` dicts; dist is inf on allowed nodes not reached.
     """
-    rows, extra = graph.neighbors, extra or {}
-    dist = dict.fromkeys(range(graph.node_count + 2) if allowed is None else allowed,
-                         math.inf)
+    rows, n = graph.neighbors, graph.node_count
+    added: dict[int, tuple[tuple[int, float], ...]] = {}
+    for (a, b), w in (overlay or {}).items():
+        added[a] = added.get(a, ()) + ((b, w),)
+    dist = dict.fromkeys(range(n + 2) if allowed is None else allowed, math.inf)
     dist[source], pred = 0.0, {}
     # a node outside ``allowed`` reads -inf, so no arc into it relaxes
     get, outside = dist.get, -math.inf
@@ -246,7 +233,8 @@ def _dijkstra(graph: MetricGraph, source: int,
         d, u = pop(heap)
         if d > dist[u]:
             continue
-        for v, w in extra[u] if u in extra else rows[u]:
+        row = rows[u] if u < n else ()
+        for v, w in row + added[u] if u in added else row:
             nd = d + w
             if nd < get(v, outside):
                 dist[v] = nd
@@ -596,12 +584,7 @@ class GeodesicResult:
     error_bar: float
 
 
-def geodesic(
-    model: GasketModel,
-    p,
-    q,
-    level: Optional[int] = None,
-) -> GeodesicResult:
+def geodesic(model: GasketModel, p, q) -> GeodesicResult:
     """Shortest-path distance between two points of the structure.
 
     Points must lie on the level's graph (nodes, joining-segment
@@ -621,42 +604,38 @@ def geodesic(
     d(p, .), its steps' weights are summed by ``np.cumsum``
     (``_corridor_path``), about 0.7 ms per geodesic on a 2-vCPU x86 VM;
     otherwise the heap search runs over the corridor only, its state in
-    dicts over the corridor and a virtual end's arcs in full rows beside
-    the shared ``neighbors``.  Either way distances and paths are those of
-    the unrestricted (distance, node)-heap Dijkstra, bit for bit.  Any
-    other graph runs that full search.
+    dicts over the corridor.  Both read the arcs a virtual end adds from
+    one overlay, ``{(a, b): weight}`` in both directions, which the heap
+    appends to the shared ``neighbors`` rows.  Either way distances and
+    paths are those of the unrestricted (distance, node)-heap Dijkstra,
+    bit for bit.  Any other graph runs that full search.
     """
-    graph = to_metric_graph(model, level)
+    graph = to_metric_graph(model)
     n = graph.node_count
     src = _locate(graph, p, n)
     dst = _locate(graph, q, n + 1)
+    overlay: dict[tuple[int, int], float] = {}
+    for ep in (src, dst):
+        for v, w in ep.extra:
+            overlay[ep.node, v] = overlay[v, ep.node] = w
     direct = math.inf
     if src.arc is not None and src.arc == dst.arc:
         # both interior to the same joining segment: include the direct piece
         a = graph.nodes[graph.arc_u[src.arc]]
         direct = float(abs(np.linalg.norm(np.asarray(p, float) - a)
                            - np.linalg.norm(np.asarray(q, float) - a)))
+        overlay[src.node, dst.node] = overlay[dst.node, src.node] = direct
     error_bar = src.snap_error + dst.snap_error
 
     tables, allowed = graph.corner_tables, None
     if tables is not None:
         nodes, near = tables.corridor(src, dst, direct)
-        walk = _corridor_path(graph, src, dst, direct, nodes, near)
+        walk = _corridor_path(graph, src, dst, overlay, nodes, near)
         if walk is not None:
             return GeodesicResult(*walk, graph.level, error_bar)
         allowed = set(nodes.tolist()) | {n, n + 1}
 
-    # full rows of the virtual ends and of the nodes they touch
-    extra: dict[int, tuple[tuple[int, float], ...]] = {}
-    for ep in (src, dst):
-        if ep.arc is not None:
-            extra[ep.node] = ep.extra
-            for v, w in ep.extra:
-                extra[v] = extra.get(v, graph.neighbors[v]) + ((ep.node, w),)
-    if direct < math.inf:
-        extra[src.node] += ((dst.node, direct),)
-        extra[dst.node] += ((src.node, direct),)
-    dist, pred = _dijkstra(graph, src.node, extra, allowed)
+    dist, pred = _dijkstra(graph, src.node, overlay, allowed)
     d = dist[dst.node]
     if math.isinf(d):
         raise GasketError("endpoints are not connected (construction bug)")
@@ -666,7 +645,8 @@ def geodesic(
     return GeodesicResult(d, tuple(reversed(path)), graph.level, error_bar)
 
 
-def _corridor_path(graph: MetricGraph, src: _Endpoint, dst: _Endpoint, direct: float,
+def _corridor_path(graph: MetricGraph, src: _Endpoint, dst: _Endpoint,
+                   overlay: dict[tuple[int, int], float],
                    nodes: np.ndarray, near: np.ndarray) -> Optional[tuple[float, tuple]]:
     """(distance, path) of a corridor that carries one path only, else None.
 
@@ -674,41 +654,42 @@ def _corridor_path(graph: MetricGraph, src: _Endpoint, dst: _Endpoint, direct: f
     distances ``near`` from p.  With a virtual source put first and a
     virtual target last, that order is the path when every arc weight is
     positive, d(p, .) strictly increases along it, each step is an arc,
-    and the corridor's induced graph, overlay and direct arcs included,
-    has no other arc.  The heap search confined to the corridor can then
+    and the corridor's induced graph, ``overlay``'s arcs included, has no
+    other arc.  The heap search confined to the corridor can then
     walk only that path, and its distance is the left fold from 0.0 of the
     steps' lightest weights, which ``np.cumsum`` takes in the same order.
     """
     if not graph.weights_positive or (near[1:] <= near[:-1]).any():
         return None
-    heads, weights = graph.arc_rows
-    inside = np.zeros(graph.node_count + 1, dtype=bool)   # slot n answers the pad -1
+    n = graph.node_count
+    inside = np.zeros(n + 1, dtype=bool)       # slot n answers the pad -1
     inside[nodes] = True
-    arcs = np.count_nonzero(inside[heads[nodes]]) // 2    # each real arc seen from both ends
-    overlay = {}                   # (end, node) -> weight of the arcs a virtual end adds
-    for ep in (src, dst):
-        if ep.arc is not None:
-            for v, w in ep.extra:
-                overlay[ep.node, v] = overlay[v, ep.node] = w
-                arcs += int(inside[v])
-    if direct < math.inf:
-        overlay[src.node, dst.node] = direct
-        arcs += 1
+    # each arc of the induced graph is seen from both ends: a real one in
+    # two rows, an overlay one in both directions (virtual ends are kept)
+    ends = np.count_nonzero(inside[graph.arc_rows[0][nodes]]) + sum(
+        (a >= n or inside[a]) and (b >= n or inside[b]) for a, b in overlay)
     real = nodes.tolist()
     lead = [src.node] if src.arc is not None else []
     trail = [dst.node] if dst.arc is not None else []
     path = lead + real + trail
-    if path[0] != src.node or path[-1] != dst.node or arcs != len(path) - 1:
+    if path[0] != src.node or path[-1] != dst.node or ends != 2 * (len(path) - 1):
         return None
-    tails = nodes[:-1]
-    steps = np.where(heads[tails] == nodes[1:, None], weights[tails], math.inf)
     steps = np.concatenate([
         [overlay.get((path[0], path[1]), math.inf)] if lead else [],
-        reduce(np.minimum, steps.T),           # per row, as _least does
+        _lightest_arcs(graph, nodes[:-1], nodes[1:]),
         [overlay.get((path[-2], path[-1]), math.inf)] if trail and real else []])
     if not (steps < math.inf).all():           # a step that is no arc
         return None
     return float(np.cumsum(steps)[-1]) if len(steps) else 0.0, tuple(path)
+
+
+def _lightest_arcs(graph: MetricGraph, tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """The lightest arc weight from each tail to its head, inf where no
+    arc joins them: one gather of the tails' ``arc_rows``, reduced per
+    row as ``_least`` does."""
+    rows, weights = graph.arc_rows
+    found = np.where(rows[tails] == heads[:, None], weights[tails], math.inf)
+    return reduce(np.minimum, found.T)
 
 
 @dataclass(frozen=True)
@@ -740,8 +721,8 @@ def _chains_attain(graph: MetricGraph, field: np.ndarray, pred: Sequence[int],
     Chains of several targets share their parts near q, so each node is
     walked once: its chain length is S(v) = S(pred v) + w(pred v, v) with
     S(q) = 0.0, the same left fold from q that summing each chain does.
-    The steps' lightest arcs are found in one sorted lookup over
-    ``arc_keys``, and ``pred`` is read only at the walked nodes.
+    The steps' lightest arcs are found in one ``_lightest_arcs`` gather,
+    and ``pred`` is read only at the walked nodes.
     """
     if field[q] != 0.0:
         return False
@@ -763,12 +744,10 @@ def _chains_attain(graph: MetricGraph, field: np.ndarray, pred: Sequence[int],
             return False
         walks.append((start, len(steps)))
     heads = np.array(steps, dtype=np.int64)
-    wanted = pred[heads] * graph.node_count + heads
-    keys, weights = graph.arc_keys
-    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
-    if not np.array_equal(keys[at], wanted):
+    found = _lightest_arcs(graph, pred[heads], heads)
+    if not (found < math.inf).all():           # a step that is no arc
         return False
-    found = weights[at].tolist()
+    found = found.tolist()
     length = {q: 0.0}
     for start, end in walks:       # each walk from its known end outward
         for i in reversed(range(start, end)):
@@ -796,13 +775,8 @@ def _tight_predecessors(graph: MetricGraph, field: np.ndarray) -> np.ndarray:
     return heads.ravel()[np.arange(0, heads.size, heads.shape[1]) + best]
 
 
-def lipschitz_witness_check(
-    model: GasketModel,
-    q: int,
-    level: Optional[int] = None,
-    n_targets: int = 20,
-    seed: int = 0,
-) -> WitnessReport:
+def lipschitz_witness_check(model: GasketModel, q: int, n_targets: int = 20,
+                            seed: int = 0) -> WitnessReport:
     """Check that h = d(., q) witnesses the spectral distance.
 
     The distance field from q must be 1-Lipschitz along every arc (its
@@ -818,7 +792,7 @@ def lipschitz_witness_check(
     with a zero-length arc takes its chains from the heap ``_dijkstra``
     instead, since the ends of such an arc can name each other.
     """
-    graph = to_metric_graph(model, level)
+    graph = to_metric_graph(model)
     if not 0 <= q < graph.node_count:
         raise GasketError(f"witness target {q} is not a node id")
     field = distance_field(graph, q)

@@ -84,14 +84,14 @@ def test_criterion_04_curve_trace_oracle():
 
 
 def test_criterion_05_geodesic_recovery():
-    model = gl.build_model("stretched", 6, 0.2)
     for level in range(1, 7):
-        res = gl.geodesic(model, (0.0, 0.0), (1.0, 0.0), level)
+        res = gl.geodesic(gl.build_model("stretched", level, 0.2), (0.0, 0.0), (1.0, 0.0))
         assert res.distance == pytest.approx(1.0, abs=1e-12)
-    graph = to_metric_graph(model, 4)
+    model = gl.build_model("stretched", 4, 0.2)
+    graph = to_metric_graph(model)
     rng = np.random.default_rng(0)
     for target in rng.integers(0, graph.node_count, size=20):
-        report = gl.lipschitz_witness_check(model, int(target), level=4)
+        report = gl.lipschitz_witness_check(model, int(target))
         assert report.ok
         assert report.max_arc_violation <= 1e-12
     _report(5, "unit bottom geodesic at levels 1..6, witness check at 20 "

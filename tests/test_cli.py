@@ -255,6 +255,24 @@ def test_bracket_at_zero_tolerance_ends_and_encloses_the_closed_form():
     assert hi - lo <= 2 * GROWTH_ROUNDING * hi + 2 * math.ulp(hi)
 
 
+def test_nan_bracket_tolerance_is_usage_error(capsys):
+    # NaN compares false, so the bisection never ran and the verb printed
+    # the untouched p_range as its bracket
+    assert main(["dimension", "--variant", "stretched", "--alpha", "0.2",
+                 "--bracket", "--tol", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --tol nan")
+
+
+def test_negative_bracket_tolerance_acts_as_zero(capsys):
+    argv = ["dimension", "--variant", "stretched", "--alpha", "0.2", "--bracket", "--tol"]
+    assert main([*argv, "-1"]) == 0
+    negative = capsys.readouterr().out
+    assert main([*argv, "0"]) == 0
+    assert capsys.readouterr().out == negative
+
+
 def test_dimension_verb_harmonic_interval(capsys):
     assert main(["dimension", "--variant", "harmonic", "--depth", "2"]) == 0
     lo, hi = (float(v) for v in capsys.readouterr().out.strip().split(","))
@@ -297,6 +315,25 @@ def test_compare_verb(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert set(doc) == {"L", "d", "min", "max", "ratio"}
     assert doc["ratio"] > 1.0
+
+
+@pytest.mark.parametrize("d", ["nan", "inf"])
+def test_compare_refuses_a_non_finite_d(capsys, d):
+    # nan printed "d": NaN, which is not JSON, and inf a NaN ratio; both exited 0
+    assert main(["compare", "--d", d, "--length", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dimension parameter d must be positive and finite")
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan", "0", "-1"])
+def test_spectrum_eps_start_must_be_finite_and_positive(capsys, eps):
+    # inf printed inf,nan,0,nan rows and exited 0; 0 and -1 died with
+    # "trace diverges" and exit 1
+    assert main(["spectrum", "--variant", "sg", "--eps-start", eps, "--rungs", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: --eps-start")
 
 
 def test_spectrum_verb_csv(tmp_path):

@@ -429,6 +429,10 @@ def test_spread_validation():
         gl.selfaffine_mass_spread(0.0, 2)
     with pytest.raises(GasketError):
         gl.selfaffine_mass_spread(1.5, 9)
+    # nan passed the d <= 0 test and reported d = NaN; inf reported a NaN ratio
+    for d in (np.nan, np.inf):
+        with pytest.raises(GasketError, match="positive and finite"):
+            gl.selfaffine_mass_spread(d, 3)
 
 
 def test_selfaffine_cell_mass_is_word_count_uniform():

@@ -252,7 +252,7 @@ def test_tuple_views_match_old_style_rebuild(variant, alpha):
 def test_graph_cache_hits_and_coarse_levels():
     model = gl.build_model("stretched", 4, 0.2)
     assert to_metric_graph(model) is to_metric_graph(model)
-    coarse = to_metric_graph(model, 2)
+    coarse = to_metric_graph(gl.build_model("stretched", 2, 0.2))
     direct = to_metric_graph(gl.build_model("stretched", 2, 0.2))
     assert coarse.level == 2
     assert coarse is direct                    # equal models share one graph
@@ -289,9 +289,9 @@ def test_harmonic_graphs_are_out_of_scope():
 # -- geodesics ---------------------------------------------------------------
 
 def test_bottom_boundary_telescopes_to_one():
-    model = gl.build_model("stretched", 3, 0.2)
     for level in (1, 2, 3):
-        res = gl.geodesic(model, (0.0, 0.0), (1.0, 0.0), level)
+        model = gl.build_model("stretched", level, 0.2)
+        res = gl.geodesic(model, (0.0, 0.0), (1.0, 0.0))
         assert res.distance == pytest.approx(1.0, abs=1e-12)
         assert res.error_bar == 0.0
 
@@ -591,7 +591,9 @@ def test_zero_length_arc_falls_back_to_the_heap_order(routes):
     # so the third corner has two predecessors there, and which one the
     # heap settles first depends on the route, not on node ids; both lie
     # in the corridor, which the heap then pops in its own order.  No
-    # corridor of such a graph is folded
+    # corridor of such a graph is folded.  Ends inside joining arcs reach
+    # the heap through the overlay: both on one arc (the direct piece),
+    # or on two arcs
     base = gl.build_model("stretched", 2, 0.2)
     arc = next(i for i, e in enumerate(base.edges) if e.kind == "stretched-triangle")
     model = _edited_model(base, arc, 0.0)
@@ -600,7 +602,14 @@ def test_zero_length_arc_falls_back_to_the_heap_order(routes):
     for p in graph.nodes:
         for q in graph.nodes:
             _assert_same_geodesic(model, p, q)
-    assert routes == {"fold": 0, "heap": graph.node_count ** 2}
+    joining = np.flatnonzero(np.array(graph.arc_kind) == "stretched-joining")
+    ends = [(_point_on(graph, a, s), _point_on(graph, a, t))
+            for a in joining for s, t in ((0.3, 0.7), (0.8, 0.1))]
+    ends += [(_point_on(graph, a, 0.4), _point_on(graph, b, 0.6))
+             for a in joining for b in joining if a != b]
+    for p, q in ends:
+        _assert_same_geodesic(model, p, q)
+    assert routes == {"fold": 0, "heap": graph.node_count ** 2 + len(ends)}
 
 
 def test_locate_matches_the_full_scan_near_arcs(level_seven):
@@ -724,21 +733,20 @@ def test_geodesic_dominates_euclidean():
 
 
 def test_level_stability_for_coarse_vertices():
-    model = gl.build_model("stretched", 5, 0.2)
-    coarse = to_metric_graph(model, 2)
+    models = {level: gl.build_model("stretched", level, 0.2) for level in range(2, 6)}
+    coarse = to_metric_graph(models[2])
     rng = np.random.default_rng(6)
     pairs = rng.integers(0, coarse.node_count, size=(8, 2))
     for a, b in pairs:
-        base = gl.geodesic(model, coarse.nodes[a], coarse.nodes[b], 2).distance
+        base = gl.geodesic(models[2], coarse.nodes[a], coarse.nodes[b]).distance
         for level in (3, 4, 5):
-            again = gl.geodesic(model, coarse.nodes[a], coarse.nodes[b], level)
+            again = gl.geodesic(models[level], coarse.nodes[a], coarse.nodes[b])
             assert again.distance == pytest.approx(base, abs=1e-12)
 
 
 def test_sg_bottom_edge_is_unit_at_every_level():
-    model = gl.build_model("sg", 5)
     for level in range(1, 6):
-        res = gl.geodesic(model, (0.0, 0.0), (1.0, 0.0), level)
+        res = gl.geodesic(gl.build_model("sg", level), (0.0, 0.0), (1.0, 0.0))
         assert res.distance == pytest.approx(1.0, abs=1e-12)
 
 
@@ -1013,10 +1021,15 @@ def test_witness_with_a_zero_length_arc_matches_the_heap_witness(kind):
 
 
 def reduceat_predecessors(graph, field):
-    """``_tight_predecessors`` as one ``np.minimum.reduceat`` over the runs
-    of ``arc_runs``, as it ran before the padded ``arc_rows``; kept as its
-    reference."""
-    tail, head, weight, starts = graph.arc_runs
+    """``_tight_predecessors`` as one ``np.minimum.reduceat`` over both
+    directions of every arc sorted into runs by tail, head and weight, as
+    it ran before the padded ``arc_rows``; kept as its reference."""
+    tail = np.concatenate([graph.arc_u, graph.arc_v])
+    head = np.concatenate([graph.arc_v, graph.arc_u])
+    weight = np.concatenate([graph.arc_w, graph.arc_w])
+    order = np.lexsort((weight, head, tail))
+    tail, head, weight = tail[order], head[order], weight[order]
+    starts = np.flatnonzero(np.diff(tail, prepend=-1))
     cost = field[head] + weight
     tight = np.flatnonzero(cost == np.minimum.reduceat(cost, starts)[tail])
     return head[tight[np.diff(tail[tight], prepend=-1) != 0]]
