@@ -28,18 +28,9 @@ _EXPORTS = {
         "build_model",
         "compose_word",
         "generator_map",
-        "model_vertices",
     ),
     "harmonic": (
-        "VertexFunction",
-        "boundary_function",
-        "energy",
-        "estimate_edge_length",
-        "harmonic_extend",
         "harmonic_structure",
-        "m_word_norm",
-        "phi",
-        "renormalized_energy",
     ),
     "metric": (
         "GeodesicResult",
@@ -54,7 +45,6 @@ _EXPORTS = {
         "functional_sample",
         "harmonic_midpoint_functional",
         "joining_edge_functional",
-        "self_affinity_residual",
         "selfaffine_mass_spread",
         "sg_midpoint_functional",
     ),

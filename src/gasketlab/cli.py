@@ -88,7 +88,7 @@ def _spectrum_scan(variant: str, alpha: Optional[float], depth: int,
     from gasketlab import spectrum
     from gasketlab.serialize import format_number
 
-    eps = eps_start * 0.5 ** np.arange(rungs)
+    eps = spectrum._ladder_eps(eps_start, rungs)
     if variant == "harmonic":
         est = spectrum.kh_dimension_interval(depth)
         ds = 0.5 * (est.lower + est.upper)

@@ -160,10 +160,6 @@ class AffineMap:
     def identity(cls, dim: int) -> "AffineMap":
         return cls(np.eye(dim), np.zeros(dim))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return x @ self.matrix.T + self.offset
@@ -172,9 +168,6 @@ class AffineMap:
         """Composition self . other (apply ``other`` first)."""
         return AffineMap(self.matrix @ other.matrix,
                          self.matrix @ other.offset + self.offset)
-
-    def spectral_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix, 2))
 
 
 def _stretched_matrices(alpha: float) -> list[np.ndarray]:
@@ -234,17 +227,6 @@ def compose_word(
     return out
 
 
-def cell_map(variant: str, word: "Word | str | Sequence[int]",
-             alpha: Optional[float] = None) -> AffineMap:
-    """Map sending the outer triangle onto the cell addressed by ``word``.
-
-    Addresses are read root-first, so this is ``compose_word`` of the
-    reversed word.
-    """
-    w = as_word(word)
-    return compose_word(variant, tuple(reversed(w.letters)), alpha)
-
-
 # ---------------------------------------------------------------------------
 # Triangle meshes
 # ---------------------------------------------------------------------------
@@ -263,10 +245,6 @@ class TriangleMesh:
     level: int
     points: np.ndarray
     cells: np.ndarray
-
-    @property
-    def cell_count(self) -> int:
-        return self.cells.shape[0]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -389,14 +367,6 @@ def cell_index(word: "Word | str | Sequence[int]") -> int:
     for letter in w.letters:
         idx = idx * 3 + (letter - 1)
     return idx
-
-
-def index_word(level: int, index: int) -> Word:
-    digits = []
-    for _ in range(level):
-        digits.append(index % 3 + 1)
-        index //= 3
-    return Word(tuple(reversed(digits)))
 
 
 # ---------------------------------------------------------------------------
@@ -643,16 +613,17 @@ def build_model(
                        _edge_table(meshes[level].points, ends, runs))
 
 
-def _endpoint_nodes(model: GasketModel, decimals: int = 12):
+def _endpoint_nodes(model: GasketModel):
     """Deduplicated edge endpoints and the node id of every endpoint.
 
-    Nodes are the endpoints rounded at ``decimals`` and sorted
+    Nodes are the endpoints rounded at 12 decimals, which merges
+    coincident endpoints at double precision, and sorted
     lexicographically (x, then y); ``inverse[i]`` is the node of the p end
     of edge i and ``inverse[m + i]`` that of its q end, m = edge count.
     Same output as ``np.unique(..., axis=0, return_inverse=True)``, from a
     column-wise ``np.lexsort`` instead of its much slower row sort.
     """
-    pts = np.round(np.concatenate([model.edges.p, model.edges.q]), decimals)
+    pts = np.round(np.concatenate([model.edges.p, model.edges.q]), 12)
     order = np.lexsort(pts.T[::-1])
     ranked = pts[order]
     fresh = np.ones(len(pts), dtype=bool)
@@ -660,12 +631,3 @@ def _endpoint_nodes(model: GasketModel, decimals: int = 12):
     inverse = np.empty(len(pts), dtype=np.int64)
     inverse[order] = np.cumsum(fresh) - 1
     return ranked[fresh], inverse
-
-
-def model_vertices(model: GasketModel, tol: float = 1e-12) -> np.ndarray:
-    """Deduplicated edge endpoints, sorted lexicographically.
-
-    Coordinates are dyadic-rational combinations of sqrt(3); rounding at
-    ``tol`` suffices to merge coincident endpoints at double precision.
-    """
-    return _endpoint_nodes(model, max(0, round(-math.log10(tol))))[0]

@@ -1,4 +1,4 @@
-"""Discrete energy forms on the gasket and the harmonic embedding.
+"""The harmonic embedding of the gasket and its image-edge length bounds.
 
 The vertex energy at level n is the sum of squared differences over the
 3^(n+1) cell-edge pairs, each pair counted once.  Extending vertex data
@@ -7,8 +7,7 @@ three new midpoint values of a cell depend only on its corner values,
 through a linear rule derived here by solving the normal equations of
 the one-cell quadratic form (it comes out as (2a+2b+c)/5 for the
 midpoint opposite c).  Under that extension the energy contracts by
-exactly 3/5 per level, so (5/3)^n E_n is the level-independent
-renormalized energy.
+exactly 3/5 per level.
 
 Embedding the gasket through the triple of harmonic functions with
 Kronecker boundary data,
@@ -24,11 +23,12 @@ of the flat gasket.  (The axis unit vectors q_j of the contractions have
 the corner images at q_j/sqrt(3); the corner image, not q_j itself, is
 the fixed point under this normalization of Phi.)
 
-Image edges have no closed-form length; ``estimate_edge_length`` brackets
-them between a dyadic polyline length (below) and a sampled-diameter
-envelope (above).  Both come from one exact identity: Phi is affine in
-(h1, h2, h3) with h1 + h2 + h3 = 1, and h . f_w is harmonic with corner
-values h(f_w p_j), so for every base point y
+Image edges have no closed-form length; ``edge_length_tables`` brackets
+every edge of generations 0..n between a dyadic polyline length (below)
+and a sampled-diameter envelope (above).  Both come from one exact
+identity: Phi is affine in (h1, h2, h3) with h1 + h2 + h3 = 1, and
+h . f_w is harmonic with corner values h(f_w p_j), so for every base
+point y
 
     Phi(f_w y) = sum_j h_j(y) Phi(f_w p_j).
 
@@ -50,7 +50,6 @@ from functools import lru_cache, wraps
 import numpy as np
 
 from gasketlab.geometry import (
-    CORNERS,
     GasketError,
     GasketModel,
     ResourceCapError,
@@ -72,34 +71,12 @@ SQRT6 = math.sqrt(6.0)
 
 
 # ---------------------------------------------------------------------------
-# Vertex functions and energy
+# Vertex counts and the minimizing midpoint rule
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VertexFunction:
-    """Real-valued data on the level-n vertex set, in canonical id order."""
-
-    level: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        expected = vertex_count(self.level)
-        if values.shape != (expected,):
-            raise GasketError(
-                f"level {self.level} needs {expected} values, got {values.shape}"
-            )
-        object.__setattr__(self, "values", values)
 
 
 def vertex_count(level: int) -> int:
     return 3 * (3 ** level + 1) // 2
-
-
-def boundary_function(a: float, b: float, c: float) -> VertexFunction:
-    """Level-0 data with values (a, b, c) at the corners p1, p2, p3."""
-    return VertexFunction(0, np.array([a, b, c], dtype=float))
 
 
 def _derive_midpoint_rule() -> np.ndarray:
@@ -126,38 +103,6 @@ def _derive_midpoint_rule() -> np.ndarray:
 
 
 MIDPOINT_RULE = _derive_midpoint_rule()
-
-
-def energy(fn: VertexFunction) -> float:
-    """Level-n energy: squared differences over cell edges, each pair once.
-
-    Two cells share at most one vertex, so iterating the three corner
-    pairs of every cell counts each neighbor pair exactly once.
-    """
-    cells = sg_hierarchy(fn.level)[fn.level].cells
-    v = fn.values[cells]
-    return float(((v[:, 0] - v[:, 1]) ** 2
-                  + (v[:, 0] - v[:, 2]) ** 2
-                  + (v[:, 1] - v[:, 2]) ** 2).sum())
-
-
-def harmonic_extend(fn: VertexFunction) -> VertexFunction:
-    """Minimal-energy extension to the next vertex set.
-
-    Applies the midpoint rule cell by cell; new values are appended in
-    the canonical id order of the refined mesh.
-    """
-    cells = sg_hierarchy(fn.level)[fn.level].cells
-    corner_vals = fn.values[cells]                     # (C, 3)
-    new_vals = corner_vals @ MIDPOINT_RULE.T           # (C, 3) = m_ab, m_ac, m_bc
-    return VertexFunction(
-        fn.level + 1, np.concatenate([fn.values, new_vals.reshape(-1)])
-    )
-
-
-def renormalized_energy(fn: VertexFunction) -> float:
-    """(5/3)^n E_n; constant in n along harmonic extensions."""
-    return (5.0 / 3.0) ** fn.level * energy(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -189,26 +134,6 @@ def phi_coordinates(level: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=16)
-def _vertex_lookup(level: int) -> dict[tuple[float, float], int]:
-    pts = sg_hierarchy(level)[level].points
-    return {tuple(np.round(p, 12)): i for i, p in enumerate(pts)}
-
-
-def vertex_id(point, level: int) -> int:
-    """Canonical id of a level-n vertex, matched to 1e-12."""
-    key = tuple(np.round(np.asarray(point, dtype=float), 12))
-    table = _vertex_lookup(level)
-    if key not in table:
-        raise GasketError(f"{point} is not a vertex of the level-{level} gasket")
-    return table[key]
-
-
-def phi(point, level: int) -> np.ndarray:
-    """Harmonic-embedding image of one level-n vertex."""
-    return phi_coordinates(level)[vertex_id(point, level)]
-
-
 # ---------------------------------------------------------------------------
 # Affine structure of the harmonic gasket
 # ---------------------------------------------------------------------------
@@ -233,31 +158,22 @@ class HarmonicStructure:
     corner_images: np.ndarray
 
 
-def _make_structure(qprime_sign: float) -> HarmonicStructure:
+@lru_cache(maxsize=1)
+def harmonic_structure() -> HarmonicStructure:
+    """Structure constants, built once; the arrays are read-only."""
     projector = (np.full((3, 3), -1.0) + 3.0 * np.eye(3)) / 3.0
     axes = 3.0 * projector / SQRT6                       # columns q_j
     normal = np.ones(3) / SQRT3
-    perps = np.stack([qprime_sign * np.cross(normal, axes[:, j])
-                      for j in range(3)], axis=1)
+    perps = np.stack([np.cross(normal, axes[:, j]) for j in range(3)], axis=1)
     contractions = tuple(
         0.6 * np.outer(axes[:, j], axes[:, j])
         + 0.2 * np.outer(perps[:, j], perps[:, j])
         for j in range(3)
     )
-    for arr in contractions:
-        arr.flags.writeable = False
     images = axes / SQRT3
-    for arr in (projector, axes, perps, images):
+    for arr in (projector, axes, perps, images, *contractions):
         arr.flags.writeable = False
     return HarmonicStructure(projector, axes, perps, contractions, images)
-
-
-@lru_cache(maxsize=4)
-def harmonic_structure(qprime_sign: float = 1.0) -> HarmonicStructure:
-    """Structure constants; ``qprime_sign`` flips the q' orientation."""
-    if qprime_sign not in (1.0, -1.0):
-        raise GasketError("qprime_sign must be +1.0 or -1.0")
-    return _make_structure(qprime_sign)
 
 
 def corner_map(j: int) -> AffineMap:
@@ -267,33 +183,6 @@ def corner_map(j: int) -> AffineMap:
     st = harmonic_structure()
     return AffineMap.from_fixed_point(st.contractions[j - 1],
                                       st.corner_images[:, j - 1])
-
-
-def word_map(word) -> AffineMap:
-    """Composition of corner maps along a word, first letter applied first.
-
-    Matches the flat-gasket convention, so the intertwining with Phi
-    holds word by word.
-    """
-    w = as_word(word)
-    out = AffineMap.identity(3)
-    for letter in w.letters:
-        out = corner_map(letter).after(out)
-    return out
-
-
-def word_matrix(word, qprime_sign: float = 1.0) -> np.ndarray:
-    """Ordered product of contraction matrices along a word (first letter leftmost)."""
-    st = harmonic_structure(qprime_sign)
-    out = np.eye(3)
-    for letter in as_word(word).letters:
-        out = out @ st.contractions[letter - 1]
-    return out
-
-
-def m_word_norm(word, qprime_sign: float = 1.0) -> float:
-    """Spectral norm of the contraction-matrix product along a word."""
-    return float(np.linalg.norm(word_matrix(word, qprime_sign), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -427,22 +316,6 @@ def edge_length_tables(max_gen: int, depth: int):
     hi.flags.writeable = False
     starts = [3 * start for start in _generation_starts(max_gen)]
     return tuple((lo[a:b], hi[a:b]) for a, b in zip(starts, starts[1:]))
-
-
-def estimate_edge_length(word, local_edge: int, depth: int) -> tuple[float, float]:
-    """Length bounds for the image of one triangle edge.
-
-    ``word`` addresses the owning cell, ``local_edge`` is the local index
-    1..3, ``depth`` the dyadic subdivision depth k >= 1.  Returns
-    (polyline lower bound, sampled-diameter upper bound).
-    """
-    w = as_word(word)
-    if not 1 <= local_edge <= 3:
-        raise GasketError("local edge index must be 1..3")
-    tables = edge_length_tables(len(w), depth)
-    lo, hi = tables[len(w)]
-    pos = 3 * cell_index(w) + (local_edge - 1)
-    return float(lo[pos]), float(hi[pos])
 
 
 def edge_polylines(words, local_edges, depth: int) -> np.ndarray:

@@ -41,7 +41,6 @@ from gasketlab.geometry import (
     _stacked_cells,
     build_model,
     check_alpha,
-    compose_word,
     sg_hierarchy,
     stretched_hierarchy,
 )
@@ -56,8 +55,6 @@ from gasketlab.spectrum import (
 )
 
 PointFunction = Callable[[np.ndarray], np.ndarray]
-
-FAMILIES = ("sg", "harmonic", "stretched")
 
 
 def _evaluate(f: PointFunction, points: np.ndarray) -> np.ndarray:
@@ -145,41 +142,6 @@ def harmonic_midpoint_functional(n: int, h: PointFunction) -> float:
 def joining_edge_functional(n: int, f: PointFunction, alpha: float) -> float:
     """Average of f over the endpoints of the stage-n joining segments."""
     return functional_sample("stretched-joining", n, alpha)(f)
-
-
-# ---------------------------------------------------------------------------
-# Self-affinity
-# ---------------------------------------------------------------------------
-
-
-def self_affinity_residual(
-    family: str,
-    n: int,
-    f: PointFunction,
-    alpha: Optional[float] = None,
-) -> float:
-    """|psi_{n+1}(f) - (1/3) sum_j psi_n(f . G_j)| for one functional family.
-
-    Both sides enumerate the same weighted point set, so the residual is
-    zero to rounding for every family.
-    """
-    if family not in FAMILIES:
-        raise GasketError(f"unknown family {family!r}; pick one of {FAMILIES}")
-    if family == "sg":
-        psi = lambda m, g: sg_midpoint_functional(m, g)
-        maps = [compose_word("sg", (j,)) for j in (1, 2, 3)]
-    elif family == "stretched":
-        if alpha is None:
-            raise GasketError("stretched family requires alpha")
-        psi = lambda m, g: joining_edge_functional(m, g, alpha)
-        maps = [compose_word("stretched", (j,), alpha) for j in (1, 2, 3)]
-    else:
-        psi = lambda m, g: harmonic_midpoint_functional(m, g)
-        maps = [harmonic.corner_map(j) for j in (1, 2, 3)]
-
-    lhs = psi(n + 1, f)
-    rhs = sum(psi(n, lambda pts, _g=g: f(_g(pts))) for g in maps) / 3.0
-    return abs(lhs - rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +313,10 @@ class SpreadReport:
 
 
 def selfaffine_mass_spread(d: float, word_length: int) -> SpreadReport:
-    """Spread of norm-power cell masses across all words of one length."""
+    """Spread of norm-power cell masses across all words of one length.
+
+    Refuses a ``d`` at which the smallest mass underflows to 0, where the
+    ratio would be inf or NaN."""
     if not 0.0 < d < np.inf:       # NaN fails both comparisons
         raise GasketError(f"dimension parameter d must be positive and finite, got {d}")
     if not 1 <= word_length <= 8:
@@ -364,10 +329,8 @@ def selfaffine_mass_spread(d: float, word_length: int) -> SpreadReport:
         prods = np.einsum("wij,mjk->wmik", prods, np.stack(mats2)).reshape(-1, 2, 2)
     norms = np.linalg.svd(prods, compute_uv=False)[:, 0]
     masses = 3.0 ** word_length * norms ** d
-    return SpreadReport(
-        L=word_length,
-        d=float(d),
-        min=float(masses.min()),
-        max=float(masses.max()),
-        ratio=float(masses.max() / masses.min()),
-    )
+    low, high = float(masses.min()), float(masses.max())
+    if low == 0.0:
+        raise GasketError(f"the smallest cell mass underflows to 0 at d = {d} "
+                          f"and word length {word_length}")
+    return SpreadReport(L=word_length, d=float(d), min=low, max=high, ratio=high / low)

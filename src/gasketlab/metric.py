@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
@@ -483,8 +484,7 @@ def distance_field(graph: MetricGraph, source: int) -> np.ndarray:
     Dijkstra to a few ulps.  Any other graph runs the exhaustive
     ``_dijkstra`` once and converts its dict.
     """
-    if not 0 <= source < graph.node_count:
-        raise GasketError(f"source {source} is not a node id")
+    _check_node(graph, source, "source")
     tables = graph.corner_tables
     if tables is None:
         dist = _dijkstra(graph, source)[0]
@@ -492,6 +492,12 @@ def distance_field(graph: MetricGraph, source: int) -> np.ndarray:
     field = np.empty(graph.node_count)
     field[tables.corners] = tables.field(tables.chain(_Endpoint(source, 0.0)))
     return field
+
+
+def _check_node(graph: MetricGraph, node, what: str) -> None:
+    """Refuse anything but an integer id of one of ``graph``'s nodes."""
+    if not (isinstance(node, numbers.Integral) and 0 <= node < graph.node_count):
+        raise GasketError(f"{what} {node} is not a node id")
 
 
 def arc_slacks(graph: MetricGraph, values: np.ndarray) -> np.ndarray:
@@ -784,7 +790,8 @@ def lipschitz_witness_check(model: GasketModel, q: int, n_targets: int = 20,
     distance d(p, q) at randomly chosen nodes p, which is exactly the pair
     of facts that lets h realize the supremum defining the spectral
     distance.  The second fact is checked by walking each target's
-    shortest-path chain back to q and summing its arc weights.
+    shortest-path chain back to q and summing its arc weights, at
+    ``n_targets`` >= 1 nodes drawn with ``seed``.
 
     The field comes from ``distance_field`` (the corner tables, about
     0.7 ms on the level-8 stretched graph) and each node's chain step from
@@ -792,9 +799,10 @@ def lipschitz_witness_check(model: GasketModel, q: int, n_targets: int = 20,
     with a zero-length arc takes its chains from the heap ``_dijkstra``
     instead, since the ends of such an arc can name each other.
     """
+    if not (isinstance(n_targets, numbers.Integral) and n_targets >= 1):
+        raise GasketError(f"n_targets must be an integer >= 1, got {n_targets!r}")
     graph = to_metric_graph(model)
-    if not 0 <= q < graph.node_count:
-        raise GasketError(f"witness target {q} is not a node id")
+    _check_node(graph, q, "witness target")
     field = distance_field(graph, q)
     slacks = arc_slacks(graph, field)
     if graph.weights_positive:

@@ -17,7 +17,6 @@ never through an extended limit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,7 +29,6 @@ __all__ = [
     "riemann_zeta",
     "curve_trace_constant",
     "curve_trace",
-    "DiracSpectrum",
     "GeometricFamily",
     "LengthSpectrum",
     "sg_length_spectrum",
@@ -105,52 +103,6 @@ def curve_trace(length: float, p: float) -> float:
     if not length > 0.0:
         raise GasketError(f"curve length must be positive, got {length}")
     return curve_trace_constant(p) * length ** p
-
-
-@dataclass(frozen=True)
-class DiracSpectrum:
-    """Eigenvalue family of one curve operator, materialized to a cutoff.
-
-    Eigenvalues are (2k+1)*pi/(2*length) for |k| <= k_cutoff; the trace
-    adds the integral tail bound
-    2 (2l/pi)^p (2K+1)^(1-p) / (2(p-1)) for the omitted |k| > K terms.
-    """
-
-    length: float
-    k_cutoff: int = 10 ** 6
-
-    def __post_init__(self) -> None:
-        if not (self.length > 0.0 and math.isfinite(self.length)):
-            raise GasketError(f"curve length must be positive, got {self.length}")
-        if not isinstance(self.k_cutoff, numbers.Integral):
-            raise GasketError(f"eigenvalue cutoff must be an integer, got {self.k_cutoff!r}")
-        if self.k_cutoff < 0:
-            raise GasketError(f"eigenvalue cutoff must be >= 0, got {self.k_cutoff}")
-
-    def eigenvalues(self, k_cutoff: Optional[int] = None) -> np.ndarray:
-        """The 2K+1 eigenvalues with |k| <= K, K = ``k_cutoff`` or, when it
-        is None, the family's own cutoff."""
-        cutoff = self.k_cutoff if k_cutoff is None else k_cutoff
-        if cutoff < 0:
-            raise GasketError(f"eigenvalue cutoff must be >= 0, got {cutoff}")
-        k = np.arange(-cutoff, cutoff + 1)
-        return (2 * k + 1) * math.pi / (2.0 * self.length)
-
-    def trace(self, p: float) -> float:
-        """Direct eigenvalue summation plus the analytic tail."""
-        if not p > 1.0:
-            raise GasketError(f"direct trace needs p > 1, got {p}")
-        k = self.k_cutoff
-        odd = 2.0 * np.arange(0, k + 1, dtype=float) + 1.0
-        partial = 2.0 * float(np.sum(odd ** (-p))) - odd[-1] ** (-p)
-        scale = (2.0 * self.length / math.pi) ** p
-        tail = 2.0 * scale * (2.0 * k + 1.0) ** (1.0 - p) / (2.0 * (p - 1.0))
-        return scale * partial + tail
-
-
-def direct_curve_trace(length: float, p: float, k_cutoff: int = 10 ** 6) -> float:
-    """Summation route of :func:`curve_trace`; the two must agree to ~1e-10."""
-    return DiracSpectrum(length, k_cutoff).trace(p)
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,16 @@ def test_compare_refuses_a_non_finite_d(capsys, d):
     assert captured.err.startswith("error: dimension parameter d must be positive and finite")
 
 
+@pytest.mark.parametrize("d,length", [("100", "8"), ("1e308", "1")])
+def test_compare_refuses_a_d_whose_smallest_mass_underflows(capsys, d, length):
+    # the zero minimum printed "ratio": Infinity (or NaN), which is not JSON,
+    # and exited 0
+    assert main(["compare", "--d", d, "--length", length]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the smallest cell mass underflows to 0")
+
+
 @pytest.mark.parametrize("eps", ["inf", "nan", "0", "-1"])
 def test_spectrum_eps_start_must_be_finite_and_positive(capsys, eps):
     # inf printed inf,nan,0,nan rows and exited 0; 0 and -1 died with
@@ -545,13 +555,12 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path, argv, modules):
 # them before they resolved on first use
 EXPORTS = {
     "geometry": "AffineMap EdgeCurve GasketError GasketModel ResourceCapError Word "
-                "build_model compose_word generator_map model_vertices",
-    "harmonic": "VertexFunction boundary_function energy estimate_edge_length "
-                "harmonic_extend harmonic_structure m_word_norm phi renormalized_energy",
+                "build_model compose_word generator_map",
+    "harmonic": "harmonic_structure",
     "metric": "GeodesicResult MetricGraph geodesic lipschitz_witness_check to_metric_graph",
     "measure": "FunctionalSample dixmier_functional functional_sample "
                "harmonic_midpoint_functional joining_edge_functional "
-               "self_affinity_residual selfaffine_mass_spread sg_midpoint_functional",
+               "selfaffine_mass_spread sg_midpoint_functional",
     "spectrum": "DimensionEstimate DivergenceError LengthSpectrum ResidueResult "
                 "abscissa_bracket curve_trace curve_trace_constant kh_dimension_interval "
                 "residue_estimate riemann_zeta sg_length_spectrum spectral_dimension "
@@ -584,7 +593,7 @@ def test_package_names_resolve_to_their_modules_objects():
         "    print(exc)\n"
     )
     names = sorted(" ".join(EXPORTS.values()).split())
-    assert len(names) == 50
+    assert len(names) == 40
     star, version, missing = fresh_python(code, json.dumps(EXPORTS)).splitlines()
     assert star.split() == names
     assert version == "0.1.0"

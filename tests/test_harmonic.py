@@ -4,7 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from conftest import dense_minimum_energy_extension, oracle_phi
+from conftest import (
+    dense_minimum_energy_extension,
+    energy,
+    harmonic_extend,
+    index_word,
+    oracle_phi,
+    vertex_rows,
+    word_map,
+    word_matrix,
+    word_norm,
+)
 
 import gasketlab as gl
 from gasketlab import harmonic
@@ -19,12 +29,10 @@ from gasketlab.geometry import (
     _generation_starts,
     _stacked_cells,
     cell_index,
-    index_word,
     sg_hierarchy,
 )
 from gasketlab.harmonic import (
     MIDPOINT_RULE,
-    VertexFunction,
     corner_map,
     edge_length_tables,
     edge_polyline,
@@ -32,8 +40,6 @@ from gasketlab.harmonic import (
     harmonic_structure,
     phi_coordinates,
     vertex_count,
-    word_map,
-    word_matrix,
 )
 from gasketlab.serialize import model_to_json
 
@@ -41,30 +47,35 @@ SQ2 = math.sqrt(2.0)
 
 
 # -- energy ------------------------------------------------------------------
+# The energy form and the per-cell extension are test oracles; what they
+# check here is the library's MIDPOINT_RULE.
+
+CORNER_ONE = np.array([1.0, 0.0, 0.0])
+
 
 def test_energy_of_corner_indicator():
-    assert gl.energy(gl.boundary_function(1, 0, 0)) == pytest.approx(2.0, abs=0)
+    assert energy(0, CORNER_ONE) == pytest.approx(2.0, abs=0)
 
 
 def test_energy_of_constants_vanishes():
-    fn = gl.boundary_function(3.7, 3.7, 3.7)
-    for _ in range(4):
-        assert gl.energy(fn) == pytest.approx(0.0, abs=1e-12)
-        fn = gl.harmonic_extend(fn)
-        assert np.allclose(fn.values, 3.7)
+    values = np.full(3, 3.7)
+    for level in range(4):
+        assert energy(level, values) == pytest.approx(0.0, abs=1e-12)
+        values = harmonic_extend(level, values)
+        assert np.allclose(values, 3.7)
 
 
 def test_extension_minimizes_to_six_fifths():
-    ext = gl.harmonic_extend(gl.boundary_function(1, 0, 0))
-    assert gl.energy(ext) == pytest.approx(6.0 / 5.0, abs=1e-14)
-    np.testing.assert_allclose(ext.values[3:], [0.4, 0.4, 0.2], atol=1e-14)
+    ext = harmonic_extend(0, CORNER_ONE)
+    assert energy(1, ext) == pytest.approx(6.0 / 5.0, abs=1e-14)
+    np.testing.assert_allclose(ext[3:], [0.4, 0.4, 0.2], atol=1e-14)
 
 
 def test_midpoint_rule_matches_dense_minimization():
     rng = np.random.default_rng(3)
     for _ in range(100):
         corners = rng.normal(size=3)
-        ours = gl.harmonic_extend(VertexFunction(0, corners)).values
+        ours = harmonic_extend(0, corners)
         dense = dense_minimum_energy_extension(0, corners)
         np.testing.assert_allclose(ours, dense, atol=1e-10)
 
@@ -80,46 +91,38 @@ def test_extension_is_linear():
     f = rng.normal(size=3)
     g = rng.normal(size=3)
     a, b = 2.5, -0.75
-    lhs = gl.harmonic_extend(VertexFunction(0, a * f + b * g)).values
-    rhs = (a * gl.harmonic_extend(VertexFunction(0, f)).values
-           + b * gl.harmonic_extend(VertexFunction(0, g)).values)
+    lhs = harmonic_extend(0, a * f + b * g)
+    rhs = a * harmonic_extend(0, f) + b * harmonic_extend(0, g)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_energy_contracts_by_five_thirds():
     rng = np.random.default_rng(5)
-    fn = VertexFunction(0, rng.normal(size=3))
-    for _ in range(6):
-        nxt = gl.harmonic_extend(fn)
-        assert gl.energy(fn) == pytest.approx((5.0 / 3.0) * gl.energy(nxt),
-                                              rel=1e-10)
-        fn = nxt
+    values = rng.normal(size=3)
+    for level in range(6):
+        nxt = harmonic_extend(level, values)
+        assert energy(level, values) == pytest.approx(
+            (5.0 / 3.0) * energy(level + 1, nxt), rel=1e-10)
+        values = nxt
 
 
 def test_renormalized_energy_constant_under_extension():
-    fn = gl.boundary_function(1, 0, 0)
-    assert gl.renormalized_energy(fn) == pytest.approx(2.0, abs=0)
-    ext = gl.harmonic_extend(fn)
-    assert gl.renormalized_energy(ext) == pytest.approx(2.0, abs=1e-12)
+    assert energy(0, CORNER_ONE) == pytest.approx(2.0, abs=0)
+    ext = harmonic_extend(0, CORNER_ONE)
+    assert (5.0 / 3.0) * energy(1, ext) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_non_minimal_extension_increases_renormalized_energy():
-    ext = gl.harmonic_extend(gl.boundary_function(1, 0, 0))
-    clobbered = ext.values.copy()
+    clobbered = harmonic_extend(0, CORNER_ONE)
     clobbered[3:] = 0.0
-    assert gl.renormalized_energy(VertexFunction(1, clobbered)) > 2.0 + 1e-6
-
-
-def test_vertex_function_validates_length():
-    with pytest.raises(GasketError):
-        VertexFunction(1, np.zeros(5))
+    assert (5.0 / 3.0) * energy(1, clobbered) > 2.0 + 1e-6
 
 
 # -- the embedding -----------------------------------------------------------
 
 def test_phi_at_corner_one():
     expected = np.array([2 / 3, -1 / 3, -1 / 3]) / SQ2
-    np.testing.assert_allclose(gl.phi((0.0, 0.0), 0), expected, atol=1e-15)
+    np.testing.assert_allclose(phi_coordinates(0)[0], expected, atol=1e-15)
 
 
 def test_phi_coordinates_sum_to_zero():
@@ -131,13 +134,8 @@ def test_phi_coordinates_sum_to_zero():
 
 def test_phi_at_first_midpoint():
     expected = np.array([2 / 5 - 1 / 3, 2 / 5 - 1 / 3, 1 / 5 - 1 / 3]) / SQ2
-    np.testing.assert_allclose(gl.phi((0.25, math.sqrt(3) / 4), 1), expected,
-                               atol=1e-14)
-
-
-def test_phi_rejects_non_vertices():
-    with pytest.raises(GasketError):
-        gl.phi((0.3, 0.3), 2)
+    row = vertex_rows([(0.25, math.sqrt(3) / 4)], 1)
+    np.testing.assert_allclose(phi_coordinates(1)[row[0]], expected, atol=1e-14)
 
 
 def test_phi_matches_dense_oracle():
@@ -174,12 +172,12 @@ def test_corner_maps_fix_corner_images():
         np.testing.assert_allclose(corner_map(j)(kappa), kappa, atol=1e-15)
     # the corner images are the embedded outer corners
     np.testing.assert_allclose(harmonic_structure().corner_images[:, 0],
-                               gl.phi((0.0, 0.0), 0), atol=1e-15)
+                               phi_coordinates(0)[0], atol=1e-15)
 
 
 def test_single_and_repeated_norms():
-    assert gl.m_word_norm("1") == pytest.approx(0.6, abs=1e-14)
-    assert gl.m_word_norm("11") == pytest.approx(0.36, abs=1e-14)
+    assert word_norm("1") == pytest.approx(0.6, abs=1e-14)
+    assert word_norm("11") == pytest.approx(0.36, abs=1e-14)
 
 
 def test_mixed_product_norm_against_gram_oracle():
@@ -192,27 +190,20 @@ def test_mixed_product_norm_against_gram_oracle():
         g = (m @ basis).T @ (m @ basis)
         t, d = g[0, 0] + g[1, 1], g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
         expected = math.sqrt(t / 2 + math.sqrt(t * t / 4 - d))
-        assert gl.m_word_norm(word) == pytest.approx(expected, abs=1e-12)
-    assert gl.m_word_norm("12") != pytest.approx(gl.m_word_norm("11"), abs=1e-3)
+        assert word_norm(word) == pytest.approx(expected, abs=1e-12)
+    assert word_norm("12") != pytest.approx(word_norm("11"), abs=1e-3)
 
 
 def test_norm_bound_with_equality_exactly_for_constant_words():
     for k in range(1, 6):
         for idx in np.ndindex(*(3,) * k):
             word = tuple(i + 1 for i in idx)
-            norm = gl.m_word_norm(word)
+            norm = word_norm(word)
             assert norm <= 0.6 ** k + 1e-12
             if len(set(word)) == 1:
                 assert norm == pytest.approx(0.6 ** k, abs=1e-12)
             else:
                 assert norm < 0.6 ** k - 1e-6
-
-
-def test_norms_invariant_under_perp_sign_flip():
-    for word in ("1", "12", "321", "1231"):
-        assert gl.m_word_norm(word, qprime_sign=1.0) == pytest.approx(
-            gl.m_word_norm(word, qprime_sign=-1.0), abs=1e-12
-        )
 
 
 def test_intertwining_on_level_two_vertices():
@@ -222,18 +213,23 @@ def test_intertwining_on_level_two_vertices():
         for idx in np.ndindex(*(3,) * k):
             word = tuple(i + 1 for i in idx)
             img = gl.compose_word("sg", word)(pts)
-            lhs = np.array([gl.phi(p, 2 + k) for p in img])
+            lhs = phi_coordinates(2 + k)[vertex_rows(img, 2 + k)]
             rhs = word_map(word)(phi_coordinates(2))
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 # -- edge lengths ------------------------------------------------------------
 
+def edge_bounds(word, local_edge, depth):
+    """(lo, hi) of local edge 1..3 of the cell at ``word``, read off the tables."""
+    lo, hi = edge_length_tables(len(word), depth)[len(word)]
+    pos = 3 * cell_index(word) + local_edge - 1
+    return lo[pos], hi[pos]
+
+
 def test_depth_one_lower_bound_is_two_chords():
-    lo, hi = gl.estimate_edge_length("", 1, 1)
-    a = gl.phi((0.0, 0.0), 1)
-    m = gl.phi((0.5, 0.0), 1)
-    b = gl.phi((1.0, 0.0), 1)
+    lo, hi = edge_bounds("", 1, 1)
+    a, m, b = phi_coordinates(1)[vertex_rows([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], 1)]
     chords = np.linalg.norm(a - m) + np.linalg.norm(m - b)
     assert lo == pytest.approx(chords, abs=1e-14)
     assert hi > lo
@@ -243,7 +239,7 @@ def test_polyline_length_monotone_in_depth():
     for word, edge in (("", 1), ("2", 3)):
         prev = 0.0
         for depth in range(1, 7):
-            lo, hi = gl.estimate_edge_length(word, edge, depth)
+            lo, hi = edge_bounds(word, edge, depth)
             assert lo >= prev - 1e-14
             assert hi >= lo
             prev = lo
@@ -252,8 +248,8 @@ def test_polyline_length_monotone_in_depth():
 def test_edge_polyline_endpoints():
     pts = edge_polyline("", 1, 3)
     assert pts.shape == (9, 3)
-    np.testing.assert_allclose(pts[0], gl.phi((0.0, 0.0), 0), atol=1e-14)
-    np.testing.assert_allclose(pts[-1], gl.phi((1.0, 0.0), 0), atol=1e-14)
+    np.testing.assert_allclose(pts[0], phi_coordinates(0)[0], atol=1e-14)
+    np.testing.assert_allclose(pts[-1], phi_coordinates(0)[2], atol=1e-14)
 
 
 def test_kigami_style_envelope():
@@ -266,7 +262,7 @@ def test_kigami_style_envelope():
         mesh = sg_hierarchy(m + 1)[m]
         pts = phi_coordinates(m + 1)
         diams = []
-        for row in range(mesh.cell_count):
+        for row in range(len(mesh.cells)):
             corners = mesh.cells[row]
             base = vertex_count(m)
             mids = [base + 3 * row, base + 3 * row + 1, base + 3 * row + 2]
@@ -362,16 +358,16 @@ def test_upper_bound_is_twice_largest_corner_chord(gen, depth):
 def test_barycentric_identity_on_level_two_vertices():
     # Phi(f_w y) = sum_j h_j(y) Phi(f_w p_j) for every base vertex y
     pts = sg_hierarchy(2)[2].points
-    h = np.stack([gl.harmonic_extend(gl.harmonic_extend(
-        gl.boundary_function(*np.eye(3)[j]))).values for j in range(3)], axis=1)
+    h = np.stack([harmonic_extend(1, harmonic_extend(0, np.eye(3)[j]))
+                  for j in range(3)], axis=1)
     for k in range(4):
         for idx in np.ndindex(*(3,) * k):
             word = tuple(i + 1 for i in idx)
             # mesh row cell_index(word) is f_{w1} o ... o f_{wk}, and
             # compose_word applies its first letter first
             fw = gl.compose_word("sg", word[::-1])
-            lhs = np.array([gl.phi(p, 2 + k) for p in fw(pts)])
-            corners = np.array([gl.phi(p, k) for p in fw(CORNERS)])
+            lhs = phi_coordinates(2 + k)[vertex_rows(fw(pts), 2 + k)]
+            corners = phi_coordinates(k)[vertex_rows(fw(CORNERS), k)]
             np.testing.assert_allclose(h @ corners, lhs, atol=1e-14)
             np.testing.assert_allclose(
                 harmonic._on_cells(h, corners[None])[0], lhs, atol=1e-14)
@@ -512,7 +508,7 @@ def per_generation_polylines(words, local_edges, depth):
 @pytest.mark.parametrize("depth", [1, 3, 5])
 def test_edge_polylines_are_the_per_generation_loop_bit_for_bit(depth):
     # every edge of generations 0..6, then a shuffled mixed batch
-    words = [str(index_word(gen, row)) for gen in range(7) for row in range(3 ** gen)
+    words = [index_word(gen, row) for gen in range(7) for row in range(3 ** gen)
              for _ in range(3)]
     local = [1, 2, 3] * (len(words) // 3)
     got = harmonic.edge_polylines(words, local, depth)
@@ -543,10 +539,8 @@ def test_phi_coordinates_cached_and_read_only():
 
 
 def test_estimate_edge_length_validation():
-    with pytest.raises(GasketError):
-        gl.estimate_edge_length("", 0, 2)
-    with pytest.raises(GasketError):
-        gl.estimate_edge_length("", 1, 0)
+    with pytest.raises(GasketError, match="depth must be >= 1"):
+        edge_length_tables(0, 0)
 
 
 def test_harmonic_model_contents():
@@ -573,8 +567,8 @@ def per_edge_harmonic_rows(level, depth):
     phis = phi_coordinates(level)
     lo, hi = edge_length_tables(level, depth)[level]
     edges = []
-    for row in range(mesh.cell_count):
-        word = str(index_word(level, row))
+    for row in range(len(mesh.cells)):
+        word = index_word(level, row)
         for i, j in TRIANGLE_EDGE_CORNERS:
             eid = len(edges)
             edges.append(EdgeCurve(

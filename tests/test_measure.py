@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from conftest import POLY_2D, POLY_3D, oracle_phi
+from conftest import POLY_2D, POLY_3D, oracle_phi, self_affinity_residual, word_norm
 
 import gasketlab as gl
 from gasketlab import harmonic, measure
@@ -107,27 +107,20 @@ def test_sg_midpoints_average_x_to_one_half():
 @pytest.mark.parametrize("name", sorted(POLY_2D))
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_self_affinity_sg(name, n):
-    assert gl.self_affinity_residual("sg", n, POLY_2D[name]) <= 1e-12
+    assert self_affinity_residual("sg", n, POLY_2D[name]) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(POLY_2D))
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_self_affinity_stretched(name, n):
-    assert gl.self_affinity_residual("stretched", n, POLY_2D[name],
+    assert self_affinity_residual("stretched", n, POLY_2D[name],
                                      alpha=0.2) <= 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(POLY_3D))
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_self_affinity_harmonic(name, n):
-    assert gl.self_affinity_residual("harmonic", n, POLY_3D[name]) <= 1e-12
-
-
-def test_self_affinity_validation():
-    with pytest.raises(GasketError):
-        gl.self_affinity_residual("nope", 1, _ones)
-    with pytest.raises(GasketError):
-        gl.self_affinity_residual("stretched", 1, _ones)
+    assert self_affinity_residual("harmonic", n, POLY_3D[name]) <= 1e-12
 
 
 # -- pushforward consistency ---------------------------------------------------
@@ -414,7 +407,7 @@ def test_spread_extremes_against_norm_values():
     report = gl.selfaffine_mass_spread(1.5, 2)
     # the repeated word realizes the largest norm 0.36
     assert report.max == pytest.approx(9.0 * 0.36 ** 1.5, abs=1e-12)
-    assert report.min == pytest.approx(9.0 * gl.m_word_norm("12") ** 1.5,
+    assert report.min == pytest.approx(9.0 * word_norm("12") ** 1.5,
                                        abs=1e-12)
 
 
@@ -433,6 +426,17 @@ def test_spread_validation():
     for d in (np.nan, np.inf):
         with pytest.raises(GasketError, match="positive and finite"):
             gl.selfaffine_mass_spread(d, 3)
+
+
+def test_spread_refuses_a_d_whose_smallest_mass_underflows():
+    # 3^8 ||M_w||^100 is 0.0 for the smallest norms, and the ratio was inf;
+    # at d = 1e308 every mass is 0.0 and the ratio was NaN
+    for d, length in ((100.0, 8), (1e308, 1)):
+        with pytest.raises(GasketError, match="underflows to 0"):
+            gl.selfaffine_mass_spread(d, length)
+    # one letter: every norm is 3/5, and 3 (3/5)^100 is tiny but not 0
+    report = gl.selfaffine_mass_spread(100.0, 1)
+    assert report.min > 0.0 and report.ratio == pytest.approx(1.0, rel=1e-12)
 
 
 def test_selfaffine_cell_mass_is_word_count_uniform():

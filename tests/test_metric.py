@@ -1074,3 +1074,25 @@ def test_witness_target_validation():
     model = gl.build_model("stretched", 1, 0.2)
     with pytest.raises(GasketError):
         gl.lipschitz_witness_check(model, 99)
+
+
+@pytest.mark.parametrize("n_targets", [-1, 0, 2.5])
+def test_witness_target_count_must_be_a_positive_integer(n_targets):
+    # -1 raised numpy's ValueError, 2.5 a TypeError, and 0 reported
+    # attained_all=True after checking nothing
+    model = gl.build_model("stretched", 3, 0.2)
+    with pytest.raises(GasketError, match="n_targets must be an integer >= 1"):
+        gl.lipschitz_witness_check(model, 0, n_targets=n_targets)
+
+
+def test_node_ids_must_be_integers():
+    # a float id passed the range check, and the witness check then died
+    # with an IndexError
+    model = gl.build_model("stretched", 3, 0.2)
+    with pytest.raises(GasketError, match="witness target 0.0 is not a node id"):
+        gl.lipschitz_witness_check(model, 0.0)
+    graph = to_metric_graph(model)
+    for source in (0.0, -1, graph.node_count):
+        with pytest.raises(GasketError, match="is not a node id"):
+            distance_field(graph, source)
+    assert distance_field(graph, np.int64(0))[0] == 0.0

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import brute_stretched_trace, brute_zeta
+from conftest import brute_stretched_trace, brute_zeta, eigenvalue_trace
 from scipy.special import zeta as sp_zeta
 
 import gasketlab as gl
@@ -13,11 +13,9 @@ from gasketlab import harmonic
 from gasketlab.spectrum import (
     GROWTH_ROUNDING,
     KH_DIMENSION_UPPER,
-    DiracSpectrum,
     DivergenceError,
     GeometricFamily,
     LengthSpectrum,
-    direct_curve_trace,
     extrapolate_ladder,
     growth_root,
     kh_trace_interval,
@@ -61,7 +59,7 @@ def test_zeta_and_trace_constant_decrease():
 
 def test_trace_constant_at_two_is_one():
     # derived from the direct eigenvalue sum, not from the formula
-    assert direct_curve_trace(1.0, 2.0) == pytest.approx(1.0, abs=1e-10)
+    assert eigenvalue_trace(1.0, 2.0) == pytest.approx(1.0, abs=1e-10)
     assert gl.curve_trace_constant(2.0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -82,7 +80,7 @@ def test_curve_trace_homogeneity():
 def test_curve_trace_matches_direct_summation():
     for length, p in ((1.0, 2.0), (1.0, 3.0), (0.7, 2.5)):
         closed = gl.curve_trace(length, p)
-        summed = direct_curve_trace(length, p)
+        summed = eigenvalue_trace(length, p)
         assert summed == pytest.approx(closed, rel=1e-10)
 
 
@@ -91,49 +89,6 @@ def test_curve_trace_validation():
         gl.curve_trace(0.0, 2.0)
     with pytest.raises(GasketError):
         gl.curve_trace(1.0, 0.9)
-
-
-def test_dirac_spectrum_shape():
-    family = DiracSpectrum(0.5, k_cutoff=50)
-    vals = family.eigenvalues()
-    assert 0.0 not in vals
-    # shifting by -pi/(2l) recenters the family symmetrically about 0
-    shifted = np.sort(vals - math.pi / (2 * 0.5))
-    np.testing.assert_allclose(shifted, -shifted[::-1], atol=1e-12)
-
-
-def test_eigenvalue_cutoff_is_taken_as_given():
-    family = DiracSpectrum(1.0, 5)
-    assert len(family.eigenvalues()) == 11
-    assert family.eigenvalues(0).tolist() == [math.pi / 2.0]
-    assert len(family.eigenvalues(2)) == 5
-    with pytest.raises(GasketError, match="cutoff must be >= 0"):
-        family.eigenvalues(-1)
-    with pytest.raises(GasketError, match="cutoff must be >= 0"):
-        DiracSpectrum(1.0, -3).eigenvalues()
-
-
-@pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf, -math.inf])
-def test_dirac_spectrum_refuses_a_length_that_is_not_positive_and_finite(length):
-    with pytest.raises(GasketError, match="curve length must be positive"):
-        DiracSpectrum(length, 3)
-
-
-@pytest.mark.parametrize("cutoff", [-1, -3])
-def test_dirac_spectrum_refuses_a_negative_cutoff(cutoff):
-    with pytest.raises(GasketError, match="cutoff must be >= 0"):
-        DiracSpectrum(1.0, cutoff)
-
-
-@pytest.mark.parametrize("cutoff", [2.5, 3.0, math.nan, "3", None])
-def test_dirac_spectrum_refuses_a_cutoff_that_is_not_an_integer(cutoff):
-    with pytest.raises(GasketError, match="cutoff must be an integer"):
-        DiracSpectrum(1.0, cutoff)
-
-
-def test_dirac_spectrum_takes_numpy_integers_and_a_zero_cutoff():
-    assert DiracSpectrum(1.0, np.int64(0)).eigenvalues().tolist() == [math.pi / 2.0]
-    assert 0.0 < DiracSpectrum(2.0, 0).trace(2.0) < math.inf
 
 
 # -- model traces ------------------------------------------------------------
