@@ -19,15 +19,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "geometry": (
-        "AffineMap",
         "EdgeCurve",
         "GasketError",
         "GasketModel",
         "ResourceCapError",
         "Word",
         "build_model",
-        "compose_word",
-        "generator_map",
     ),
     "harmonic": (
         "harmonic_structure",

@@ -46,6 +46,11 @@ def _require_alpha(args) -> Optional[float]:
     return None
 
 
+def _require_depth(args) -> None:
+    if args.variant == "harmonic" and args.depth < 2:    # the interval needs 3 generations
+        raise UsageError(f"--depth {args.depth}: the harmonic dimension needs depth >= 2")
+
+
 def _parse_point(text: str) -> tuple[float, float]:
     try:
         parts = [float(v) for v in text.split(",")]
@@ -100,6 +105,9 @@ def _spectrum_scan(variant: str, alpha: Optional[float], depth: int,
         lengths = (spectrum.sg_length_spectrum() if variant == "sg"
                    else spectrum.stretched_length_spectrum(alpha))
         ds = lengths.abscissa
+        if ds * (1.0 + eps[-1]) <= ds:
+            raise UsageError(f"--rungs {rungs}: the finest rung, eps = {float(eps[-1])!r}, "
+                             "no longer moves p = d (1 + eps) off d in double precision")
         rows = [(1.0 + e, spectrum.spectrum_trace(lengths, ds * (1.0 + e)), 0.0)
                 for e in eps]
     lines = ["s,trace,tail_bound,residue_running"]
@@ -160,6 +168,7 @@ def cmd_dimension(args) -> int:
     from gasketlab.serialize import format_number
 
     alpha = _require_alpha(args)
+    _require_depth(args)
     if np.isnan(args.tol):         # the bisection compares widths to it: never true
         raise UsageError("--tol nan: the bracket tolerance must be a number")
     est = _dimension(args.variant, alpha, args.depth)
@@ -179,6 +188,7 @@ def cmd_dimension(args) -> int:
 
 def cmd_spectrum(args) -> int:
     alpha = _require_alpha(args)
+    _require_depth(args)
     if args.rungs < 1:
         raise UsageError(f"--rungs {args.rungs}: the scan needs at least 1 rung")
     if not 0.0 < args.eps_start < np.inf:
@@ -241,6 +251,7 @@ def cmd_report(args) -> int:
     from gasketlab.serialize import format_number, write_model
 
     alpha = _require_alpha(args)
+    _require_depth(args)
     os.makedirs(args.out_dir, exist_ok=True)
 
     def path(name: str) -> str:

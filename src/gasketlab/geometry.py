@@ -1,7 +1,7 @@
 """Geometry of the Sierpinski gasket and its stretched variant.
 
 Builds the triangle meshes behind the level-n graph approximations, the
-contraction maps that generate them, and flat edge lists: triangle edges
+contraction maps of the variants, and flat edge lists: triangle edges
 at the finest level plus, for the stretched variant, the joining
 segments accumulated over all coarser generations.  The harmonic variant
 reuses the combinatorial skeleton built here; its curved-edge data lives
@@ -10,8 +10,8 @@ in :mod:`gasketlab.harmonic`.
 Conventions fixed here and relied on throughout the package:
 
 * corner points p1=(0,0), p2=(1/2, sqrt(3)/2), p3=(1,0);
-* ``compose_word`` applies the first letter first, so
-  ``compose_word(w + v) = compose_word(v) . compose_word(w)``;
+* ``contractions`` holds map j as x -> M[j] x + b[j], j = 0..2 toward
+  p1..p3 and (stretched) 3..5 the joining maps of the right, bottom, left;
 * cell addresses are words over {1,2,3} read root-first: appending a
   letter descends into a sub-cell, and the mesh row index of a cell is
   its address read as a base-3 numeral;
@@ -82,39 +82,28 @@ def check_alpha(alpha: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Words and affine maps
+# Words and contraction maps
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Word:
-    """Finite word over contraction indices; addresses cells and map products.
-
-    Letters are 1-based.  The default alphabet is {1,2,3} (cell
-    addresses); ``alphabet=6`` admits the degenerate stretched-variant
-    generators 4..6, which occur only when enumerating the full map
-    family, never in cell addresses.
-    """
+    """Finite word over {1,2,3}, the address of a cell (letters 1-based)."""
 
     letters: tuple[int, ...]
-    alphabet: int = 3
 
     def __post_init__(self) -> None:
-        if self.alphabet not in (3, 6):
-            raise GasketError(f"unsupported alphabet size {self.alphabet}")
         for letter in self.letters:
-            if not 1 <= letter <= self.alphabet:
-                raise GasketError(
-                    f"letter {letter} outside alphabet 1..{self.alphabet}"
-                )
+            if not 1 <= letter <= 3:
+                raise GasketError(f"letter {letter} outside alphabet 1..3")
 
     @classmethod
-    def parse(cls, text: str, alphabet: int = 3) -> "Word":
+    def parse(cls, text: str) -> "Word":
         try:
             letters = tuple(int(ch) for ch in text)
         except ValueError as exc:
             raise GasketError(f"invalid word string {text!r}") from exc
-        return cls(letters, alphabet)
+        return cls(letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -123,108 +112,47 @@ class Word:
         return "".join(str(c) for c in self.letters)
 
 
-def as_word(word: "Word | str | Sequence[int]", alphabet: int = 3) -> Word:
+def as_word(word: "Word | str | Sequence[int]") -> Word:
     if isinstance(word, Word):
         return word
     if isinstance(word, str):
-        return Word.parse(word, alphabet)
-    return Word(tuple(int(c) for c in word), alphabet)
+        return Word.parse(word)
+    return Word(tuple(int(c) for c in word))
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Affine map x -> A x + b, stored in general form.
+@lru_cache(maxsize=8)
+def contractions(variant: str, alpha: Optional[float] = None):
+    """The generator maps as read-only arrays ``(M, b)``, map j sending x
+    to M[j] x + b[j]: the paper's x -> A(x - p) + p, with b = p - A p.
 
-    The generator maps of the gasket variants are all of the fixed-point
-    form x -> A(x - p) + p; use :meth:`from_fixed_point` for those.
+    sg: ratio 1/2 toward each corner.  stretched: ratio (1 - alpha)/2
+    toward each corner, then the rank-1 joining maps fixing the midpoints
+    of the right, bottom and left sides.  harmonic: the contractions of
+    the plane Z as 2x2 blocks in the (q_1, q'_1) basis, fixing the corner
+    images.  Built on the first call, then cached.
     """
-
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.matrix, dtype=float)
-        b = np.asarray(self.offset, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
-            raise GasketError("inconsistent affine map shapes")
-        object.__setattr__(self, "matrix", a)
-        object.__setattr__(self, "offset", b)
-
-    @classmethod
-    def from_fixed_point(cls, matrix: np.ndarray, fixed_point: np.ndarray) -> "AffineMap":
-        a = np.asarray(matrix, dtype=float)
-        p = np.asarray(fixed_point, dtype=float)
-        return cls(a, p - a @ p)
-
-    @classmethod
-    def identity(cls, dim: int) -> "AffineMap":
-        return cls(np.eye(dim), np.zeros(dim))
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x @ self.matrix.T + self.offset
-
-    def after(self, other: "AffineMap") -> "AffineMap":
-        """Composition self . other (apply ``other`` first)."""
-        return AffineMap(self.matrix @ other.matrix,
-                         self.matrix @ other.offset + self.offset)
-
-
-def _stretched_matrices(alpha: float) -> list[np.ndarray]:
-    s = (1.0 - alpha) / 2.0
-    a123 = s * np.eye(2)
-    a4 = (alpha / 4.0) * np.array([[1.0, -SQRT3], [-SQRT3, 3.0]])
-    a5 = alpha * np.array([[1.0, 0.0], [0.0, 0.0]])
-    a6 = (alpha / 4.0) * np.array([[1.0, SQRT3], [SQRT3, 3.0]])
-    return [a123, a123, a123, a4, a5, a6]
-
-
-def _stretched_fixed_points() -> np.ndarray:
-    p4 = (CORNERS[1] + CORNERS[2]) / 2.0
-    p5 = (CORNERS[0] + CORNERS[2]) / 2.0
-    p6 = (CORNERS[0] + CORNERS[1]) / 2.0
-    return np.vstack([CORNERS, p4, p5, p6])
-
-
-def generator_map(variant: str, j: int, alpha: Optional[float] = None) -> AffineMap:
-    """Generator map number ``j`` of the given variant.
-
-    sg: the three midpoint contractions toward p_j.  stretched: the three
-    similarity maps of ratio (1-alpha)/2 plus the three degenerate maps
-    producing the joining segments of length alpha.
-    """
+    if variant not in VARIANTS:
+        raise GasketError(f"unknown variant {variant!r}")
+    if (alpha is None) == (variant == "stretched"):
+        raise GasketError(f"{variant} variant takes no alpha" if alpha is not None
+                          else "stretched variant requires alpha")
     if variant == "sg":
-        if not 1 <= j <= 3:
-            raise GasketError(f"sg generator index must be 1..3, got {j}")
-        return AffineMap.from_fixed_point(0.5 * np.eye(2), CORNERS[j - 1])
-    if variant == "stretched":
-        if alpha is None:
-            raise GasketError("stretched variant requires alpha")
+        mats, fixed = np.stack([0.5 * np.eye(2)] * 3), CORNERS
+    elif variant == "stretched":
         alpha = check_alpha(alpha)
-        if not 1 <= j <= 6:
-            raise GasketError(f"stretched generator index must be 1..6, got {j}")
-        return AffineMap.from_fixed_point(
-            _stretched_matrices(alpha)[j - 1], _stretched_fixed_points()[j - 1]
-        )
-    if variant == "harmonic":
-        raise GasketError("harmonic generators live in gasketlab.harmonic.corner_map")
-    raise GasketError(f"unknown variant {variant!r}")
+        mats = np.stack([(1.0 - alpha) / 2.0 * np.eye(2)] * 3 + [
+            (alpha / 4.0) * np.array([[1.0, -SQRT3], [-SQRT3, 3.0]]),
+            alpha * np.array([[1.0, 0.0], [0.0, 0.0]]),
+            (alpha / 4.0) * np.array([[1.0, SQRT3], [SQRT3, 3.0]])])
+        fixed = np.vstack([CORNERS, (CORNERS[[1, 0, 0]] + CORNERS[[2, 2, 1]]) / 2.0])
+    else:
+        from gasketlab import harmonic  # deferred: avoids an import cycle
 
-
-def compose_word(
-    variant: str,
-    word: "Word | str | Sequence[int]",
-    alpha: Optional[float] = None,
-) -> AffineMap:
-    """Composition of generator maps along a word, first letter applied first.
-
-    The empty word yields the identity.
-    """
-    w = as_word(word, alphabet=6 if variant == "stretched" else 3)
-    out = AffineMap.identity(2)
-    for letter in w.letters:
-        out = generator_map(variant, letter, alpha).after(out)
-    return out
+        st = harmonic.harmonic_structure()
+        basis = np.stack([st.corner_axes[:, 0], st.corner_perps[:, 0]], axis=1)
+        mats = np.stack([basis.T @ m @ basis for m in st.contractions])
+        fixed = st.corner_images.T @ basis
+    return _freeze(mats), _freeze(fixed - np.einsum("jik,jk->ji", mats, fixed))
 
 
 # ---------------------------------------------------------------------------

@@ -54,7 +54,6 @@ from gasketlab.geometry import (
     GasketModel,
     ResourceCapError,
     TRIANGLE_EDGE_CORNERS,
-    AffineMap,
     _edge_table,
     _generation_starts,
     _stacked_cells,
@@ -174,15 +173,6 @@ def harmonic_structure() -> HarmonicStructure:
     for arr in (projector, axes, perps, images, *contractions):
         arr.flags.writeable = False
     return HarmonicStructure(projector, axes, perps, contractions, images)
-
-
-def corner_map(j: int) -> AffineMap:
-    """Affine contraction of the harmonic gasket fixing corner image j."""
-    if not 1 <= j <= 3:
-        raise GasketError(f"corner map index must be 1..3, got {j}")
-    st = harmonic_structure()
-    return AffineMap.from_fixed_point(st.contractions[j - 1],
-                                      st.corner_images[:, j - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from gasketlab.geometry import (
     _stacked_cells,
     build_model,
     check_alpha,
+    contractions,
     sg_hierarchy,
     stretched_hierarchy,
 )
@@ -321,12 +322,10 @@ def selfaffine_mass_spread(d: float, word_length: int) -> SpreadReport:
         raise GasketError(f"dimension parameter d must be positive and finite, got {d}")
     if not 1 <= word_length <= 8:
         raise GasketError("word length limited to 1..8")
-    st = harmonic.harmonic_structure()
-    basis = np.stack([st.corner_axes[:, 0], st.corner_perps[:, 0]], axis=1)
-    mats2 = [basis.T @ m @ basis for m in st.contractions]
+    mats = contractions("harmonic")[0]
     prods = np.eye(2)[None, :, :]
     for _ in range(word_length):
-        prods = np.einsum("wij,mjk->wmik", prods, np.stack(mats2)).reshape(-1, 2, 2)
+        prods = np.einsum("wij,mjk->wmik", prods, mats).reshape(-1, 2, 2)
     norms = np.linalg.svd(prods, compute_uv=False)[:, 0]
     masses = 3.0 ** word_length * norms ** d
     low, high = float(masses.min()), float(masses.max())

@@ -458,8 +458,11 @@ def kh_dimension_interval(depth: int) -> DimensionEstimate:
     """Dimension interval of the harmonic gasket at truncation depth.
 
     Uses generations 0..depth with edge-length bounds at subdivision
-    depth ``depth``; the interval narrows as the depth grows.
+    depth ``depth`` >= 2 (three generations); the interval narrows as the
+    depth grows.
     """
+    if depth < 2:
+        raise GasketError(f"harmonic dimension needs depth >= 2, got {depth}")
     from gasketlab import harmonic  # deferred: keeps the import one-way
 
     tables = harmonic.edge_length_tables(depth, depth)

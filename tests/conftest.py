@@ -4,9 +4,13 @@ from functools import reduce
 
 import numpy as np
 
-from gasketlab.geometry import AffineMap, compose_word, sg_hierarchy
-from gasketlab.harmonic import MIDPOINT_RULE, corner_map, harmonic_structure, vertex_count
+from gasketlab.geometry import sg_hierarchy
+from gasketlab.harmonic import MIDPOINT_RULE, harmonic_structure, vertex_count
 from gasketlab.measure import functional_sample
+
+SQ3 = np.sqrt(3.0)
+FIXED_POINTS = np.array([[0.0, 0.0], [0.5, SQ3 / 2], [1.0, 0.0],
+                         [0.75, SQ3 / 4], [0.5, 0.0], [0.25, SQ3 / 4]])
 
 
 def index_word(level: int, index: int) -> str:
@@ -43,10 +47,28 @@ def harmonic_extend(level: int, values) -> np.ndarray:
     return np.concatenate([values, (corner_vals @ MIDPOINT_RULE.T).reshape(-1)])
 
 
-def word_map(word) -> AffineMap:
-    """Harmonic corner maps composed along a word, first letter applied first."""
-    return reduce(lambda out, letter: corner_map(letter).after(out), word,
-                  AffineMap.identity(3))
+def generators(variant: str, alpha=None) -> list:
+    """(A_j, p_j) of each generator x -> A_j (x - p_j) + p_j as the paper
+    writes it: ratio 1/2 or (1 - alpha)/2 at the corners p1..p3, and
+    (stretched) alpha times the projection onto each side at its midpoint
+    p4..p6 (right, bottom, left); harmonic maps are the contractions of
+    R^3 at the corner images."""
+    if variant == "harmonic":
+        st = harmonic_structure()
+        return list(zip(st.contractions, st.corner_images.T))
+    sides = [(0.5, -SQ3 / 2), (1.0, 0.0), (0.5, SQ3 / 2)] if variant == "stretched" else []
+    ratio = 0.5 if variant == "sg" else (1.0 - alpha) / 2.0
+    return list(zip([ratio * np.eye(2)] * 3 + [alpha * np.outer(u, u) for u in sides],
+                    FIXED_POINTS))
+
+
+def apply_word(variant: str, word, points, alpha=None) -> np.ndarray:
+    """The generators composed along ``word`` at ``points``, first letter first."""
+    maps, x = generators(variant, alpha), np.asarray(points, dtype=float)
+    for letter in word:
+        a, p = maps[int(letter) - 1]
+        x = (x - p) @ a.T + p
+    return x
 
 
 def word_matrix(word) -> np.ndarray:
@@ -78,10 +100,7 @@ def self_affinity_residual(family: str, n: int, f, alpha=None) -> float:
     """|psi_{n+1}(f) - (1/3) sum_j psi_n(f . G_j)| for one functional family
     psi with generators G_j.  Both sides enumerate the same weighted point
     set, so the residual is zero to rounding for every family."""
-    if family == "harmonic":
-        maps = [corner_map(j) for j in (1, 2, 3)]
-    else:
-        maps = [compose_word(family, (j,), alpha) for j in (1, 2, 3)]
+    maps = [lambda pts, j=j: apply_word(family, (j,), pts, alpha) for j in (1, 2, 3)]
 
     def psi(m, g):
         return functional_sample(_FAMILY_TAGS[family], m, alpha)(g)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from conftest import (
     POLY_2D,
+    apply_word,
     brute_stretched_trace,
     dense_minimum_energy_extension,
     eigenvalue_trace,
@@ -19,7 +20,6 @@ from conftest import (
     oracle_phi,
     self_affinity_residual,
     vertex_rows,
-    word_map,
 )
 
 import gasketlab as gl
@@ -128,9 +128,8 @@ def test_criterion_07_intertwining():
     for k in range(4):
         for idx in np.ndindex(*(3,) * k):
             word = tuple(i + 1 for i in idx)
-            images = gl.compose_word("sg", word)(pts3)
-            lhs = phi_coordinates(3 + k)[vertex_rows(images, 3 + k)]
-            rhs = word_map(word)(phi3)
+            lhs = phi_coordinates(3 + k)[vertex_rows(apply_word("sg", word, pts3), 3 + k)]
+            rhs = apply_word("harmonic", word, phi3)
             worst = max(worst, float(np.abs(lhs - rhs).max()))
     assert worst <= 1e-9
     _report(7, f"embedding intertwines all words up to length 3 on V_3, "

@@ -1,8 +1,9 @@
-"""CLI verbs, file formats, round trips, exit codes, SVG output."""
+"""CLI verbs, file formats, round trips, exit codes, SVG output, the README example."""
 
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -279,6 +280,20 @@ def test_dimension_verb_harmonic_interval(capsys):
     assert 1.0 <= lo <= hi <= 2.1507
 
 
+@pytest.mark.parametrize("verb", ["dimension", "spectrum", "report"])
+def test_harmonic_depth_below_two_is_usage_error(tmp_path, capsys, verb):
+    # each verb exited 1 with "growth root needs at least 3 generations";
+    # report had written model.json and model.svg by then
+    extra = ["--level", "1", "--out-dir", str(tmp_path)] if verb == "report" else []
+    assert main([verb, "--variant", "harmonic", "--depth", "1", *extra]) == 2
+    assert capsys.readouterr() == ("", "usage error: --depth 1: the harmonic dimension "
+                                   "needs depth >= 2\n")
+    assert list(tmp_path.iterdir()) == []
+    # build only samples curves at that depth, which stays legal
+    assert main(["build", "--variant", "harmonic", "--level", "1", "--depth", "1",
+                 "--out", str(tmp_path / "kh.json")]) == 0
+
+
 def test_distance_verb(capsys):
     assert main(["distance", "--variant", "stretched", "--alpha", "0.2",
                  "--from", "0,0", "--to", "1,0", "--level", "4"]) == 0
@@ -344,6 +359,21 @@ def test_spectrum_eps_start_must_be_finite_and_positive(capsys, eps):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("usage error: --eps-start")
+
+
+@pytest.mark.parametrize("argv,eps", [
+    (["stretched", "--alpha", "0.2", "--rungs", "52"], 0.1 * 0.5 ** 51),
+    (["stretched", "--alpha", "0.05", "--rungs", "56"], 0.1 * 0.5 ** 55),
+    (["sg", "--rungs", "51"], 0.1 * 0.5 ** 50), (["sg", "--rungs", "100"], 0.1 * 0.5 ** 99)])
+def test_spectrum_rungs_past_double_resolution_are_usage_errors(capsys, argv, eps):
+    # these exited 1 with "trace diverges for p <= d, got d": the finest rung
+    # no longer moves p = d (1 + eps) off d; 50 rungs still print
+    assert main(["spectrum", "--variant", *argv]) == 2
+    assert capsys.readouterr() == ("", f"usage error: --rungs {argv[-1]}: the finest rung, "
+                                   f"eps = {eps!r}, no longer moves p = d (1 + eps) off d "
+                                   "in double precision\n")
+    assert main(["spectrum", "--variant", *argv[:-1], "50"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 51
 
 
 def test_spectrum_verb_csv(tmp_path):
@@ -554,8 +584,7 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path, argv, modules):
 # the package's public names by defining module, as its __init__ imported
 # them before they resolved on first use
 EXPORTS = {
-    "geometry": "AffineMap EdgeCurve GasketError GasketModel ResourceCapError Word "
-                "build_model compose_word generator_map",
+    "geometry": "EdgeCurve GasketError GasketModel ResourceCapError Word build_model",
     "harmonic": "harmonic_structure",
     "metric": "GeodesicResult MetricGraph geodesic lipschitz_witness_check to_metric_graph",
     "measure": "FunctionalSample dixmier_functional functional_sample "
@@ -593,8 +622,24 @@ def test_package_names_resolve_to_their_modules_objects():
         "    print(exc)\n"
     )
     names = sorted(" ".join(EXPORTS.values()).split())
-    assert len(names) == 40
+    assert len(names) == 37
     star, version, missing = fresh_python(code, json.dumps(EXPORTS)).splitlines()
     assert star.split() == names
     assert version == "0.1.0"
     assert missing == "module 'gasketlab' has no attribute 'no_such_name'"
+
+
+# -- README -------------------------------------------------------------------
+
+def test_readme_library_block_runs_and_matches_its_comments():
+    # the whole block runs; each line whose comment starts with a number
+    # must give it, to 1e-12 or (125.6) to the digits shown
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library in one minute\n\n```python\n")[1].split("```")[0]
+    namespace = {}
+    exec(block, namespace)
+    stated = re.findall(r"^(\S.*?)\s+# ([\d.]+)", block, re.M)
+    assert [number for _, number in stated] == ["1.0", "1.19897784671579", "6.0", "125.6"]
+    for source, number in stated:
+        value = eval(source, namespace)
+        assert abs(value - float(number)) <= (0.05 if number == "125.6" else 1e-12), number

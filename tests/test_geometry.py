@@ -1,12 +1,10 @@
-"""Generator maps, word composition, model construction, vertex sets."""
+"""Contraction maps, words, model construction, vertex sets."""
 
 import math
 
 import numpy as np
 import pytest
-from conftest import index_word
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from conftest import FIXED_POINTS, SQ3, apply_word, generators, index_word
 
 import gasketlab as gl
 from gasketlab import harmonic
@@ -21,6 +19,7 @@ from gasketlab.geometry import (
     Word,
     as_word,
     cell_index,
+    contractions,
     _endpoint_nodes,
     edge_count,
     sg_hierarchy,
@@ -28,22 +27,18 @@ from gasketlab.geometry import (
 )
 from gasketlab.serialize import model_to_json
 
-SQ3 = math.sqrt(3.0)
-P = {
-    1: np.array([0.0, 0.0]),
-    2: np.array([0.5, SQ3 / 2]),
-    3: np.array([1.0, 0.0]),
-    4: np.array([0.75, SQ3 / 4]),
-    5: np.array([0.5, 0.0]),
-    6: np.array([0.25, SQ3 / 4]),
-}
+P = dict(enumerate(FIXED_POINTS, start=1))
 
 
-# -- generator maps ----------------------------------------------------------
+# -- contraction maps --------------------------------------------------------
+
+def on(variant, j, x, alpha=None):    # map j (1-based) of ``contractions`` at x
+    mats, offsets = contractions(variant, alpha)
+    return mats[j - 1] @ x + offsets[j - 1]
+
 
 def test_sg_generator_contracts_to_midpoint():
-    out = gl.generator_map("sg", 1)(np.array([1.0, 0.0]))
-    np.testing.assert_allclose(out, [0.5, 0.0], atol=1e-15)
+    np.testing.assert_allclose(on("sg", 1, np.array([1.0, 0.0])), [0.5, 0.0], atol=1e-15)
 
 
 def test_stretched_degenerate_generator_direct_arithmetic():
@@ -51,72 +46,56 @@ def test_stretched_degenerate_generator_direct_arithmetic():
     alpha = 0.2
     x = P[2]
     expected = alpha * np.array([[1.0, 0.0], [0.0, 0.0]]) @ (x - P[5]) + P[5]
-    out = gl.generator_map("stretched", 5, alpha)(x)
+    out = on("stretched", 5, x, alpha)
     np.testing.assert_allclose(out, expected, atol=1e-15)
     np.testing.assert_allclose(out, [0.5, 0.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("j", range(1, 7))
 def test_stretched_generator_fixed_points(j):
-    fmap = gl.generator_map("stretched", j, 0.2)
-    np.testing.assert_allclose(fmap(P[j]), P[j], atol=1e-15)
+    np.testing.assert_allclose(on("stretched", j, P[j], 0.2), P[j], atol=1e-15)
 
 
 def test_generators_are_contractive():
-    for j in range(1, 4):
-        assert np.linalg.norm(gl.generator_map("sg", j).matrix, 2) < 1.0
-    for j in range(1, 7):
-        assert np.linalg.norm(gl.generator_map("stretched", j, 0.3).matrix, 2) < 1.0
+    for variant, alpha in (("sg", None), ("stretched", 0.3), ("harmonic", None)):
+        mats = contractions(variant, alpha)[0]
+        assert (np.linalg.norm(mats, 2, axis=(1, 2)) < 1.0).all()
 
 
 def test_generator_errors():
-    with pytest.raises(GasketError):
-        gl.generator_map("sg", 4)
-    with pytest.raises(GasketError):
-        gl.generator_map("stretched", 7, 0.2)
-    with pytest.raises(GasketError):
-        gl.generator_map("stretched", 1, 0.4)
-    with pytest.raises(GasketError):
-        gl.generator_map("stretched", 1)
-    with pytest.raises(GasketError):
-        gl.generator_map("harmonic", 1)
+    for args, message in [(("stretched", 0.4), "alpha must lie in"), (("stretched",), "requires"),
+                          (("harmonic", 0.2), "takes no alpha"), (("carpet",), "unknown")]:
+        with pytest.raises(GasketError, match=message):
+            contractions(*args)
 
 
-# -- word composition --------------------------------------------------------
-
-def test_empty_word_is_identity():
-    ident = gl.compose_word("sg", "")
-    pts = np.array([[0.3, 0.4], [1.0, 0.0]])
-    np.testing.assert_allclose(ident(pts), pts, atol=0)
+@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.05), ("stretched", 0.2),
+                                           ("stretched", 0.3), ("harmonic", None)])
+def test_contractions_match_the_fixed_point_oracle(variant, alpha):
+    # harmonic maps act on the plane Z, written in the basis
+    # q_1 = (2, -1, -1)/sqrt(6), q'_1 = (0, 1, -1)/sqrt(2)
+    mats, offsets = contractions(variant, alpha)
+    assert contractions(variant, alpha)[1] is offsets
+    assert not (mats.flags.writeable or offsets.flags.writeable)
+    assert len(mats) == len(offsets) == len(generators(variant, alpha))
+    basis = (np.array([[2.0, 0.0], [-1.0, SQ3], [-1.0, -SQ3]]) / math.sqrt(6.0)
+             if variant == "harmonic" else np.eye(2))
+    pts = np.random.default_rng(3).uniform(-1.0, 2.0, size=(50, 2))
+    for j in range(len(mats)):
+        np.testing.assert_allclose(pts @ mats[j].T + offsets[j],
+                                   apply_word(variant, [j + 1], pts @ basis.T, alpha) @ basis,
+                                   atol=1e-14)
 
 
 def test_two_halvings_toward_corner_one():
-    out = gl.compose_word("sg", "11")(P[3])
-    np.testing.assert_allclose(out, [0.25, 0.0], atol=1e-15)
+    np.testing.assert_allclose(on("sg", 1, on("sg", 1, P[3])), [0.25, 0.0], atol=1e-15)
 
 
 def test_compose_matches_sequential_application():
-    # first letter applied first: word "13" acts as F_3 after F_1
+    # the oracle applies the first letter first: word "13" acts as F_3 after F_1
     alpha = 0.2
-    seq = gl.generator_map("stretched", 3, alpha)(
-        gl.generator_map("stretched", 1, alpha)(P[3])
-    )
-    np.testing.assert_allclose(gl.compose_word("stretched", "13", alpha)(P[3]),
-                               seq, atol=1e-15)
-
-
-_words = st.lists(st.integers(1, 3), max_size=5).map(tuple)
-
-
-@settings(max_examples=100, deadline=None)
-@given(_words, _words)
-def test_concatenation_law(w, v):
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(-1.0, 2.0, size=(100, 2))
-    for variant, alpha in (("sg", None), ("stretched", 0.2)):
-        whole = gl.compose_word(variant, w + v, alpha)(pts)
-        steps = gl.compose_word(variant, v, alpha)(gl.compose_word(variant, w, alpha)(pts))
-        np.testing.assert_allclose(whole, steps, atol=1e-12)
+    seq = on("stretched", 3, on("stretched", 1, P[3], alpha), alpha)
+    np.testing.assert_allclose(apply_word("stretched", "13", P[3], alpha), seq, atol=1e-15)
 
 
 def test_word_validation():
@@ -126,7 +105,6 @@ def test_word_validation():
         Word.parse("10")
     assert len(Word.parse("132")) == 3
     assert str(Word.parse("132")) == "132"
-    assert Word((5,), alphabet=6).letters == (5,)
     with pytest.raises(GasketError):
         as_word("x")
 
@@ -136,11 +114,10 @@ def test_cell_addressing_roundtrip():
         for idx in range(3 ** level):
             assert cell_index(index_word(level, idx)) == idx
     # descending one letter lands in the child cell: the map onto the cell
-    # at an address is compose_word of the reversed address, and "2" is its
+    # at an address is the word map of the reversed address, and "2" is its
     # own reverse
-    outer = gl.compose_word("sg", "")(CORNERS)
-    child = gl.compose_word("sg", "2")(CORNERS)
-    np.testing.assert_allclose(child[1], outer[1], atol=1e-15)  # keeps corner 2
+    child = apply_word("sg", "2", CORNERS)
+    np.testing.assert_allclose(child[1], CORNERS[1], atol=1e-15)  # keeps corner 2
 
 
 # -- models ------------------------------------------------------------------
@@ -216,12 +193,12 @@ def test_model_hash_is_cached_and_not_pickled():
 
 
 def test_stretched_vertices_match_enumeration_oracle():
-    # enumerate F_w({p1,p2,p3}) over all words directly through compose_word
+    # enumerate F_w({p1,p2,p3}) over all words directly through the word maps
     alpha, n = 0.2, 2
     seen = set()
     for w in np.ndindex(*(3,) * n):
         word = tuple(int(c) + 1 for c in w)
-        img = gl.compose_word("stretched", word, alpha)(CORNERS)
+        img = apply_word("stretched", word, CORNERS, alpha)
         seen.update(tuple(np.round(p, 12)) for p in img)
     nodes = _endpoint_nodes(gl.build_model("stretched", n, alpha))[0]
     model_pts = {tuple(p) for p in nodes}

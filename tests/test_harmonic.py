@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    apply_word,
     dense_minimum_energy_extension,
     energy,
     harmonic_extend,
     index_word,
     oracle_phi,
     vertex_rows,
-    word_map,
     word_matrix,
     word_norm,
 )
@@ -29,11 +29,11 @@ from gasketlab.geometry import (
     _generation_starts,
     _stacked_cells,
     cell_index,
+    contractions,
     sg_hierarchy,
 )
 from gasketlab.harmonic import (
     MIDPOINT_RULE,
-    corner_map,
     edge_length_tables,
     edge_polyline,
     gasket_diameter,
@@ -167,9 +167,13 @@ def test_contraction_axis_eigenvalues():
 
 
 def test_corner_maps_fix_corner_images():
+    st = harmonic_structure()
+    kappa = st.corner_images.T @ np.stack([st.corner_axes[:, 0], st.corner_perps[:, 0]], 1)
+    mats, offsets = contractions("harmonic")       # corner j's image is fixed by map j
+    np.testing.assert_allclose(np.einsum("jik,jk->ji", mats, kappa) + offsets, kappa, atol=1e-15)
     for j in (1, 2, 3):
-        kappa = harmonic_structure().corner_images[:, j - 1]
-        np.testing.assert_allclose(corner_map(j)(kappa), kappa, atol=1e-15)
+        np.testing.assert_allclose(apply_word("harmonic", [j], st.corner_images[:, j - 1]),
+                                   st.corner_images[:, j - 1], atol=1e-15)
     # the corner images are the embedded outer corners
     np.testing.assert_allclose(harmonic_structure().corner_images[:, 0],
                                phi_coordinates(0)[0], atol=1e-15)
@@ -212,9 +216,8 @@ def test_intertwining_on_level_two_vertices():
     for k in range(3):
         for idx in np.ndindex(*(3,) * k):
             word = tuple(i + 1 for i in idx)
-            img = gl.compose_word("sg", word)(pts)
-            lhs = phi_coordinates(2 + k)[vertex_rows(img, 2 + k)]
-            rhs = word_map(word)(phi_coordinates(2))
+            lhs = phi_coordinates(2 + k)[vertex_rows(apply_word("sg", word, pts), 2 + k)]
+            rhs = apply_word("harmonic", word, phi_coordinates(2))
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
@@ -364,10 +367,9 @@ def test_barycentric_identity_on_level_two_vertices():
         for idx in np.ndindex(*(3,) * k):
             word = tuple(i + 1 for i in idx)
             # mesh row cell_index(word) is f_{w1} o ... o f_{wk}, and
-            # compose_word applies its first letter first
-            fw = gl.compose_word("sg", word[::-1])
-            lhs = phi_coordinates(2 + k)[vertex_rows(fw(pts), 2 + k)]
-            corners = phi_coordinates(k)[vertex_rows(fw(CORNERS), k)]
+            # apply_word applies its first letter first
+            lhs = phi_coordinates(2 + k)[vertex_rows(apply_word("sg", word[::-1], pts), 2 + k)]
+            corners = phi_coordinates(k)[vertex_rows(apply_word("sg", word[::-1], CORNERS), k)]
             np.testing.assert_allclose(h @ corners, lhs, atol=1e-14)
             np.testing.assert_allclose(
                 harmonic._on_cells(h, corners[None])[0], lhs, atol=1e-14)

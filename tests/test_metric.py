@@ -965,6 +965,26 @@ def test_chain_check_sees_a_wrong_weight_on_a_shared_chain():
     assert not _chains_attain(wrong, shifted, pred, q, [far, near])
 
 
+@pytest.mark.parametrize("variant,alpha,zero", [
+    ("sg", None, None), ("stretched", 0.2, None),
+    ("stretched", 0.2, "stretched-triangle"), ("stretched", 0.2, "stretched-joining")])
+def test_chain_lengths_are_the_dict_fold_bit_for_bit(variant, alpha, zero):
+    # the heap sets dist[v] = dist[pred v] + w, the fold node by node from q
+    # that the chain check's dict walk did before its cumsum: with rtol 0
+    # its chains attain those distances, and one ulp off fails
+    model = gl.build_model(variant, 5, alpha)
+    graph = to_metric_graph(_edited_model(model, model.edges.kind.index(zero), 0.0)
+                            if zero else model)
+    rng = np.random.default_rng(67)
+    for q in rng.integers(0, graph.node_count, size=10).tolist():
+        dist, pred = heap_dijkstra(graph, q)
+        field = np.array(dist)
+        targets = rng.integers(0, graph.node_count, size=40).tolist() + [q]
+        assert _chains_attain(graph, field, pred, q, targets, rtol=0.0)
+        field[targets[0]] = np.nextafter(field[targets[0]], math.inf)
+        assert not _chains_attain(graph, field, pred, q, targets, rtol=0.0)
+
+
 def test_witness_attained_all_fails_for_wrong_field(monkeypatch):
     # a field that is 1-Lipschitz but not d(., q) must not be reported attained
     model = gl.build_model("stretched", 3, 0.2)

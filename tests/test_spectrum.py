@@ -292,6 +292,13 @@ def test_kh_interval_contained_and_narrowing():
     assert est3.width < est2.width
 
 
+def test_kh_interval_refuses_a_depth_below_two():
+    # depth 1 failed inside growth_root, depth 0 inside the length tables
+    for depth in (1, 0):
+        with pytest.raises(GasketError, match=f"needs depth >= 2, got {depth}$"):
+            gl.kh_dimension_interval(depth)
+
+
 def loop_growth_root(generation_lengths, p_range=(1.0, KH_DIMENSION_UPPER),
                      iterations=60):
     """The growth root's own bisection loop, as the shared bisection's
