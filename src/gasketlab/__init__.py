@@ -57,7 +57,6 @@ _EXPORTS = {
         "residue_estimate",
         "riemann_zeta",
         "sg_length_spectrum",
-        "spectral_dimension",
         "spectrum_trace",
         "stretched_dimension",
         "stretched_dixmier_constant",

@@ -79,12 +79,11 @@ def _dimension(variant: str, alpha: Optional[float],
                depth: int) -> DimensionEstimate:
     from gasketlab import spectrum
 
-    if variant == "sg":
-        return spectrum.spectral_dimension(spectrum.sg_length_spectrum())
-    if variant == "stretched":
-        value = spectrum.stretched_dimension(alpha)
-        return spectrum.DimensionEstimate(value, value, "closed-form")
-    return spectrum.kh_dimension_interval(depth)
+    if variant == "harmonic":
+        return spectrum.kh_dimension_interval(depth)
+    value = (spectrum.stretched_dimension(alpha) if variant == "stretched"
+             else spectrum.sg_length_spectrum().abscissa)
+    return spectrum.DimensionEstimate(value, value, "closed-form")
 
 
 def _spectrum_scan(variant: str, alpha: Optional[float], depth: int,
@@ -97,21 +96,24 @@ def _spectrum_scan(variant: str, alpha: Optional[float], depth: int,
     if variant == "harmonic":
         est = spectrum.kh_dimension_interval(depth)
         ds = 0.5 * (est.lower + est.upper)
-        rows = []
-        for e in eps:
-            lo, hi = spectrum.kh_trace_interval(ds * (1.0 + e), depth)
-            rows.append((1.0 + e, lo, (hi - lo) if np.isfinite(hi) else float("inf")))
+
+        def trace_at(p: float) -> tuple[float, float]:
+            lo, hi = spectrum.kh_trace_interval(p, depth)
+            return lo, (hi - lo) if np.isfinite(hi) else float("inf")
     else:
         lengths = (spectrum.sg_length_spectrum() if variant == "sg"
                    else spectrum.stretched_length_spectrum(alpha))
         ds = lengths.abscissa
-        if ds * (1.0 + eps[-1]) <= ds:
-            raise UsageError(f"--rungs {rungs}: the finest rung, eps = {float(eps[-1])!r}, "
-                             "no longer moves p = d (1 + eps) off d in double precision")
-        rows = [(1.0 + e, spectrum.spectrum_trace(lengths, ds * (1.0 + e)), 0.0)
-                for e in eps]
+
+        def trace_at(p: float) -> tuple[float, float]:
+            return spectrum.spectrum_trace(lengths, p), 0.0
+    if ds * (1.0 + eps[-1]) <= ds:
+        raise UsageError(f"--rungs {rungs}: the finest rung, eps = {float(eps[-1])!r}, "
+                         "no longer moves p = d (1 + eps) off d in double precision")
     lines = ["s,trace,tail_bound,residue_running"]
-    for s, trace, tail in rows:
+    for e in eps:
+        s = 1.0 + e
+        trace, tail = trace_at(ds * s)
         lines.append(",".join([
             format_number(s), format_number(trace), format_number(tail),
             format_number((s - 1.0) * trace),

@@ -6,50 +6,24 @@ its |D|^(-p) trace has the closed form beta_p * l^p with
     beta_p = 2^(p+1) (1 - 2^(-p)) zeta(p) / pi^p.
 
 A gasket model contributes one curve per edge per generation, so its
-trace is a Dirichlet-type series over the length spectrum.  For the
-geometric families of the flat variants the series sums in closed form
-and its abscissa of convergence (the spectral dimension) is
-log(branching) / -log(ratio).  The Dixmier trace of |D|^(-ds) is
-computed throughout as the residue lim_{s->1+} (s-1) tr(|D|^(-ds*s)),
-never through an extended limit.
+trace is a Dirichlet-type series over the length spectrum.  The curves
+of a flat variant form one geometric family, so the series sums in
+closed form and its abscissa of convergence (the spectral dimension) is
+log 3 / -log(ratio).  The Dixmier trace of |D|^(-ds) is computed
+throughout as the residue lim_{s->1+} (s-1) tr(|D|^(-ds*s)), never
+through an extended limit.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from gasketlab.geometry import GasketError, check_alpha
-
-__all__ = [
-    "DivergenceError",
-    "riemann_zeta",
-    "curve_trace_constant",
-    "curve_trace",
-    "GeometricFamily",
-    "LengthSpectrum",
-    "sg_length_spectrum",
-    "stretched_length_spectrum",
-    "single_curve_spectrum",
-    "scale_spectrum",
-    "union_spectrum",
-    "spectrum_trace",
-    "DimensionEstimate",
-    "spectral_dimension",
-    "abscissa_bracket",
-    "stretched_dimension",
-    "stretched_dixmier_constant",
-    "ResidueResult",
-    "residue_estimate",
-    "growth_root",
-    "dimension_interval_from_tables",
-    "kh_dimension_interval",
-    "kh_trace_interval",
-    "KH_DIMENSION_UPPER",
-]
 
 
 class DivergenceError(GasketError):
@@ -91,10 +65,17 @@ def riemann_zeta(p: float) -> float:
     return out
 
 
+#: largest p at which pi^p is a finite double; 2^(p+1) stays finite to p = 1022
+_P_OVERFLOW = math.log(sys.float_info.max) / math.log(math.pi)
+
+
 def curve_trace_constant(p: float) -> float:
     """Trace of |D|^(-p) for a unit-length curve: 2^(p+1)(1-2^(-p))zeta(p)/pi^p."""
     if not p > 1.0:
         raise GasketError(f"curve trace needs p > 1, got {p}")
+    if p > _P_OVERFLOW:
+        raise GasketError(f"curve trace needs p <= {_P_OVERFLOW!r}, past which pi^p "
+                          f"overflows a double, got {p}")
     return 2.0 ** (p + 1) * (1.0 - 2.0 ** (-p)) * riemann_zeta(p) / math.pi ** p
 
 
@@ -111,12 +92,12 @@ def curve_trace(length: float, p: float) -> float:
 
 
 @dataclass(frozen=True)
-class GeometricFamily:
-    """Curve family with generation-n entries (l_i ratio^n, m_i branching^n)."""
+class LengthSpectrum:
+    """Geometric curve family: generation n holds 3^n copies of the base
+    curves, scaled by ratio^n, so its entries are (l_i ratio^n, m_i 3^n)."""
 
     base: tuple[tuple[float, int], ...]
     ratio: float
-    branching: int = 3
 
     def __post_init__(self) -> None:
         if not 0.0 < self.ratio < 1.0:
@@ -127,93 +108,39 @@ class GeometricFamily:
 
     @property
     def abscissa(self) -> float:
-        return math.log(self.branching) / -math.log(self.ratio)
+        """Abscissa of convergence log 3 / -log(ratio)."""
+        return math.log(3) / -math.log(self.ratio)
 
     def base_power_sum(self, p: float) -> float:
         return sum(mult * length ** p for length, mult in self.base)
 
     def generation_terms(self, p: float, generations: int) -> np.ndarray:
         n = np.arange(generations)
-        return self.base_power_sum(p) * (self.branching * self.ratio ** p) ** n
+        return self.base_power_sum(p) * (3 * self.ratio ** p) ** n
 
 
-@dataclass(frozen=True)
-class LengthSpectrum:
-    """Multiset of curve lengths: explicit entries plus geometric families."""
-
-    entries: tuple[tuple[float, int], ...] = ()
-    families: tuple[GeometricFamily, ...] = ()
-
-    def __post_init__(self) -> None:
-        for length, mult in self.entries:
-            if length <= 0.0 or mult < 1:
-                raise GasketError("spectrum entries need length > 0, mult >= 1")
-
-    @property
-    def abscissa(self) -> float:
-        """Abscissa of convergence; 0 for a finite spectrum."""
-        if not self.families:
-            return 0.0
-        return max(f.abscissa for f in self.families)
+def sg_length_spectrum() -> LengthSpectrum:
+    """Triangle-edge curves of the classical gasket: lengths 1/2^n, mult 3^(n+1)."""
+    return LengthSpectrum(((1.0, 3),), 0.5)
 
 
-def sg_length_spectrum(scale: float = 1.0) -> LengthSpectrum:
-    """Triangle-edge curves of the classical gasket: lengths scale/2^n, mult 3^(n+1)."""
-    return LengthSpectrum(families=(GeometricFamily(((scale, 3),), 0.5),))
-
-
-def stretched_length_spectrum(alpha: float, scale: float = 1.0) -> LengthSpectrum:
+def stretched_length_spectrum(alpha: float) -> LengthSpectrum:
     """Stretched-variant curves: per generation, 3^(n+1) triangle edges of
     length ((1-alpha)/2)^n and 3^(n+1) joining edges of length
-    alpha((1-alpha)/2)^n, both scaled."""
+    alpha((1-alpha)/2)^n."""
     alpha = check_alpha(alpha)
-    ratio = (1.0 - alpha) / 2.0
-    return LengthSpectrum(
-        families=(GeometricFamily(((scale, 3), (scale * alpha, 3)), ratio),)
-    )
-
-
-def single_curve_spectrum(length: float, mult: int = 1) -> LengthSpectrum:
-    return LengthSpectrum(entries=((length, mult),))
-
-
-def scale_spectrum(spectrum: LengthSpectrum, factor: float) -> LengthSpectrum:
-    if factor <= 0.0:
-        raise GasketError("scale factor must be positive")
-    entries = tuple((length * factor, mult) for length, mult in spectrum.entries)
-    families = tuple(
-        GeometricFamily(tuple((length * factor, mult) for length, mult in f.base),
-                        f.ratio, f.branching)
-        for f in spectrum.families
-    )
-    return LengthSpectrum(entries, families)
-
-
-def union_spectrum(*spectra: LengthSpectrum) -> LengthSpectrum:
-    entries: list = []
-    families: list = []
-    for s in spectra:
-        entries.extend(s.entries)
-        families.extend(s.families)
-    return LengthSpectrum(tuple(entries), tuple(families))
+    return LengthSpectrum(((1.0, 3), (alpha, 3)), (1.0 - alpha) / 2.0)
 
 
 def spectrum_trace(spectrum: LengthSpectrum, p: float) -> float:
-    """Trace of |D|^(-p) for the direct sum over the whole spectrum.
-
-    Geometric families sum in closed form; raises DivergenceError at or
-    below the abscissa.
-    """
+    """Trace of |D|^(-p) for the direct sum over the whole family, in
+    closed form; raises DivergenceError at or below the abscissa."""
     if p <= spectrum.abscissa:
         raise DivergenceError(
             f"trace diverges for p <= {spectrum.abscissa}, got {p}"
         )
     beta = curve_trace_constant(p)
-    total = sum(mult * length ** p for length, mult in spectrum.entries)
-    for family in spectrum.families:
-        q = family.branching * family.ratio ** p
-        total += family.base_power_sum(p) / (1.0 - q)
-    return beta * total
+    return beta * (spectrum.base_power_sum(p) / (1.0 - 3 * spectrum.ratio ** p))
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +157,6 @@ class DimensionEstimate:
     @property
     def width(self) -> float:
         return self.upper - self.lower
-
-
-def spectral_dimension(spectrum: LengthSpectrum) -> DimensionEstimate:
-    """Abscissa of convergence of the trace series, as a point estimate."""
-    value = spectrum.abscissa
-    return DimensionEstimate(value, value, "closed-form")
 
 
 def stretched_dimension(alpha: float) -> float:
@@ -273,32 +194,22 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float, *,
 GROWTH_ROUNDING = 8 * 2.0 ** -52
 
 
-def abscissa_bracket(
-    spectrum: LengthSpectrum,
-    generations: int = 30,
-    tol: float = 1e-3,
-    p_range: tuple[float, float] = (0.5, 4.0),
-) -> tuple[float, float]:
+def abscissa_bracket(spectrum: LengthSpectrum, tol: float = 1e-3) -> tuple[float, float]:
     """Bracket the abscissa by bisecting on partial-sum growth.
 
-    Independent of the closed-form dimension formula: a candidate p is
-    below the abscissa when the per-generation term sums still grow at
-    the last materialized generation, above it when they shrink.  An end
-    the predicate cannot tell from the abscissa is moved out by
+    Independent of the closed-form dimension formula: a candidate p in
+    (0.5, 4.0) is below the abscissa when the per-generation term sums
+    still grow at generation 29, above it when they shrink.  An end the
+    predicate cannot tell from the abscissa is moved out by
     ``GROWTH_ROUNDING``, so the bracket encloses it at any ``tol``.
     """
-    if not spectrum.families:
-        raise GasketError("growth bracketing needs a geometric family")
-
     def grows(p: float) -> bool:
-        terms = np.zeros(generations)
-        for family in spectrum.families:
-            terms = terms + family.generation_terms(p, generations)
+        terms = spectrum.generation_terms(p, 30)
         return bool(terms[-1] > terms[-2])
 
-    lo, hi = p_range
+    lo, hi = 0.5, 4.0
     if grows(hi) or not grows(lo):
-        raise GasketError(f"abscissa not bracketed by p_range {p_range}")
+        raise GasketError(f"abscissa not bracketed by p_range {(lo, hi)}")
     lo, hi = _bisect(grows, lo, hi, tol=tol)
     # Within GROWTH_ROUNDING of the abscissa, grows() may answer either
     # way.  An end whose answer still holds twice that far inward is on the
@@ -364,21 +275,20 @@ def extrapolate_ladder(
     values: Callable[[float], float],
     eps_start: float = 0.1,
     rungs: int = 8,
-    rel_tol: float = 1e-3,
 ) -> ResidueResult:
     """Evaluate g on the geometric epsilon ladder and extrapolate to 0+.
 
-    Converged when the last two extrapolants agree to ``rel_tol``,
-    measured against the larger of the limit and the coarsest rung (so
-    vanishing limits register as converged rather than forever failing a
-    pure relative test).
+    Converged when the last two extrapolants agree to 1e-3, measured
+    against the larger of the limit and the coarsest rung (so vanishing
+    limits register as converged rather than forever failing a pure
+    relative test).
     """
     _check_rungs(rungs)
     eps = _ladder_eps(eps_start, rungs)
     g = np.array([values(e) for e in eps])
     extr = _richardson(g)
     diff = abs(extr[-1] - extr[-2])
-    converged = diff <= rel_tol * max(abs(extr[-1]), abs(g[0]), 1e-300)
+    converged = diff <= 1e-3 * max(abs(extr[-1]), abs(g[0]), 1e-300)
     return ResidueResult(float(extr[-1]), bool(converged),
                          tuple(eps), tuple(g), tuple(extr))
 
@@ -391,8 +301,7 @@ def residue_estimate(
 ) -> ResidueResult:
     """Residue lim_{s->1+} (s-1) tr(|D|^(-ds*s)) by ladder extrapolation.
 
-    At the abscissa this recovers the Dixmier trace of |D|^(-ds); for a
-    finite spectrum the trace stays bounded and the limit is 0.
+    At the abscissa this recovers the Dixmier trace of |D|^(-ds).
     """
     def g(eps: float) -> float:
         return eps * spectrum_trace(spectrum, ds * (1.0 + eps))
@@ -437,23 +346,6 @@ def growth_root(
     return 0.5 * (lo + hi)
 
 
-def dimension_interval_from_tables(
-    tables: Sequence[tuple[np.ndarray, np.ndarray]],
-    bounds: tuple[float, float] = (1.0, KH_DIMENSION_UPPER),
-) -> DimensionEstimate:
-    """Dimension interval from per-generation length-bound tables.
-
-    Lower-bound lengths and envelope lengths each yield a growth-root
-    estimate; the pair, intersected with the a-priori bounds, brackets
-    the truncation uncertainty.
-    """
-    root_lo = growth_root([lo for lo, _ in tables], p_range=bounds)
-    root_hi = growth_root([hi for _, hi in tables], p_range=bounds)
-    lower = max(bounds[0], min(root_lo, root_hi))
-    upper = min(bounds[1], max(root_lo, root_hi))
-    return DimensionEstimate(lower, upper, "truncation+tail")
-
-
 def kh_dimension_interval(depth: int) -> DimensionEstimate:
     """Dimension interval of the harmonic gasket at truncation depth.
 
@@ -466,7 +358,13 @@ def kh_dimension_interval(depth: int) -> DimensionEstimate:
     from gasketlab import harmonic  # deferred: keeps the import one-way
 
     tables = harmonic.edge_length_tables(depth, depth)
-    return dimension_interval_from_tables(tables)
+    # the growth roots of the lower-bound and of the envelope lengths,
+    # intersected with the a-priori bounds, bracket the truncation error
+    root_lo = growth_root([lo for lo, _ in tables])
+    root_hi = growth_root([hi for _, hi in tables])
+    lower = max(1.0, min(root_lo, root_hi))
+    upper = min(KH_DIMENSION_UPPER, max(root_lo, root_hi))
+    return DimensionEstimate(lower, upper, "truncation+tail")
 
 
 def kh_trace_interval(p: float, depth: int) -> tuple[float, float]:

@@ -3,16 +3,17 @@
 Straight edges become <line> elements.  Harmonic-image edges are curves;
 they become <polyline> elements through their dyadic sample points,
 projected from the plane Z to two dimensions in the (q_1, q'_1) basis.
-Output bytes are a pure function of the model and options.
+Output bytes are a pure function of the model.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gasketlab.geometry import GasketError, GasketModel
+from gasketlab.geometry import GasketModel
 
 _POLYLINE_DEPTH = 4
+_WIDTH = 800
 
 
 def _coord(x: float) -> str:
@@ -40,10 +41,8 @@ def _model_segments(model: GasketModel) -> np.ndarray:
     return _project_plane(pts)
 
 
-def render_svg(model: GasketModel, width: int = 800) -> str:
-    """Render to an SVG document string."""
-    if width <= 0:
-        raise GasketError("width must be positive")
+def render_svg(model: GasketModel) -> str:
+    """Render to an SVG document string, 800 units wide."""
     segments = np.asarray(_model_segments(model), dtype=float)
     if len(segments):
         allpts = segments.reshape(-1, 2)
@@ -56,15 +55,14 @@ def render_svg(model: GasketModel, width: int = 800) -> str:
     margin = 0.05 * span.max()
     lo = lo - margin
     span = span + 2 * margin
-    scale = width / span[0]
+    scale = _WIDTH / span[0]
     height = int(round(span[1] * scale))
 
-    stroke = max(width / 1600.0, 0.25)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<g stroke="black" stroke-width="{_coord(stroke)}" fill="none">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{height}" viewBox="0 0 {_WIDTH} {height}">',
+        f'<g stroke="black" stroke-width="{_coord(_WIDTH / 1600.0)}" fill="none">',
     ]
     if len(segments):
         px = (segments - lo) * scale
@@ -82,7 +80,7 @@ def render_svg(model: GasketModel, width: int = 800) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_svg(model: GasketModel, path: str, width: int = 800) -> None:
+def emit_svg(model: GasketModel, path: str) -> None:
     """Write the rendering to a file."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(render_svg(model, width))
+        fh.write(render_svg(model))

@@ -52,10 +52,9 @@ def test_criterion_02_spectral_dimension():
         expected = math.log(3.0) / (math.log(2.0) - math.log(1.0 - alpha))
         value = gl.stretched_dimension(alpha)
         assert value == pytest.approx(expected, abs=1e-12)
-        est = gl.spectral_dimension(gl.stretched_length_spectrum(alpha))
-        assert est.lower == est.upper == pytest.approx(expected, abs=1e-12)
-        lo, hi = gl.abscissa_bracket(gl.stretched_length_spectrum(alpha),
-                                     generations=30, tol=1e-3)
+        spectrum = gl.stretched_length_spectrum(alpha)
+        assert spectrum.abscissa == pytest.approx(expected, abs=1e-12)
+        lo, hi = gl.abscissa_bracket(spectrum, tol=1e-3)
         assert hi - lo <= 1e-3
         assert lo <= expected <= hi
     elapsed = time.perf_counter() - start

@@ -1,5 +1,6 @@
 """CLI verbs, file formats, round trips, exit codes, SVG output, the README example."""
 
+import hashlib
 import json
 import math
 import os
@@ -139,7 +140,7 @@ def test_svg_harmonic_matches_per_edge_mesh_route(monkeypatch):
     assert render_svg(model) == text
 
 
-def per_edge_render_svg(model, width=800):
+def per_edge_render_svg(model):
     """Render one edge at a time: a to_pixels copy and four _coord calls per line."""
     if model.variant == "harmonic":
         segments = list(svg._model_segments(model))
@@ -154,7 +155,7 @@ def per_edge_render_svg(model, width=800):
     margin = 0.05 * span.max()
     lo = lo - margin
     span = span + 2 * margin
-    scale = width / span[0]
+    scale = 800 / span[0]
     height = int(round(span[1] * scale))
 
     def to_pixels(pts):
@@ -165,9 +166,9 @@ def per_edge_render_svg(model, width=800):
     c = svg._coord
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<g stroke="black" stroke-width="{c(max(width / 1600.0, 0.25))}" fill="none">',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" '
+        f'height="{height}" viewBox="0 0 800 {height}">',
+        '<g stroke="black" stroke-width="0.50000000" fill="none">',
     ]
     for seg in segments:
         px = to_pixels(seg.copy())
@@ -364,16 +365,50 @@ def test_spectrum_eps_start_must_be_finite_and_positive(capsys, eps):
 @pytest.mark.parametrize("argv,eps", [
     (["stretched", "--alpha", "0.2", "--rungs", "52"], 0.1 * 0.5 ** 51),
     (["stretched", "--alpha", "0.05", "--rungs", "56"], 0.1 * 0.5 ** 55),
-    (["sg", "--rungs", "51"], 0.1 * 0.5 ** 50), (["sg", "--rungs", "100"], 0.1 * 0.5 ** 99)])
+    (["sg", "--rungs", "51"], 0.1 * 0.5 ** 50), (["sg", "--rungs", "100"], 0.1 * 0.5 ** 99),
+    (["harmonic", "--depth", "2", "--rungs", "51"], 0.1 * 0.5 ** 50),
+    (["harmonic", "--depth", "3", "--rungs", "52"], 0.1 * 0.5 ** 51),
+    (["harmonic", "--depth", "5", "--rungs", "51"], 0.1 * 0.5 ** 50)])
 def test_spectrum_rungs_past_double_resolution_are_usage_errors(capsys, argv, eps):
-    # these exited 1 with "trace diverges for p <= d, got d": the finest rung
-    # no longer moves p = d (1 + eps) off d; 50 rungs still print
+    # the finest rung no longer moves p = d (1 + eps) off d: sg and stretched
+    # exited 1 with "trace diverges for p <= d, got d", and harmonic (d the
+    # interval midpoint) exited 0 with last rows at s = 1 and residue 0;
+    # 50 rungs still print
     assert main(["spectrum", "--variant", *argv]) == 2
     assert capsys.readouterr() == ("", f"usage error: --rungs {argv[-1]}: the finest rung, "
                                    f"eps = {eps!r}, no longer moves p = d (1 + eps) off d "
                                    "in double precision\n")
     assert main(["spectrum", "--variant", *argv[:-1], "50"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 51
+
+
+@pytest.mark.parametrize("argv,p", [
+    (["sg", "--eps-start", "391"], math.log(3.0) / math.log(2.0) * 392.0),
+    (["sg", "--eps-start", "700"], math.log(3.0) / math.log(2.0) * 701.0),
+    (["harmonic", "--depth", "2", "--eps-start", "600"], None)])
+def test_spectrum_refuses_a_p_whose_curve_trace_overflows(capsys, argv, p):
+    # pi^p overflows past p ~ 620: sg printed 392,0,0,0 (c(p) is about
+    # 1e-122 there) or 701,nan,0,nan with a numpy warning, and exited 0
+    assert main(["spectrum", "--variant", *argv, "--rungs", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    got = re.escape(str(p)) if p else r"[\d.]+"
+    assert re.fullmatch(r"error: curve trace needs p <= 620\.04\d+, past which pi\^p "
+                        rf"overflows a double, got {got}\n", err), err
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("dimension --variant sg", "40ed5a2b53f75860"),
+    ("dimension --variant stretched --alpha 0.2 --bracket --tol 1e-9", "eabb81aa502936dc"),
+    ("spectrum --variant sg", "a3bc522f053293b9"),
+    ("spectrum --variant stretched --alpha 0.05 --rungs 12", "2b10b2c5166f3cba"),
+    ("spectrum --variant stretched --alpha 0.3 --eps-start 0.4", "6cea3d13a0e8b090"),
+    ("dimension --variant harmonic --depth 4", "0b5c0ccd63bf98d2")])
+def test_dimension_and_spectrum_stdout_bytes_are_pinned(capsys, argv, digest):
+    # the first 16 hex digits of the stdout sha256: a rework of the spectrum
+    # code must leave every printed bit in place
+    assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
 
 
 def test_spectrum_verb_csv(tmp_path):
@@ -592,9 +627,8 @@ EXPORTS = {
                "selfaffine_mass_spread sg_midpoint_functional",
     "spectrum": "DimensionEstimate DivergenceError LengthSpectrum ResidueResult "
                 "abscissa_bracket curve_trace curve_trace_constant kh_dimension_interval "
-                "residue_estimate riemann_zeta sg_length_spectrum spectral_dimension "
-                "spectrum_trace stretched_dimension stretched_dixmier_constant "
-                "stretched_length_spectrum",
+                "residue_estimate riemann_zeta sg_length_spectrum spectrum_trace "
+                "stretched_dimension stretched_dixmier_constant stretched_length_spectrum",
     "expr": "TestFunction parse_expr",
 }
 
@@ -622,7 +656,7 @@ def test_package_names_resolve_to_their_modules_objects():
         "    print(exc)\n"
     )
     names = sorted(" ".join(EXPORTS.values()).split())
-    assert len(names) == 37
+    assert len(names) == 36
     star, version, missing = fresh_python(code, json.dumps(EXPORTS)).splitlines()
     assert star.split() == names
     assert version == "0.1.0"

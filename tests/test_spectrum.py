@@ -14,14 +14,11 @@ from gasketlab.spectrum import (
     GROWTH_ROUNDING,
     KH_DIMENSION_UPPER,
     DivergenceError,
-    GeometricFamily,
     LengthSpectrum,
+    _P_OVERFLOW,
     extrapolate_ladder,
     growth_root,
     kh_trace_interval,
-    scale_spectrum,
-    single_curve_spectrum,
-    union_spectrum,
 )
 
 
@@ -91,6 +88,22 @@ def test_curve_trace_validation():
         gl.curve_trace(1.0, 0.9)
 
 
+@pytest.mark.parametrize("p", (math.nextafter(_P_OVERFLOW, math.inf), 621.0, 1023.0,
+                               1e6, math.inf))
+def test_curve_trace_refuses_a_p_whose_pi_power_overflows(p):
+    # 621 raised a bare OverflowError; a numpy p gave 0 or nan with a warning
+    for arg in (p, np.float64(p)):
+        with pytest.raises(GasketError, match=f"pi\\^p overflows a double, got {p}$"):
+            gl.curve_trace(1.0, arg)
+
+
+def test_curve_trace_constant_is_finite_up_to_the_overflow():
+    # 2^(p+1) / pi^p, to the rounding of exp at |log| ~ 280
+    for p in (620.0, _P_OVERFLOW):
+        expected = math.exp((p + 1) * math.log(2.0) - p * math.log(math.pi))
+        assert gl.curve_trace_constant(p) == pytest.approx(expected, rel=1e-12)
+
+
 # -- model traces ------------------------------------------------------------
 
 def test_stretched_trace_point_two_at_two_is_six():
@@ -115,26 +128,27 @@ def test_trace_diverges_at_the_abscissa():
         gl.spectrum_trace(spectrum, gl.stretched_dimension(0.2))
 
 
-def test_single_entry_equals_curve_trace():
-    spectrum = single_curve_spectrum(1.0)
-    assert gl.spectrum_trace(spectrum, 2.0) == pytest.approx(gl.curve_trace(1.0, 2.0),
-                                                         abs=1e-14)
+def scaled(spectrum, lam):
+    return LengthSpectrum(tuple((lam * length, mult) for length, mult in spectrum.base),
+                          spectrum.ratio)
 
 
 def test_trace_homogeneity_under_scaling():
     spectrum = gl.stretched_length_spectrum(0.2)
     for lam in (0.5, 2.0):
         for p in (1.5, 2.0, 3.0):
-            scaled = gl.spectrum_trace(scale_spectrum(spectrum, lam), p)
-            assert scaled == pytest.approx(lam ** p * gl.spectrum_trace(spectrum, p),
-                                           rel=1e-10)
+            scaled_trace = gl.spectrum_trace(scaled(spectrum, lam), p)
+            assert scaled_trace == pytest.approx(lam ** p * gl.spectrum_trace(spectrum, p),
+                                                 rel=1e-10)
 
 
 def test_spectrum_validation():
-    with pytest.raises(GasketError):
-        LengthSpectrum(entries=((0.0, 1),))
-    with pytest.raises(GasketError):
-        GeometricFamily(((1.0, 3),), 1.5)
+    with pytest.raises(GasketError, match="length > 0, mult >= 1"):
+        LengthSpectrum(((0.0, 1),), 0.5)
+    with pytest.raises(GasketError, match="length > 0, mult >= 1"):
+        LengthSpectrum(((1.0, 3), (1.0, 0)), 0.5)
+    with pytest.raises(GasketError, match="ratio must lie in"):
+        LengthSpectrum(((1.0, 3),), 1.5)
 
 
 # -- dimension ---------------------------------------------------------------
@@ -143,8 +157,8 @@ def test_stretched_dimension_closed_form():
     for alpha in (0.1, 0.2, 0.3):
         expected = math.log(3.0) / (math.log(2.0) - math.log(1.0 - alpha))
         assert gl.stretched_dimension(alpha) == pytest.approx(expected, abs=1e-15)
-        est = gl.spectral_dimension(gl.stretched_length_spectrum(alpha))
-        assert est.lower == est.upper == pytest.approx(expected, abs=1e-12)
+        abscissa = gl.stretched_length_spectrum(alpha).abscissa
+        assert abscissa == pytest.approx(expected, abs=1e-12)
     assert gl.stretched_dimension(0.2) == pytest.approx(1.19897784671579, abs=1e-12)
 
 
@@ -154,13 +168,8 @@ def test_dimension_small_alpha_limit():
 
 
 def test_sg_dimension():
-    est = gl.spectral_dimension(gl.sg_length_spectrum())
-    assert est.lower == pytest.approx(math.log(3) / math.log(2), abs=1e-14)
-
-
-def test_finite_spectrum_has_zero_abscissa():
-    est = gl.spectral_dimension(single_curve_spectrum(1.0))
-    assert est.lower == est.upper == 0.0
+    abscissa = gl.sg_length_spectrum().abscissa
+    assert abscissa == pytest.approx(math.log(3) / math.log(2), abs=1e-14)
 
 
 def test_growth_bracket_encloses_dimension():
@@ -171,15 +180,20 @@ def test_growth_bracket_encloses_dimension():
         assert hi - lo <= 1e-4
 
 
-def loop_abscissa_bracket(spectrum, generations=30, tol=1e-3, p_range=(0.5, 4.0)):
+def test_bracket_refuses_an_abscissa_outside_its_range():
+    spectrum = LengthSpectrum(((1.0, 3),), 0.1)
+    assert spectrum.abscissa == pytest.approx(0.477, abs=1e-3)
+    with pytest.raises(GasketError, match=r"^abscissa not bracketed by p_range \(0.5, 4.0\)$"):
+        gl.abscissa_bracket(spectrum)
+
+
+def loop_abscissa_bracket(spectrum, tol):
     """The bracket's own bisection loop, as the shared bisection's reference."""
     def grows(p):
-        terms = np.zeros(generations)
-        for family in spectrum.families:
-            terms = terms + family.generation_terms(p, generations)
+        terms = spectrum.generation_terms(p, 30)
         return bool(terms[-1] > terms[-2])
 
-    lo, hi = p_range
+    lo, hi = 0.5, 4.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if grows(mid):
@@ -219,14 +233,13 @@ def test_bracket_at_zero_tolerance_encloses_the_closed_form():
 def test_partial_sums_grow_below_the_abscissa():
     alpha = 0.2
     d = gl.stretched_dimension(alpha)
-    family = gl.stretched_length_spectrum(alpha).families[0]
-    below = family.generation_terms(d - 1e-3, 30)
-    above = family.generation_terms(d + 1e-3, 30)
+    spectrum = gl.stretched_length_spectrum(alpha)
+    below = spectrum.generation_terms(d - 1e-3, 30)
+    above = spectrum.generation_terms(d + 1e-3, 30)
     assert (np.diff(below) > 0).all()
     assert (np.diff(above) < 0).all()
     # and the closed form stays finite just above
-    assert np.isfinite(gl.spectrum_trace(gl.stretched_length_spectrum(alpha),
-                                         d + 1e-3))
+    assert np.isfinite(gl.spectrum_trace(spectrum, d + 1e-3))
 
 
 # -- residues ----------------------------------------------------------------
@@ -249,16 +262,17 @@ def test_residue_matches_dixmier_constant():
 
 
 def test_residue_of_finite_spectrum_vanishes():
-    res = gl.residue_estimate(single_curve_spectrum(1.0), 2.0)
+    # one curve: its trace stays bounded as s -> 1+, so (s-1) tr -> 0
+    res = extrapolate_ladder(lambda eps: eps * gl.curve_trace(1.0, 2.0 * (1.0 + eps)))
     assert res.converged
     assert abs(res.value) < 1e-6
 
 
 def test_residue_additive_over_disjoint_unions():
     a = gl.stretched_length_spectrum(0.2)
-    b = scale_spectrum(a, 0.5)
+    b = scaled(a, 0.5)
     ds = gl.stretched_dimension(0.2)
-    whole = gl.residue_estimate(union_spectrum(a, b), ds).value
+    whole = gl.residue_estimate(LengthSpectrum(a.base + b.base, a.ratio), ds).value
     parts = gl.residue_estimate(a, ds).value + gl.residue_estimate(b, ds).value
     assert whole == pytest.approx(parts, rel=1e-6)
     # scaling acts by lambda^ds on the residue
@@ -269,7 +283,7 @@ def test_residue_additive_over_disjoint_unions():
 
 def test_ladder_needs_three_rungs():
     with pytest.raises(GasketError):
-        gl.residue_estimate(single_curve_spectrum(1.0), 2.0, rungs=2)
+        gl.residue_estimate(gl.sg_length_spectrum(), 2.0, rungs=2)
 
 
 def test_ladder_needs_four_rungs():
