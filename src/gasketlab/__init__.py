@@ -40,10 +40,7 @@ _EXPORTS = {
         "FunctionalSample",
         "dixmier_functional",
         "functional_sample",
-        "harmonic_midpoint_functional",
-        "joining_edge_functional",
         "selfaffine_mass_spread",
-        "sg_midpoint_functional",
     ),
     "spectrum": (
         "DimensionEstimate",

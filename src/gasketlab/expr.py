@@ -8,13 +8,17 @@ Grammar (standard precedence, ^ binds tightest, parentheses allowed):
     power  := atom ('^' integer)?
     atom   := number | 'x' | 'y' | 'z' | '(' expr ')'
 
-Exponents must be integer literals.  Evaluation is vectorized over
-point arrays and guarded: division by zero and 0^negative raise at
-evaluation time, the variable z is only defined on 3-d points.
+A number is a run of digits, points and exponent marks (e or E before
+a digit or sign) that float() reads, as in 1., .5, 1e5, 1E-3, 1e+3; any
+other run (1.2.3, ., 1e+, 1e5e5) is a syntax error at its position.
+Exponents are integer literals.  Evaluation is vectorized over point
+arrays and guarded: a zero divisor, 0^negative, a result not finite at
+every point and z on 2-d points raise at evaluation time.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -32,7 +36,7 @@ class ExprSyntaxError(GasketError):
 
 
 class EvalDomainError(GasketError):
-    """Evaluation left the guarded domain (zero divisor, 0^negative, missing z)."""
+    """Evaluation left the guarded domain (0 divisor, 0^negative, missing z, inf/nan)."""
 
 
 @dataclass(frozen=True)
@@ -80,194 +84,94 @@ Expr = Union[Const, Var, Add, Sub, Mul, Div, Pow]
 VARIABLES = ("x", "y", "z")
 
 
-# ---------------------------------------------------------------------------
-# Tokenizer / parser
-# ---------------------------------------------------------------------------
+# one token after optional whitespace; ``re`` compiles it on first use
+_TOKEN = r"""(?sx) \s* (?:
+      (?P<num>  [\d.] (?: [\d.] | [eE][\d+-] )* )
+    | (?P<name> [^\W\d_] [^\W_]* )
+    | (?P<op>   [-+*/^()] )
+    | (?P<end>  \Z )
+    | (?P<bad>  . ) )"""
 
-_OPS = set("+-*/^()")
+Token = tuple[str, str, int]      # kind, text, position
+_BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            j = i
-            seen_exp = False
-            while j < len(text):
-                c = text[j]
-                if c.isdigit() or c == ".":
-                    j += 1
-                elif c in "eE" and j + 1 < len(text) and (
-                    text[j + 1].isdigit() or text[j + 1] in "+-"
-                ):
-                    seen_exp = True
-                    j += 2
-                elif seen_exp and c.isdigit():
-                    j += 1
-                else:
-                    break
-            tokens.append(("num", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
-            while j < len(text) and text[j].isalnum():
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", len(text)))
-    return tokens
+    for m in re.finditer(_TOKEN, text):
+        kind, where = m.lastgroup, m.start(m.lastgroup)
+        if kind == "bad" or (kind == "name" and not m[kind][0].isalpha()):
+            raise ExprSyntaxError(f"unexpected character {m[kind][0]!r}", where)
+        tokens.append((kind, m[kind], where))
+        if kind == "end":
+            return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _expr(tokens: list[Token], i: int) -> tuple[Expr, int]:
+    node, i = _term(tokens, i)
+    while tokens[i][1] in ("+", "-"):
+        rhs, j = _term(tokens, i + 1)
+        node, i = _BINARY[tokens[i][1]](node, rhs), j
+    return node, i
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _term(tokens: list[Token], i: int) -> tuple[Expr, int]:
+    node, i = _unary(tokens, i)
+    while tokens[i][1] in ("*", "/"):
+        rhs, j = _unary(tokens, i + 1)
+        node, i = _BINARY[tokens[i][1]](node, rhs), j
+    return node, i
 
-    def expect_op(self, op: str):
-        kind, value, where = self.peek()
-        if kind != "op" or value != op:
-            raise ExprSyntaxError(f"expected {op!r}", where)
-        self.advance()
 
-    def parse(self) -> Expr:
-        node = self.expr()
-        kind, value, where = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing {value!r}", where)
-        return node
+def _unary(tokens: list[Token], i: int) -> tuple[Expr, int]:
+    if tokens[i][1] == "-":
+        node, i = _unary(tokens, i + 1)
+        return Sub(Const(0.0), node), i
+    return _power(tokens, i)
 
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-            else:
-                return node
 
-    def term(self) -> Expr:
-        node = self.unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.advance()
-                rhs = self.unary()
-                node = Mul(node, rhs) if value == "*" else Div(node, rhs)
-            else:
-                return node
+def _power(tokens: list[Token], i: int) -> tuple[Expr, int]:
+    node, i = _atom(tokens, i)
+    if tokens[i][1] != "^":
+        return node, i
+    negative = tokens[i + 1][1] == "-"
+    kind, text, where = tokens[i + 1 + negative]
+    if kind != "num":
+        raise ExprSyntaxError("exponent must be an integer literal", where)
+    if not text.isdecimal():
+        raise ExprSyntaxError(f"non-integer exponent {text!r}", where)
+    return Pow(node, -int(text) if negative else int(text)), i + 2 + negative
 
-    def unary(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            return Sub(Const(0.0), self.unary())
-        return self.power()
 
-    def power(self) -> Expr:
-        node = self.atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            node = Pow(node, self.integer())
-        return node
-
-    def integer(self) -> int:
-        sign = 1
-        kind, value, where = self.peek()
-        if kind == "op" and value == "-":
-            self.advance()
-            sign = -1
-            kind, value, where = self.peek()
-        if kind != "num":
-            raise ExprSyntaxError("exponent must be an integer literal", where)
-        self.advance()
+def _atom(tokens: list[Token], i: int) -> tuple[Expr, int]:
+    kind, text, where = tokens[i]
+    if kind == "num":
         try:
-            if "." in value or "e" in value or "E" in value:
-                raise ValueError
-            return sign * int(value)
+            return Const(float(text)), i + 1
         except ValueError:
-            raise ExprSyntaxError(f"non-integer exponent {value!r}", where) from None
-
-    def atom(self) -> Expr:
-        kind, value, where = self.advance()
-        if kind == "num":
-            return Const(float(value))
-        if kind == "name":
-            if value in VARIABLES:
-                return Var(value)
-            raise ExprSyntaxError(f"unknown identifier {value!r}", where)
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ExprSyntaxError(f"expected a value, got {value!r}", where)
+            raise ExprSyntaxError(f"malformed number {text!r}", where) from None
+    if kind == "name":
+        if text in VARIABLES:
+            return Var(text), i + 1
+        raise ExprSyntaxError(f"unknown identifier {text!r}", where)
+    if text == "(":
+        node, i = _expr(tokens, i + 1)
+        if tokens[i][1] != ")":
+            raise ExprSyntaxError("expected ')'", tokens[i][2])
+        return node, i + 1
+    raise ExprSyntaxError(f"expected a value, got {text!r}", where)
 
 
 def parse_expr(text: str) -> Expr:
     """Parse a test-function expression into its AST."""
-    return _Parser(text).parse()
+    tokens = _tokenize(text)
+    node, i = _expr(tokens, 0)
+    if tokens[i][0] != "end":
+        raise ExprSyntaxError(f"unexpected trailing {tokens[i][1]!r}", tokens[i][2])
+    return node
 
 
-# ---------------------------------------------------------------------------
-# Printing (canonical, reparses to an equal AST)
-# ---------------------------------------------------------------------------
-
-_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Div: 2, Pow: 3, Const: 4, Var: 4}
-
-
-def _wrap(node: Expr, parent_prec: int, right_side: bool = False) -> str:
-    text = expr_to_string(node)
-    prec = _PRECEDENCE[type(node)]
-    if prec < parent_prec or (prec == parent_prec and right_side):
-        return f"({text})"
-    return text
-
-
-def expr_to_string(node: Expr) -> str:
-    if isinstance(node, Const):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Add):
-        return f"{_wrap(node.left, 1)} + {_wrap(node.right, 1, True)}"
-    if isinstance(node, Sub):
-        return f"{_wrap(node.left, 1)} - {_wrap(node.right, 1, True)}"
-    if isinstance(node, Mul):
-        return f"{_wrap(node.left, 2)}*{_wrap(node.right, 2, True)}"
-    if isinstance(node, Div):
-        return f"{_wrap(node.left, 2)}/{_wrap(node.right, 2, True)}"
-    if isinstance(node, Pow):
-        # a leading '-' after '^' is accepted by the exponent parser
-        return f"{_wrap(node.base, 4)}^{node.exponent}"
-    raise GasketError(f"not an expression node: {node!r}")
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
+_UFUNCS = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
 
 
 def evaluate(node: Expr, points: np.ndarray) -> np.ndarray:
@@ -282,16 +186,12 @@ def evaluate(node: Expr, points: np.ndarray) -> np.ndarray:
         if isinstance(e, Var):
             col = VARIABLES.index(e.name)
             if col >= points.shape[1]:
-                raise EvalDomainError(
-                    f"variable {e.name!r} undefined on {points.shape[1]}-d points"
-                )
+                raise EvalDomainError(f"variable {e.name!r} undefined on "
+                                      f"{points.shape[1]}-d points")
             return points[:, col]
-        if isinstance(e, Add):
-            return rec(e.left) + rec(e.right)
-        if isinstance(e, Sub):
-            return rec(e.left) - rec(e.right)
-        if isinstance(e, Mul):
-            return rec(e.left) * rec(e.right)
+        ufunc = _UFUNCS.get(type(e))
+        if ufunc is not None:
+            return ufunc(rec(e.left), rec(e.right))
         if isinstance(e, Div):
             denom = rec(e.right)
             if np.any(denom == 0.0):
@@ -304,7 +204,12 @@ def evaluate(node: Expr, points: np.ndarray) -> np.ndarray:
             return base ** e.exponent
         raise GasketError(f"not an expression node: {e!r}")
 
-    return rec(node)
+    with np.errstate(all="ignore"):     # overflow and inf - inf are refused below
+        values = rec(node)
+    bad = np.count_nonzero(~np.isfinite(values))
+    if bad:
+        raise EvalDomainError(f"result not finite at {bad} of {len(values)} points")
+    return values
 
 
 @dataclass(frozen=True)

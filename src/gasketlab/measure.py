@@ -129,22 +129,6 @@ def functional_sample(tag: str, n: int, alpha: Optional[float] = None) -> Functi
     return FunctionalSample(tag, n, pts, weights)
 
 
-def sg_midpoint_functional(n: int, f: PointFunction) -> float:
-    """Average of f over the cell-edge midpoints of the level-n gasket."""
-    return functional_sample("sg-midpoints", n)(f)
-
-
-def harmonic_midpoint_functional(n: int, h: PointFunction) -> float:
-    """Average of h over the embedded midpoints; equals the flat
-    functional applied to h composed with the embedding."""
-    return functional_sample("harmonic-midpoints", n)(h)
-
-
-def joining_edge_functional(n: int, f: PointFunction, alpha: float) -> float:
-    """Average of f over the endpoints of the stage-n joining segments."""
-    return functional_sample("stretched-joining", n, alpha)(f)
-
-
 # ---------------------------------------------------------------------------
 # Dixmier functionals
 # ---------------------------------------------------------------------------

@@ -49,15 +49,15 @@ class MetricGraph:
     ``arc_kind[i]``, in model edge order.  The cached properties below
     (the ``arcs`` tuple view, the sorted x column, the arc boxes sorted
     by x-min, the padded ``arc_rows`` that sort every node's arcs once,
-    the ``neighbors`` rows read off them, and the cells' corner tables)
-    are built on first use.  A geodesic query locates an endpoint by
-    bisecting the sorted x coordinates, or by projecting onto the few arcs
-    whose box holds it (found by bisecting the box x-mins), and reads the
-    corridor of its shortest paths off the corner tables.  A corridor that
-    is one path is folded along ``arc_rows``; any other is searched by the
-    heap, which alone reads ``neighbors``.  A witness check reads its
-    distance field off the corner tables, and takes each node's tight
-    predecessor and its chains' arc weights from ``arc_rows``.
+    and the cells' corner tables) are built on first use.  A geodesic
+    query locates an endpoint by bisecting the sorted x coordinates, or by
+    projecting onto the few arcs whose box holds it (found by bisecting
+    the box x-mins), and reads the corridor of its shortest paths off the
+    corner tables.  A corridor that is one path is folded along
+    ``arc_rows``; any other is searched by the heap over the same rows.
+    A witness check reads its distance field off the corner tables, and
+    takes each node's tight predecessor and its chains' arc weights from
+    ``arc_rows``.
     """
 
     level: int
@@ -119,18 +119,6 @@ class MetricGraph:
         for arr in (heads, weights):
             arr.flags.writeable = False
         return heads, weights
-
-    @cached_property
-    def neighbors(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per node, the (neighbour, weight) pairs of its ``arc_rows`` row
-        without the pad, which fixes Dijkstra's tie-breaking; the heap loop
-        iterates these tuples faster than index arrays.  Only a heap search
-        reads them."""
-        heads, weights = self.arc_rows
-        real = heads >= 0
-        pairs = list(zip(heads[real].tolist(), weights[real].tolist()))
-        ends = np.cumsum(np.count_nonzero(real, axis=1)).tolist()
-        return tuple(tuple(pairs[a:b]) for a, b in zip([0] + ends, ends))
 
     @cached_property
     def weights_positive(self) -> bool:
@@ -198,12 +186,12 @@ def _dijkstra(graph: MetricGraph, source: int,
               overlay: Optional[dict[tuple[int, int], float]] = None,
               allowed: Optional[set[int]] = None):
     """Shortest paths from ``source``: a binary-heap Dijkstra keyed by
-    (distance, node) over the sorted ``neighbors`` rows, run to
-    exhaustion, so ties break by smaller node id and paths are
-    deterministic.  ``overlay`` maps (tail, head) to the weight of each
-    arc the virtual ends add (see ``geodesic``); a node reads its
-    overlay arcs after its ``neighbors`` row, in insertion order, and a
-    virtual node reads only those.
+    (distance, node) over the sorted ``arc_rows``, run to exhaustion, so
+    ties break by smaller node id and paths are deterministic.  A pad
+    entry never relaxes: head -1 is no key of ``dist``.  ``overlay`` maps
+    (tail, head) to the weight of each arc the virtual ends add (see
+    ``geodesic``); a node reads its overlay arcs after its row, in
+    insertion order, and a virtual node reads only those.
 
     With ``allowed``, a set of node ids (virtual ones included), the
     search relaxes only arcs into allowed nodes and keeps state for them
@@ -220,10 +208,10 @@ def _dijkstra(graph: MetricGraph, source: int,
     or for the witness chains of a graph with a zero-length arc.  Returns
     the ``(dist, pred)`` dicts; dist is inf on allowed nodes not reached.
     """
-    rows, n = graph.neighbors, graph.node_count
-    added: dict[int, tuple[tuple[int, float], ...]] = {}
+    (heads, weights), n = graph.arc_rows, graph.node_count
+    added: dict[int, list[tuple[int, float]]] = {}
     for (a, b), w in (overlay or {}).items():
-        added[a] = added.get(a, ()) + ((b, w),)
+        added.setdefault(a, []).append((b, w))
     dist = dict.fromkeys(range(n + 2) if allowed is None else allowed, math.inf)
     dist[source], pred = 0.0, {}
     # a node outside ``allowed`` reads -inf, so no arc into it relaxes
@@ -234,8 +222,8 @@ def _dijkstra(graph: MetricGraph, source: int,
         d, u = pop(heap)
         if d > dist[u]:
             continue
-        row = rows[u] if u < n else ()
-        for v, w in row + added[u] if u in added else row:
+        row = zip(heads[u].tolist(), weights[u].tolist()) if u < n else ()
+        for v, w in (*row, *added[u]) if u in added else row:
             nd = d + w
             if nd < get(v, outside):
                 dist[v] = nd
@@ -612,7 +600,7 @@ def geodesic(model: GasketModel, p, q) -> GeodesicResult:
     otherwise the heap search runs over the corridor only, its state in
     dicts over the corridor.  Both read the arcs a virtual end adds from
     one overlay, ``{(a, b): weight}`` in both directions, which the heap
-    appends to the shared ``neighbors`` rows.  Either way distances and
+    reads after a node's ``arc_rows`` row.  Either way distances and
     paths are those of the unrestricted (distance, node)-heap Dijkstra,
     bit for bit.  Any other graph runs that full search.
     """

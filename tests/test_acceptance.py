@@ -150,8 +150,8 @@ def test_criterion_08_harmonic_dimension_interval():
 
 def test_criterion_09_measure_functionals():
     for n in range(1, 7):
-        assert gl.joining_edge_functional(
-            n, lambda p: np.ones(len(p)), 0.2
+        assert gl.functional_sample("stretched-joining", n, 0.2)(
+            lambda p: np.ones(len(p))
         ) == pytest.approx(1.0, abs=1e-14)
     fs2 = list(POLY_2D.values())
     for n in (1, 2, 3):
@@ -166,7 +166,7 @@ def test_criterion_09_measure_functionals():
     for n in (1, 2, 3):
         phi_mid = oracle_phi(n + 1)[harmonic.vertex_count(n):]
         for h in fs3:
-            lhs = gl.harmonic_midpoint_functional(n, h)
+            lhs = gl.functional_sample("harmonic-midpoints", n)(h)
             rhs = float(np.mean(h(phi_mid)))
             assert lhs == pytest.approx(rhs, abs=1e-10)
     _report(9, "normalization exact, self-affinity residuals <= 1e-12, "
@@ -182,7 +182,7 @@ def test_criterion_10_measure_recovery():
     for name in ("x", "y", "x^2", "x*y"):
         res = gl.dixmier_functional(model, POLY_2D[name])
         ratio = res.value / base.value
-        target = gl.joining_edge_functional(8, POLY_2D[name], alpha)
+        target = gl.functional_sample("stretched-joining", 8, alpha)(POLY_2D[name])
         worst = max(worst, abs(ratio - target))
         assert ratio == pytest.approx(target, abs=1e-2)
     _report(10, f"trace-measure ratios match the weak-* functional, worst "

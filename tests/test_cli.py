@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -558,6 +559,36 @@ def test_measure_holds_the_edge_cap(monkeypatch, capsys, family, variant):
     assert captured.err == f"error: {variant} level 8 needs {edges} edges, cap is 100\n"
 
 
+@pytest.mark.parametrize("text,message", [
+    ("1.2.3", "malformed number '1.2.3' (at position 0)"),
+    (".", "malformed number '.' (at position 0)"),
+    ("1e+", "malformed number '1e+' (at position 0)"),
+    ("1e5e5", "malformed number '1e5e5' (at position 0)"),
+    ("x+1.5.2", "malformed number '1.5.2' (at position 2)"),
+    ("1e400", "result not finite at 3 of 3 points"),
+    ("1e400-1e400", "result not finite at 3 of 3 points"),
+    ("x^-400", "result not finite at 1 of 9 points"),
+])
+def test_measure_refuses_a_malformed_or_infinite_test_function(capsys, text, message):
+    # malformed numbers died with a ValueError traceback; the infinite ones
+    # printed inf or nan rows with numpy RuntimeWarnings and exited 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["measure", "--family", "sg-midpoints", f"--f={text}",
+                     "--n", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_installed_entry_point_refuses_a_malformed_number_without_a_traceback():
+    done = run_python("-m", "gasketlab.cli", "measure", "--family", "sg-midpoints",
+                      "--f", "1.2.3", "--n", "1")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "error: malformed number '1.2.3' (at position 0)\n"
+
+
 # -- import footprint ---------------------------------------------------------------
 
 def fresh_python(code, *args):
@@ -623,8 +654,7 @@ EXPORTS = {
     "harmonic": "harmonic_structure",
     "metric": "GeodesicResult MetricGraph geodesic lipschitz_witness_check to_metric_graph",
     "measure": "FunctionalSample dixmier_functional functional_sample "
-               "harmonic_midpoint_functional joining_edge_functional "
-               "selfaffine_mass_spread sg_midpoint_functional",
+               "selfaffine_mass_spread",
     "spectrum": "DimensionEstimate DivergenceError LengthSpectrum ResidueResult "
                 "abscissa_bracket curve_trace curve_trace_constant kh_dimension_interval "
                 "residue_estimate riemann_zeta sg_length_spectrum spectrum_trace "
@@ -656,7 +686,7 @@ def test_package_names_resolve_to_their_modules_objects():
         "    print(exc)\n"
     )
     names = sorted(" ".join(EXPORTS.values()).split())
-    assert len(names) == 36
+    assert len(names) == 33
     star, version, missing = fresh_python(code, json.dumps(EXPORTS)).splitlines()
     assert star.split() == names
     assert version == "0.1.0"

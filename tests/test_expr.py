@@ -1,5 +1,7 @@
 """Test-function expression language: parsing, printing, evaluation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,12 +19,12 @@ from gasketlab.expr import (
     TestFunction,
     Var,
     evaluate,
-    expr_to_string,
     parse_expr,
 )
 
 PTS2 = np.array([[0.0, 0.0], [1.0, 2.0], [0.5, -0.25]])
 PTS3 = np.array([[1.0, 2.0, 3.0], [0.0, -1.0, 0.5]])
+WIDE = np.array([[0.5, 0.25], [2.0, -0.25], [1.0, 1.0]])
 
 
 # -- parsing -----------------------------------------------------------------
@@ -59,6 +61,46 @@ def test_parse_errors_carry_positions():
         parse_expr("x + ?")
 
 
+@pytest.mark.parametrize("text,tree", [
+    ("1.", Const(1.0)),
+    (".5", Const(0.5)),
+    ("1e5", Const(1e5)),
+    ("1E-3", Const(1e-3)),
+    ("1e+3", Const(1e3)),
+    ("2.5e-3*x^-2", Mul(Const(2.5e-3), Pow(Var("x"), -2))),
+    ("-x^2", Sub(Const(0.0), Pow(Var("x"), 2))),
+    ("x - -y", Sub(Var("x"), Sub(Const(0.0), Var("y")))),
+])
+def test_number_literal_forms_parse_to_their_trees(text, tree):
+    assert parse_expr(text) == tree
+
+
+@pytest.mark.parametrize("text,position", [
+    ("1.2.3", 0), (".", 0), ("1e+", 0), ("1e5e5", 0), ("x+1.5.2", 2),
+])
+def test_malformed_number_is_a_syntax_error_at_its_position(text, position):
+    # these died with a bare ValueError from float()
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text)
+    assert err.value.position == position
+    assert str(err.value) == (f"malformed number {text[position:]!r} "
+                              f"(at position {position})")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x^+2", "exponent must be an integer literal (at position 2)"),
+    ("3x", "unexpected trailing 'x' (at position 1)"),
+    ("2^3^4", "unexpected trailing '^' (at position 3)"),
+    ("x^1.5", "non-integer exponent '1.5' (at position 2)"),
+    ("x + ?", "unexpected character '?' (at position 4)"),
+    ("(x + 1", "expected ')' (at position 6)"),
+])
+def test_rejections_keep_their_messages(text, message):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(text)
+    assert str(err.value) == message
+
+
 # -- evaluation --------------------------------------------------------------
 
 def test_polynomial_evaluation():
@@ -88,6 +130,27 @@ def test_z_needs_three_dimensions():
         evaluate(parse_expr("z"), PTS2)
 
 
+@pytest.mark.parametrize("text,bad", [
+    ("1e400", 3),             # float() reads the literal as inf
+    ("1e400-1e400", 3),       # inf - inf
+    ("y^-600", 2),            # 0.25^-600 = 2^1200 overflows; 1^-600 does not
+])
+def test_a_result_that_is_not_finite_is_refused_without_warnings(text, bad):
+    # these returned inf or nan with a numpy RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalDomainError, match=f"result not finite at {bad} of 3 points"):
+            evaluate(parse_expr(text), WIDE)
+
+
+def test_an_overflow_that_the_result_absorbs_is_accepted():
+    # only the result must be finite: 1/inf is 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = evaluate(parse_expr("1/(y^-600) + 1"), WIDE)
+    assert out.tolist() == [1.0, 1.0, 2.0]
+
+
 def test_test_function_wrapper():
     f = TestFunction.parse("x*y")
     np.testing.assert_allclose(f(PTS2), PTS2[:, 0] * PTS2[:, 1], atol=0)
@@ -95,6 +158,30 @@ def test_test_function_wrapper():
 
 
 # -- print/parse round-trip ----------------------------------------------------
+
+# a canonical printer owned by the tests: its output reparses to an equal tree
+_PRECEDENCE = {Add: 1, Sub: 1, Mul: 2, Div: 2, Pow: 3, Const: 4, Var: 4}
+
+
+def _wrap(node, parent_prec, right_side=False):
+    text = expr_to_string(node)
+    prec = _PRECEDENCE[type(node)]
+    if prec < parent_prec or (prec == parent_prec and right_side):
+        return f"({text})"
+    return text
+
+
+def expr_to_string(node):
+    if isinstance(node, Const):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Pow):
+        # a leading '-' after '^' is accepted by the exponent parser
+        return f"{_wrap(node.base, 4)}^{node.exponent}"
+    prec, op = {Add: (1, " + "), Sub: (1, " - "), Mul: (2, "*"), Div: (2, "/")}[type(node)]
+    return f"{_wrap(node.left, prec)}{op}{_wrap(node.right, prec, True)}"
+
 
 _consts = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
                     allow_infinity=False).map(abs).map(Const)

@@ -1,11 +1,14 @@
 """Measure functionals, self-affinity, Dixmier-route measure recovery."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import POLY_2D, POLY_3D, oracle_phi, self_affinity_residual, word_norm
 
 import gasketlab as gl
 from gasketlab import harmonic, measure
+from gasketlab.expr import EvalDomainError, TestFunction
 from gasketlab.geometry import (
     EdgeTable,
     GasketError,
@@ -88,16 +91,16 @@ def test_sample_refuses_a_stage_over_the_cap(monkeypatch, tag, alpha, variant):
 
 def test_joining_functional_normalization():
     for n in range(1, 7):
-        assert gl.joining_edge_functional(n, _ones, 0.2) == pytest.approx(
+        assert gl.functional_sample("stretched-joining", n, 0.2)(_ones) == pytest.approx(
             1.0, abs=1e-14
         )
 
 
 def test_sg_midpoints_average_x_to_one_half():
-    assert gl.sg_midpoint_functional(0, POLY_2D["x"]) == pytest.approx(0.5,
-                                                                       abs=1e-14)
+    assert gl.functional_sample("sg-midpoints", 0)(POLY_2D["x"]) == pytest.approx(
+        0.5, abs=1e-14)
     for n in range(1, 6):
-        assert gl.sg_midpoint_functional(n, POLY_2D["x"]) == pytest.approx(
+        assert gl.functional_sample("sg-midpoints", n)(POLY_2D["x"]) == pytest.approx(
             0.5, abs=1e-12
         )
 
@@ -131,7 +134,7 @@ def test_embedded_functional_is_a_pushforward(name):
     # dense-minimization route, independent of the library's phi
     h = POLY_3D[name]
     for n in range(0, 4):
-        lhs = gl.harmonic_midpoint_functional(n, h)
+        lhs = gl.functional_sample("harmonic-midpoints", n)(h)
         phi_pts = oracle_phi(n + 1)[vertex_count(n):]
         rhs = float(np.mean(h(phi_pts)))
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -140,7 +143,7 @@ def test_embedded_functional_is_a_pushforward(name):
 def test_weakstar_cauchy_differences_halve():
     alpha = 0.2
     for name, f in POLY_2D.items():
-        vals = [gl.joining_edge_functional(n, f, alpha) for n in range(1, 8)]
+        vals = [gl.functional_sample("stretched-joining", n, alpha)(f) for n in range(1, 8)]
         diffs = np.abs(np.diff(vals))          # diffs[k] = |psi_{k+2} - psi_{k+1}|
         for n in (3, 4, 5):                    # from stage 3 on
             # differences at the rounding floor count as zero
@@ -162,6 +165,15 @@ def test_dixmier_functional_of_zero_vanishes():
     model = gl.build_model("stretched", 4, 0.2)
     res = gl.dixmier_functional(model, lambda pts: np.zeros(len(pts)))
     assert res.value == pytest.approx(0.0, abs=1e-12)
+
+
+def test_dixmier_functional_refuses_a_test_function_that_is_not_finite():
+    # returned value=nan with a numpy RuntimeWarning
+    model = gl.build_model("stretched", 4, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvalDomainError, match="result not finite"):
+            gl.dixmier_functional(model, TestFunction.parse("1e400"))
 
 
 def test_dixmier_functional_ratio_for_x_is_one_half():
@@ -320,7 +332,7 @@ def test_dixmier_functional_needs_stretched_model():
 
 def test_kh_ratio_approaches_embedded_functional():
     f = POLY_3D["x^2"]
-    target = gl.harmonic_midpoint_functional(6, f)
+    target = gl.functional_sample("harmonic-midpoints", 6)(f)
     gaps = []
     for depth in (2, 3, 4):
         lo, hi = measure.kh_dixmier_ratio(f, depth)

@@ -72,17 +72,21 @@ def _old_style_graph(model):
     return nodes, arcs, tuple(tuple(sorted(nbrs)) for nbrs in adj)
 
 
+def _row(graph, u):
+    """The (neighbour, weight) pairs of node u's ``arc_rows`` row, pads dropped."""
+    heads, weights = graph.arc_rows
+    return tuple((v, w) for v, w in zip(heads[u].tolist(), weights[u].tolist())
+                 if v >= 0)
+
+
 def heap_dijkstra(graph, source, extra=None, target=None):
     """The (distance, node)-heap Dijkstra stopped at the target, which
     geodesics ran before the goal-directed and corridor searches; kept as
     their reference."""
-    rows = graph.neighbors
-    if extra:
-        rows = list(rows) + [()] * (max(extra) + 1 - len(rows))
-        for u, arcs in extra.items():
-            rows[u] = rows[u] + tuple(arcs)
-    dist = [math.inf] * len(rows)
-    pred = [-1] * len(rows)
+    n, extra = graph.node_count, extra or {}
+    size = max([n - 1, *extra]) + 1
+    dist = [math.inf] * size
+    pred = [-1] * size
     dist[source] = 0.0
     heap = [(0.0, source)]
     while heap:
@@ -91,7 +95,7 @@ def heap_dijkstra(graph, source, extra=None, target=None):
             continue
         if u == target:
             break
-        for v, w in rows[u]:
+        for v, w in (_row(graph, u) if u < n else ()) + tuple(extra.get(u, ())):
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
@@ -231,7 +235,7 @@ def test_sg_level_one_graph():
 def test_interior_cell_corner_has_degree_three():
     graph = to_metric_graph(gl.build_model("stretched", 2, 0.2))
     node = _node_id(graph, (0.4, 0.0))     # corner shared with a joining arc
-    degree = len(graph.neighbors[node])
+    degree = len(_row(graph, node))
     assert degree == 3
     kinds = sorted(k for u, v, _, k in graph.arcs if node in (u, v))
     assert kinds == ["stretched-joining", "stretched-triangle",
@@ -245,7 +249,7 @@ def test_tuple_views_match_old_style_rebuild(variant, alpha):
     nodes, arcs, neighbors = _old_style_graph(model)
     assert graph.nodes.tobytes() == nodes.tobytes()
     assert graph.arcs == arcs
-    assert graph.neighbors == neighbors
+    assert tuple(_row(graph, u) for u in range(graph.node_count)) == neighbors
     assert graph.arcs is graph.arcs            # built once, not per access
 
 
@@ -491,7 +495,7 @@ def test_geodesics_match_heap_search_at_level_nine():
 def _nearby(graph, node, steps, rng):
     """The end of a random walk of ``steps`` arcs from ``node``."""
     for _ in range(steps):
-        row = graph.neighbors[node]
+        row = _row(graph, node)
         node = row[rng.integers(len(row))][0]
     return node
 
@@ -525,7 +529,7 @@ def test_corridor_search_state_stays_in_the_corridor(level_seven, monkeypatch, r
     # inside an arc overlays its arcs without touching any row.  Stretched
     # corridors nearly always fold, so sg ties supply the heap runs
     model, graph = level_seven
-    rows = [tuple(row) for row in graph.neighbors]
+    rows = [_row(graph, u) for u in range(graph.node_count)]
     searches, real = [], metric._dijkstra
 
     def recorded(graph, source, extra=None, allowed=None):
@@ -552,19 +556,22 @@ def test_corridor_search_state_stays_in_the_corridor(level_seven, monkeypatch, r
     for reached, preceded, allowed, nodes in searches:
         assert reached <= allowed and preceded <= reached
         assert len(reached) <= len(allowed) < nodes
-    assert graph.neighbors is graph.neighbors  # built once, not per query
-    assert list(graph.neighbors) == rows
+    assert graph.arc_rows is graph.arc_rows    # built once, not per query
+    assert [_row(graph, u) for u in range(graph.node_count)] == rows
 
 
 def test_a_folded_geodesic_builds_no_heap_rows():
-    # the fold reads the padded ``arc_rows``; the per-node ``neighbors``
-    # tuples are built only for a heap search (a fresh graph: one edge edited)
+    # the fold and the heap search both read the padded ``arc_rows``; no
+    # per-node rows are built beside them (a fresh graph: one edge edited)
     base = gl.build_model("stretched", 5, 0.2)
     model = _edited_model(base, 7, 1.25 * base.edges[7].length)
     graph = to_metric_graph(model)
     gl.geodesic(model, graph.nodes[3], graph.nodes[-40])
-    assert "arc_rows" in vars(graph) and "neighbors" not in vars(graph)
-    _assert_same_geodesic(model, graph.nodes[3], graph.nodes[-40])   # reads ``neighbors``
+    cached = set(vars(graph))
+    assert "arc_rows" in cached and not hasattr(graph, "neighbors")
+    metric._dijkstra(graph, 3)                 # an unrestricted heap search
+    assert set(vars(graph)) == cached
+    _assert_same_geodesic(model, graph.nodes[3], graph.nodes[-40])
 
 
 def test_edge_shorter_than_its_chord_keeps_the_search_exact(routes):
@@ -930,7 +937,7 @@ def test_chain_check_rejects_a_step_that_is_not_an_arc():
     # jump between non-neighbours from a real step
     graph = to_metric_graph(gl.build_model("sg", 2))
     q = 0
-    near = {v for v, _ in graph.neighbors[q]}
+    near = {v for v, _ in _row(graph, q)}
     for t in range(1, graph.node_count):
         if t in near:
             continue
