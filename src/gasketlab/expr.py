@@ -11,9 +11,13 @@ Grammar (standard precedence, ^ binds tightest, parentheses allowed):
 A number is a run of digits, points and exponent marks (e or E before
 a digit or sign) that float() reads, as in 1., .5, 1e5, 1E-3, 1e+3; any
 other run (1.2.3, ., 1e+, 1e5e5) is a syntax error at its position.
-Exponents are integer literals.  Evaluation is vectorized over point
-arrays and guarded: a zero divisor, 0^negative, a result not finite at
-every point and z on 2-d points raise at evaluation time.
+Exponents are integer literals.  An expression nests at most
+``_MAX_DEPTH`` levels, counting each operator, unary minus, power and
+pair of parentheses on the deepest path; the parser and ``evaluate``
+recurse once per level, so deeper text is a syntax error at the token
+that crosses the limit.  Evaluation is vectorized over point arrays and
+guarded: a zero divisor, 0^negative, a result not finite at every point
+and z on 2-d points raise at evaluation time.
 """
 
 from __future__ import annotations
@@ -94,6 +98,7 @@ _TOKEN = r"""(?sx) \s* (?:
 
 Token = tuple[str, str, int]      # kind, text, position
 _BINARY = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+_MAX_DEPTH = 100
 
 
 def _tokenize(text: str) -> list[Token]:
@@ -107,65 +112,79 @@ def _tokenize(text: str) -> list[Token]:
             return tokens
 
 
-def _expr(tokens: list[Token], i: int) -> tuple[Expr, int]:
-    node, i = _term(tokens, i)
+# Each rule takes the levels that enclose it (open parentheses and unary
+# minus) and returns (node, height, next token): the enclosing levels bound
+# the parser's recursion, the heights the tree that evaluate walks.
+
+def _within(levels: int, where: int) -> int:
+    if levels > _MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {_MAX_DEPTH} levels", where)
+    return levels
+
+
+def _expr(tokens: list[Token], i: int, depth: int) -> tuple[Expr, int, int]:
+    node, height, i = _term(tokens, i, depth)
     while tokens[i][1] in ("+", "-"):
-        rhs, j = _term(tokens, i + 1)
+        rhs, right, j = _term(tokens, i + 1, depth)
+        height = _within(max(height, right) + 1, tokens[i][2])
         node, i = _BINARY[tokens[i][1]](node, rhs), j
-    return node, i
+    return node, height, i
 
 
-def _term(tokens: list[Token], i: int) -> tuple[Expr, int]:
-    node, i = _unary(tokens, i)
+def _term(tokens: list[Token], i: int, depth: int) -> tuple[Expr, int, int]:
+    node, height, i = _unary(tokens, i, depth)
     while tokens[i][1] in ("*", "/"):
-        rhs, j = _unary(tokens, i + 1)
+        rhs, right, j = _unary(tokens, i + 1, depth)
+        height = _within(max(height, right) + 1, tokens[i][2])
         node, i = _BINARY[tokens[i][1]](node, rhs), j
-    return node, i
+    return node, height, i
 
 
-def _unary(tokens: list[Token], i: int) -> tuple[Expr, int]:
+def _unary(tokens: list[Token], i: int, depth: int) -> tuple[Expr, int, int]:
     if tokens[i][1] == "-":
-        node, i = _unary(tokens, i + 1)
-        return Sub(Const(0.0), node), i
-    return _power(tokens, i)
+        where = tokens[i][2]
+        node, height, i = _unary(tokens, i + 1, _within(depth + 1, where))
+        return Sub(Const(0.0), node), _within(height + 1, where), i
+    return _power(tokens, i, depth)
 
 
-def _power(tokens: list[Token], i: int) -> tuple[Expr, int]:
-    node, i = _atom(tokens, i)
+def _power(tokens: list[Token], i: int, depth: int) -> tuple[Expr, int, int]:
+    node, height, i = _atom(tokens, i, depth)
     if tokens[i][1] != "^":
-        return node, i
+        return node, height, i
+    height = _within(height + 1, tokens[i][2])
     negative = tokens[i + 1][1] == "-"
     kind, text, where = tokens[i + 1 + negative]
     if kind != "num":
         raise ExprSyntaxError("exponent must be an integer literal", where)
     if not text.isdecimal():
         raise ExprSyntaxError(f"non-integer exponent {text!r}", where)
-    return Pow(node, -int(text) if negative else int(text)), i + 2 + negative
+    return Pow(node, -int(text) if negative else int(text)), height, i + 2 + negative
 
 
-def _atom(tokens: list[Token], i: int) -> tuple[Expr, int]:
+def _atom(tokens: list[Token], i: int, depth: int) -> tuple[Expr, int, int]:
     kind, text, where = tokens[i]
     if kind == "num":
         try:
-            return Const(float(text)), i + 1
+            return Const(float(text)), 0, i + 1
         except ValueError:
             raise ExprSyntaxError(f"malformed number {text!r}", where) from None
     if kind == "name":
         if text in VARIABLES:
-            return Var(text), i + 1
+            return Var(text), 0, i + 1
         raise ExprSyntaxError(f"unknown identifier {text!r}", where)
     if text == "(":
-        node, i = _expr(tokens, i + 1)
+        node, height, i = _expr(tokens, i + 1, _within(depth + 1, where))
         if tokens[i][1] != ")":
             raise ExprSyntaxError("expected ')'", tokens[i][2])
-        return node, i + 1
+        return node, _within(height + 1, where), i + 1
     raise ExprSyntaxError(f"expected a value, got {text!r}", where)
 
 
 def parse_expr(text: str) -> Expr:
     """Parse a test-function expression into its AST."""
     tokens = _tokenize(text)
-    node, i = _expr(tokens, 0)
+    node, _, i = _expr(tokens, 0, 0)
     if tokens[i][0] != "end":
         raise ExprSyntaxError(f"unexpected trailing {tokens[i][1]!r}", tokens[i][2])
     return node

@@ -11,18 +11,27 @@ The on-disk schema is fixed, field order included:
 numbers carry 17 significant digits, which round-trips doubles exactly,
 so serialize(parse(text)) == text byte for byte.
 
+A document is made as a sequence of blocks: the header line, the edge
+lines of ``_BLOCK`` edges at a time, and the closing line.
+``model_to_json`` joins them, ``write_model`` writes each as it is made,
+and ``matches_json`` compares each with the text in place.  Formatting
+is per number, so the bytes do not depend on where a block starts, and
+neither writing nor checking needs more memory beyond the model (and
+the text) than one block.
+
 An sg or stretched document that ``model_to_json`` wrote for a built
 model is fixed by its header: it is ``model_to_json`` of
 ``build_model(variant, level, alpha)``.  So the reader first checks
 whether the text is exactly that document.  If the header is canonical
 and the document has as many edge lines as the level implies, it
-rebuilds the model, writes it, and returns it when the whole text
-matches byte for byte, which costs a fraction of ``json.loads`` of the
-text.  The writer round-trips every double, -0.0 included, so the
+rebuilds the model and returns it when ``matches_json`` finds the text
+is its document byte for byte, which costs a fraction of ``json.loads``
+of the text.  The writer round-trips every double, -0.0 included, so the
 rebuilt model equals the parsed one.  Any other document (harmonic,
 edited, laid out differently, or one whose build hits the cap) is
 parsed, with the same results and errors as without the check; a
-canonical-looking document that differs pays one wasted build and write.
+canonical-looking document that differs pays one wasted build, and the
+writing of its blocks up to the first one that differs.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -43,6 +53,7 @@ from gasketlab.geometry import (
     edge_count,
 )
 
+_BLOCK = 4096       # edges per block of a written document
 _FIELDS = ("id", "kind", "gen", "p", "q", "length", "word")
 _BOUNDS = ("length_lo", "length_hi")
 
@@ -72,22 +83,24 @@ def _formatted(numbers: np.ndarray) -> list[list[str]]:
     return text[inverse.reshape(numbers.shape)].T.tolist()
 
 
-def _edge_lines(edges: EdgeTable) -> list[str]:
-    """One line per edge, each from one %-template over the column lists."""
+def _edge_lines(edges: EdgeTable, rows: slice) -> list[str]:
+    """One line per edge of ``rows``, each from one %-template over the
+    column lists."""
     dp, dq = edges.p.shape[1], edges.q.shape[1]
     template = ('  {"id": %d, "kind": %s, "gen": %d, "p": ' + _point(dp) + ', "q": '
                 + _point(dq) + ', "length": %s, "word": %s}')
-    bounds = [] if edges.length_lo is None else [edges.length_lo, edges.length_hi]
-    numbers = _formatted(np.column_stack([edges.p, edges.q, edges.length, *bounds]))
+    bounds = [] if edges.length_lo is None else [edges.length_lo[rows], edges.length_hi[rows]]
+    numbers = _formatted(np.column_stack([edges.p[rows], edges.q[rows],
+                                          edges.length[rows], *bounds]))
     # json.dumps of a str is encode_basestring_ascii, without the call overhead
-    columns = [edges.id.tolist(), map(encode_basestring_ascii, edges.kind),
-               edges.gen.tolist(), *numbers[:dp + dq + 1],
-               map(encode_basestring_ascii, edges.word)]
+    columns = [edges.id[rows].tolist(), map(encode_basestring_ascii, edges.kind[rows]),
+               edges.gen[rows].tolist(), *numbers[:dp + dq + 1],
+               map(encode_basestring_ascii, edges.word[rows])]
     lines = [template % row for row in zip(*columns)]
     if bounds:
         lines = [line if math.isnan(lo) else
                  line[:-1] + ', "length_lo": %s, "length_hi": %s}' % (lo_text, hi_text)
-                 for line, lo, lo_text, hi_text in zip(lines, edges.length_lo.tolist(),
+                 for line, lo, lo_text, hi_text in zip(lines, bounds[0].tolist(),
                                                        *numbers[dp + dq + 1:])]
     return lines
 
@@ -100,14 +113,34 @@ def _header(variant: str, alpha: "float | None", level: int) -> str:
     return "{" + ", ".join(head) + ', "edges": ['
 
 
+def _blocks(model: GasketModel) -> Iterator[str]:
+    """The document of ``model`` in consecutive pieces: the header line,
+    the edge lines ``_BLOCK`` edges at a time, and the closing line."""
+    yield _header(model.variant, model.alpha, model.level) + "\n"
+    count = len(model.edges)
+    for start in range(0, count, _BLOCK):
+        yield ((",\n" if start else "")
+               + ",\n".join(_edge_lines(model.edges, slice(start, start + _BLOCK))))
+    yield "\n]}\n" if count else "]}\n"
+
+
 def model_to_json(model: GasketModel) -> str:
     """Serialize a model to the fixed-order schema (trailing newline)."""
-    lines = [_header(model.variant, model.alpha, model.level)]
-    body = ",\n".join(_edge_lines(model.edges))
-    if body:
-        lines.append(body)
-    lines.append("]}")
-    return "\n".join(lines) + "\n"
+    return "".join(_blocks(model))
+
+
+def matches_json(model: GasketModel, text: str) -> bool:
+    """Whether ``text`` is ``model_to_json(model)``, byte for byte.
+
+    Each block is compared in place as it is made, and the first one that
+    differs ends the check, so the whole document is never held.
+    """
+    pos = 0
+    for block in _blocks(model):
+        if not text.startswith(block, pos):
+            return False
+        pos += len(block)
+    return pos == len(text)
 
 
 def _uniform_table(edges) -> "EdgeTable | None":
@@ -195,15 +228,15 @@ def _rebuilt(text: str) -> "GasketModel | None":
         model = build_model(variant, level, alpha)
     except GasketError:
         return None
-    return model if model_to_json(model) == text else None
+    return model if matches_json(model, text) else None
 
 
 def model_from_json(text: str) -> GasketModel:
     """Read a model document back into an immutable model.
 
     A document that ``model_to_json`` writes for a built sg or stretched
-    model is rebuilt and checked byte for byte (``_rebuilt``); any other
-    is parsed.
+    model is rebuilt and checked byte for byte (``_rebuilt``,
+    ``matches_json``); any other is parsed.
     """
     model = _rebuilt(text)
     return _parsed(text) if model is None else model
@@ -238,8 +271,9 @@ def _parsed(text: str) -> GasketModel:
 
 
 def write_model(model: GasketModel, path: str) -> None:
+    """Write ``model_to_json(model)`` to a file, one block at a time."""
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(model_to_json(model))
+        fh.writelines(_blocks(model))
 
 
 def read_model(path: str) -> GasketModel:

@@ -589,6 +589,41 @@ def test_installed_entry_point_refuses_a_malformed_number_without_a_traceback():
     assert done.stderr == "error: malformed number '1.2.3' (at position 0)\n"
 
 
+@pytest.mark.parametrize("text,position", [
+    ("(" * 300 + "x" + ")" * 300, 100),
+    ("-" * 1200 + "x", 100),
+    ("+".join(["x"] * 3000), 201),      # parses flat; evaluate recursed per node
+], ids=["parentheses", "unary-minus", "sum-chain"])
+def test_measure_refuses_a_deep_test_function_without_a_traceback(text, position):
+    # each ended in a bare RecursionError traceback
+    done = run_python("-m", "gasketlab.cli", "measure", "--family", "sg-midpoints",
+                      f"--f={text}", "--n", "1")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == ("error: expression nested deeper than 100 levels "
+                           f"(at position {position})\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the process's own VmHWM")
+def test_a_level_10_build_with_svg_peaks_below_120_mb(tmp_path):
+    # VmHWM is this interpreter's own peak; ru_maxrss would also count the
+    # parent's pages from before the fork.  Whole strings peaked at 233 MB.
+    code = ("import sys\n"
+            "from gasketlab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    peak = next(line for line in fh if line.startswith('VmHWM:'))\n"
+            "print(code, int(peak.split()[1]) / 1024)\n")
+    out = fresh_python(code, "build", "--variant", "stretched", "--alpha", "0.2",
+                       "--level", "10", "--out", str(tmp_path / "m.json"),
+                       "--svg", str(tmp_path / "m.svg"))
+    code, peak_mb = out.split()
+    assert code == "0"
+    assert float(peak_mb) < 120
+    assert (tmp_path / "m.json").stat().st_size > 0 and (tmp_path / "m.svg").stat().st_size > 0
+
+
 # -- import footprint ---------------------------------------------------------------
 
 def fresh_python(code, *args):

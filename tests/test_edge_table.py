@@ -5,14 +5,16 @@ import copy
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_cli import per_edge_render_svg
 from test_geometry import per_edge_rows
 from test_harmonic import per_edge_harmonic_rows
 
 import gasketlab as gl
-from gasketlab import metric, serialize
+from gasketlab import geometry, metric, serialize, svg
 from gasketlab.geometry import EdgeCurve, EdgeTable, GasketError, GasketModel
 from gasketlab.serialize import (
     format_number,
@@ -21,7 +23,7 @@ from gasketlab.serialize import (
     read_model,
     write_model,
 )
-from gasketlab.svg import render_svg
+from gasketlab.svg import emit_svg, render_svg
 
 
 def per_edge_json(variant, alpha, level, rows):
@@ -231,6 +233,138 @@ def test_a_build_over_the_cap_is_parsed(builds, monkeypatch):
     assert _bits(read) == _bits(serialize._parsed(STRETCHED_3))
     with pytest.raises(gl.ResourceCapError):
         gl.build_model("stretched", 3, 0.2)
+
+
+# -- documents made, written and checked in blocks ------------------------------
+
+def _first_edges(model, count):
+    """``model`` with only its first ``count`` edges."""
+    e = model.edges
+    assert len(e) >= count
+    bounds = [None if c is None else c[:count] for c in (e.length_lo, e.length_hi)]
+    table = EdgeTable(e.id[:count], e.kind[:count], e.gen[:count], e.p[:count], e.q[:count],
+                      e.length[:count], e.word[:count], *bounds)
+    return GasketModel(model.variant, model.alpha, model.level, table)
+
+
+def _bounds_dropped_across(block):
+    """Harmonic level 7 (6,561 edges) with no bounds on the edges around the
+    first block boundary, so bound-free lines straddle it."""
+    model = build("harmonic", 7)
+    e = model.edges
+    lo, hi = e.length_lo.copy(), e.length_hi.copy()
+    lo[block - 5:block + 5] = hi[block - 5:block + 5] = np.nan
+    table = EdgeTable(e.id, e.kind, e.gen, e.p, e.q, e.length, e.word, lo, hi)
+    return GasketModel("harmonic", None, 7, table)
+
+
+BLOCK_CASES = {
+    # name: model made for a block size
+    "no edges": lambda block: GasketModel("sg", None, 0, EdgeTable.from_rows(())),
+    "under one block": lambda block: build("stretched", 3),
+    "two blocks exactly": lambda block: _first_edges(build("sg", 8), 2 * block),
+    "stretched-7": lambda block: build("stretched", 7),
+    "sg-8": lambda block: build("sg", 8),
+    "harmonic bounds dropped across a block": _bounds_dropped_across,
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_CASES))
+def test_json_in_blocks_matches_the_per_edge_writer(name, tmp_path):
+    block = serialize._BLOCK
+    model = BLOCK_CASES[name](block)
+    edges = tuple(model.edges)
+    expected = per_edge_json(model.variant, model.alpha, model.level, edges)
+    assert len(list(serialize._blocks(model))) == -(-len(edges) // block) + 2
+    assert model_to_json(model) == expected
+    path = tmp_path / "model.json"
+    write_model(model, str(path))
+    assert path.read_bytes() == expected.encode("ascii")
+    assert serialize.matches_json(model, expected)
+    if name.startswith("harmonic"):
+        # line i + 1 is edge i: edges block - 5 .. block + 4 carry no bounds
+        lines = expected.splitlines()[block - 5:block + 7]
+        assert ['"length_lo"' in line for line in lines] == [True] + [False] * 10 + [True]
+
+
+@pytest.mark.parametrize("name", list(BLOCK_CASES))
+def test_svg_in_blocks_matches_the_per_edge_renderer(name, tmp_path):
+    block = svg._BLOCK
+    model = BLOCK_CASES[name](block)
+    expected = per_edge_render_svg(model)
+    assert len(list(svg._blocks(model))) == -(-len(model.edges) // block) + 2
+    assert render_svg(model) == expected
+    path = tmp_path / "model.svg"
+    emit_svg(model, str(path))
+    assert path.read_bytes() == expected.encode("ascii")
+
+
+STRETCHED_7 = model_to_json(gl.build_model("stretched", 7, 0.2))     # 9,840 edges
+
+
+def _bump_length(text, edge):
+    """``text`` with the last digit of edge ``edge``'s length changed."""
+    lines = text.split("\n")
+    line = lines[edge + 1]
+    at = line.index(', "word"') - 1
+    lines[edge + 1] = line[:at] + str((int(line[at]) + 1) % 10) + line[at + 1:]
+    return "\n".join(lines)
+
+
+REFUSALS = {
+    # name: (document, blocks made before the check refuses it: the header,
+    # three edge blocks, the closing line)
+    "first block": (_bump_length(STRETCHED_7, 10), 2),
+    "middle block": (_bump_length(STRETCHED_7, 5000), 3),
+    "last block": (_bump_length(STRETCHED_7, 9000), 4),
+    "truncated": (STRETCHED_7[:-3] + "\n", 5),
+    "one extra trailing byte": (STRETCHED_7 + " ", 5),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_byte_check_refuses_at_the_first_block_that_differs(name, builds, monkeypatch):
+    text, made = REFUSALS[name]
+    assert len(text) - len(STRETCHED_7) in (0, 1, -2) and text != STRETCHED_7
+    model = gl.build_model("stretched", 7, 0.2)
+    blocks, yielded = serialize._blocks, []
+
+    def counting(m):
+        for block in blocks(m):
+            yielded.append(block)
+            yield block
+
+    monkeypatch.setattr(serialize, "_blocks", counting)
+    assert serialize.matches_json(model, STRETCHED_7) and len(yielded) == 5
+    yielded.clear()
+    assert not serialize.matches_json(model, text)
+    assert len(yielded) == made
+    # the reader builds once, refuses the bytes and parses
+    try:
+        expected = serialize._parsed(text)
+    except GasketError as exc:
+        with pytest.raises(GasketError) as err:
+            model_from_json(text)
+        assert str(err.value) == str(exc)
+    else:
+        assert _bits(model_from_json(text)) == _bits(expected)
+    assert builds == [("stretched", 7, 0.2)]
+
+
+def test_reading_a_built_document_allocates_under_one_and_a_half_times_its_text(builds):
+    # the whole-string check held the line list and two joined copies: 3.6x
+    text = model_to_json(gl.build_model("stretched", 8, 0.2))
+    for cache in (geometry.contractions, geometry.sg_hierarchy,
+                  geometry.stretched_hierarchy, geometry._level_words):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        model = model_from_json(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert builds == [("stretched", 8, 0.2)] and len(model.edges) == 29523
+    assert peak < 1.5 * len(text)
 
 
 # -- the reader accepts and rejects what the per-edge reader did ----------------

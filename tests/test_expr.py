@@ -101,6 +101,43 @@ def test_rejections_keep_their_messages(text, message):
     assert str(err.value) == message
 
 
+DEEP = [("(" * 100 + "x" + ")" * 100, "(" * 101 + "x" + ")" * 101, 100),
+        ("-" * 100 + "x", "-" * 101 + "x", 100),
+        ("+".join(["x"] * 101), "+".join(["x"] * 102), 201),
+        ("(" * 99 + "x^2" + ")" * 99, "(" * 100 + "x^2" + ")" * 100, 0),
+        ("(-" * 50 + "x" + ")" * 50, "(-" * 50 + "-x" + ")" * 50, 100)]
+
+
+@pytest.mark.parametrize("deepest,deeper,position", DEEP,
+                         ids=["parentheses", "unary-minus", "sum-chain", "power",
+                              "mixed"])
+def test_nesting_is_refused_one_level_past_the_limit(deepest, deeper, position):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expr(deeper)
+    assert str(err.value) == f"expression nested deeper than 100 levels (at position {position})"
+    assert err.value.position == position
+    parse_expr(deepest)
+
+
+def test_a_depth_100_expression_evaluates_like_its_folded_value():
+    x = PTS2[:, 0]
+    np.testing.assert_array_equal(evaluate(parse_expr("(" * 100 + "x" + ")" * 100), PTS2), x)
+    np.testing.assert_array_equal(evaluate(parse_expr("-" * 100 + "x"), PTS2), x + 0.0)
+    np.testing.assert_array_equal(evaluate(parse_expr("-" * 99 + "x"), PTS2), 0.0 - x)
+    total = np.zeros(len(PTS2))
+    for _ in range(101):
+        total = total + x
+    np.testing.assert_array_equal(evaluate(parse_expr("+".join(["x"] * 101)), PTS2), total)
+
+
+@pytest.mark.parametrize("text", ["(" * 300 + "x" + ")" * 300, "-" * 1200 + "x",
+                                  "+".join(["x"] * 3000)],
+                         ids=["parentheses", "unary-minus", "sum-chain"])
+def test_deep_text_is_a_syntax_error_not_a_recursion_error(text):
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels"):
+        parse_expr(text)
+
+
 # -- evaluation --------------------------------------------------------------
 
 def test_polynomial_evaluation():
