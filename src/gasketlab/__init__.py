@@ -23,7 +23,6 @@ _EXPORTS = {
         "GasketError",
         "GasketModel",
         "ResourceCapError",
-        "Word",
         "build_model",
     ),
     "harmonic": (

@@ -124,16 +124,20 @@ def _spectrum_scan(variant: str, alpha: Optional[float], depth: int,
 def _measure_csv(family: str, functions, alpha: Optional[float], stages) -> str:
     """Functional values, one row per (test function, stage).
 
-    ``functions`` holds (parsed function, its source text) pairs.
+    ``functions`` holds (parsed function, its source text) pairs.  Every
+    stage is checked before the first is built, and each is built once.
     """
     from gasketlab import measure
     from gasketlab.serialize import format_number
 
-    lines = ["n,functional,f_expr,value"]
-    for f, text in functions:
-        for n in stages:
-            value = measure.functional_sample(family, n, alpha)(f)
-            lines.append(f"{n},{family},{text},{format_number(value)}")
+    for n in stages:
+        measure._check_stage(family, n, alpha)
+    rows = [[] for _ in functions]
+    for n in stages:
+        sample = measure.functional_sample(family, n, alpha)
+        for row, (f, text) in zip(rows, functions):
+            row.append(f"{n},{family},{text},{format_number(sample(f))}")
+    lines = ["n,functional,f_expr,value"] + [line for row in rows for line in row]
     return "\n".join(lines) + "\n"
 
 

@@ -12,9 +12,10 @@ Conventions fixed here and relied on throughout the package:
 * corner points p1=(0,0), p2=(1/2, sqrt(3)/2), p3=(1,0);
 * ``contractions`` holds map j as x -> M[j] x + b[j], j = 0..2 toward
   p1..p3 and (stretched) 3..5 the joining maps of the right, bottom, left;
-* cell addresses are words over {1,2,3} read root-first: appending a
-  letter descends into a sub-cell, and the mesh row index of a cell is
-  its address read as a base-3 numeral;
+* cell addresses are plain ``str`` words over the letters 1, 2, 3, read
+  root-first: appending a letter descends into a sub-cell, and the mesh
+  row index of a cell is its address read as a base-3 numeral
+  (``cell_index``, which refuses any other character);
 * edges are ordered by (generation, address, local index).  Triangle
   edges of a cell run counterclockwise starting at the corner-1 image:
   local 1 = (c1 -> c3), 2 = (c3 -> c2), 3 = (c2 -> c1).  Joining edges
@@ -35,7 +36,7 @@ import math
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, repeat
 from operator import attrgetter
 from typing import Optional
@@ -81,43 +82,29 @@ def check_alpha(alpha: float) -> float:
     return float(alpha)
 
 
+def _check_level(level: int) -> None:
+    if level < 0:
+        raise GasketError("level must be >= 0")
+
+
+def _frozen(values, dtype=None) -> np.ndarray:
+    """``values`` as a read-only array; an array of ``dtype`` is not copied."""
+    arr = np.asarray(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 # ---------------------------------------------------------------------------
-# Words and contraction maps
+# Contraction maps
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Word:
-    """Finite word over {1,2,3}, the address of a cell (letters 1-based)."""
-
-    letters: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for letter in self.letters:
-            if not 1 <= letter <= 3:
-                raise GasketError(f"letter {letter} outside alphabet 1..3")
-
-    @classmethod
-    def parse(cls, text: str) -> "Word":
-        try:
-            letters = tuple(int(ch) for ch in text)
-        except ValueError as exc:
-            raise GasketError(f"invalid word string {text!r}") from exc
-        return cls(letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return "".join(str(c) for c in self.letters)
-
-
-def as_word(word: "Word | str | Sequence[int]") -> Word:
-    if isinstance(word, Word):
-        return word
-    if isinstance(word, str):
-        return Word.parse(word)
-    return Word(tuple(int(c) for c in word))
+def _variant_alpha(variant: str, alpha: Optional[float]) -> Optional[float]:
+    """The alpha ``variant`` takes: the checked alpha for stretched, else None."""
+    if (alpha is None) == (variant == "stretched"):
+        raise GasketError(f"{variant} variant takes no alpha" if alpha is not None
+                          else "stretched variant requires alpha")
+    return None if alpha is None else check_alpha(alpha)
 
 
 @lru_cache(maxsize=8)
@@ -133,13 +120,10 @@ def contractions(variant: str, alpha: Optional[float] = None):
     """
     if variant not in VARIANTS:
         raise GasketError(f"unknown variant {variant!r}")
-    if (alpha is None) == (variant == "stretched"):
-        raise GasketError(f"{variant} variant takes no alpha" if alpha is not None
-                          else "stretched variant requires alpha")
+    alpha = _variant_alpha(variant, alpha)
     if variant == "sg":
         mats, fixed = np.stack([0.5 * np.eye(2)] * 3), CORNERS
     elif variant == "stretched":
-        alpha = check_alpha(alpha)
         mats = np.stack([(1.0 - alpha) / 2.0 * np.eye(2)] * 3 + [
             (alpha / 4.0) * np.array([[1.0, -SQRT3], [-SQRT3, 3.0]]),
             alpha * np.array([[1.0, 0.0], [0.0, 0.0]]),
@@ -152,7 +136,7 @@ def contractions(variant: str, alpha: Optional[float] = None):
         basis = np.stack([st.corner_axes[:, 0], st.corner_perps[:, 0]], axis=1)
         mats = np.stack([basis.T @ m @ basis for m in st.contractions])
         fixed = st.corner_images.T @ basis
-    return _freeze(mats), _freeze(fixed - np.einsum("jik,jk->ji", mats, fixed))
+    return _frozen(mats), _frozen(fixed - np.einsum("jik,jk->ji", mats, fixed))
 
 
 # ---------------------------------------------------------------------------
@@ -173,11 +157,6 @@ class TriangleMesh:
     level: int
     points: np.ndarray
     cells: np.ndarray
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _refine_shared(points: np.ndarray, cells: np.ndarray):
@@ -240,18 +219,24 @@ def _refine_stretched(points: np.ndarray, cells: np.ndarray, alpha: float):
     return new_points, children, joins
 
 
+def _hierarchy(level: int, refine):
+    """Meshes of levels 0..level, each refined from the one before by
+    ``refine(points, cells)``, and the further tables the steps return
+    (the stretched joins) in step order; every array is frozen."""
+    meshes = [TriangleMesh(0, CORNERS, _frozen([[0, 1, 2]], np.int64))]
+    extras = []
+    for m in range(level):
+        points, cells, *extra = refine(meshes[-1].points, meshes[-1].cells)
+        meshes.append(TriangleMesh(m + 1, _frozen(points), _frozen(cells)))
+        extras.extend(map(_frozen, extra))
+    return tuple(meshes), tuple(extras)
+
+
 @lru_cache(maxsize=16)
 def sg_hierarchy(level: int) -> tuple[TriangleMesh, ...]:
     """Meshes of the classical gasket for levels 0..level (cached)."""
-    if level < 0:
-        raise GasketError("level must be >= 0")
-    points = CORNERS.copy()
-    cells = np.array([[0, 1, 2]], dtype=np.int64)
-    meshes = [TriangleMesh(0, _freeze(points), _freeze(cells))]
-    for m in range(level):
-        points, cells = _refine_shared(meshes[-1].points, meshes[-1].cells)
-        meshes.append(TriangleMesh(m + 1, _freeze(points), _freeze(cells)))
-    return tuple(meshes)
+    _check_level(level)
+    return _hierarchy(level, _refine_shared)[0]
 
 
 @lru_cache(maxsize=16)
@@ -262,20 +247,8 @@ def stretched_hierarchy(level: int, alpha: float):
     and holds endpoint ids (valid from level m+1 on) of the joining
     segments born at generation m.
     """
-    if level < 0:
-        raise GasketError("level must be >= 0")
-    alpha = check_alpha(alpha)
-    points = CORNERS.copy()
-    cells = np.array([[0, 1, 2]], dtype=np.int64)
-    meshes = [TriangleMesh(0, _freeze(points), _freeze(cells))]
-    joins = []
-    for m in range(level):
-        points, cells, j = _refine_stretched(
-            meshes[-1].points, meshes[-1].cells, alpha
-        )
-        meshes.append(TriangleMesh(m + 1, _freeze(points), _freeze(cells)))
-        joins.append(_freeze(j))
-    return tuple(meshes), tuple(joins)
+    _check_level(level)
+    return _hierarchy(level, partial(_refine_stretched, alpha=check_alpha(alpha)))
 
 
 def _stacked_cells(meshes: Sequence[TriangleMesh]) -> np.ndarray:
@@ -288,13 +261,15 @@ def _generation_starts(level: int) -> tuple[int, ...]:
     return tuple((3 ** g - 1) // 2 for g in range(level + 2))
 
 
-def cell_index(word: "Word | str | Sequence[int]") -> int:
+_LETTER_DIGITS = str.maketrans("123", "012")
+
+
+def cell_index(word: str) -> int:
     """Mesh row of the cell addressed by ``word`` (base-3 numeral)."""
-    w = as_word(word)
-    idx = 0
-    for letter in w.letters:
-        idx = idx * 3 + (letter - 1)
-    return idx
+    # the letter check comes first: int() would also take blanks, "_" and signs
+    if not isinstance(word, str) or word.strip("123"):
+        raise GasketError(f"cell address {word!r} is not a word over 1, 2, 3")
+    return int(word.translate(_LETTER_DIGITS), 3) if word else 0
 
 
 # ---------------------------------------------------------------------------
@@ -321,12 +296,6 @@ class EdgeCurve:
 
 
 _EDGE_FIELDS = ("id", "kind", "gen", "p", "q", "length", "word", "length_lo", "length_hi")
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    arr = np.asarray(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
 
 
 def _bound_list(column: Optional[np.ndarray], count: int):
@@ -512,27 +481,20 @@ def build_model(
     """
     if variant not in VARIANTS:
         raise GasketError(f"unknown variant {variant!r}")
-    if level < 0:
-        raise GasketError("level must be >= 0")
+    _check_level(level)
     _check_cap(variant, level)
+    alpha = _variant_alpha(variant, alpha)
 
     if variant == "harmonic":
-        if alpha is not None:
-            raise GasketError("harmonic variant takes no alpha")
         from gasketlab import harmonic  # deferred: avoids an import cycle
 
         return harmonic.build_harmonic_model(level, depth=harmonic_depth)
 
     if variant == "sg":
-        if alpha is not None:
-            raise GasketError("sg variant takes no alpha")
         mesh = sg_hierarchy(level)[level]
         return GasketModel("sg", None, level, _edge_table(
             mesh.points, _triangle_ends(mesh.cells), [("sg-triangle", level)]))
 
-    alpha = check_alpha(alpha) if alpha is not None else None
-    if alpha is None:
-        raise GasketError("stretched variant requires alpha")
     meshes, joins = stretched_hierarchy(level, alpha)
     ends = np.concatenate([j.reshape(-1, 2) for j in joins]
                           + [_triangle_ends(meshes[level].cells)])

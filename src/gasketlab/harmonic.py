@@ -23,6 +23,9 @@ of the flat gasket.  (The axis unit vectors q_j of the contractions have
 the corner images at q_j/sqrt(3); the corner image, not q_j itself, is
 the fixed point under this normalization of Phi.)
 
+Cells are addressed as in :mod:`gasketlab.geometry`, by ``str`` words
+over the letters 1, 2, 3 read root-first.
+
 Image edges have no closed-form length; ``edge_length_tables`` brackets
 every edge of generations 0..n between a dyadic polyline length (below)
 and a sampled-diameter envelope (above).  Both come from one exact
@@ -55,10 +58,10 @@ from gasketlab.geometry import (
     ResourceCapError,
     TRIANGLE_EDGE_CORNERS,
     _edge_table,
+    _frozen,
     _generation_starts,
     _stacked_cells,
     _triangle_ends,
-    as_word,
     cell_index,
     edge_cap,
     sg_hierarchy,
@@ -118,8 +121,7 @@ def _h_arrays(level: int) -> np.ndarray:
         corner_vals = arr[mesh.cells]                      # (C, 3, 3)
         new_vals = np.einsum("ij,cjk->cik", MIDPOINT_RULE, corner_vals)
         arr = np.concatenate([arr, new_vals.reshape(-1, 3)])
-    arr.flags.writeable = False
-    return arr
+    return _frozen(arr)
 
 
 @lru_cache(maxsize=16)
@@ -128,9 +130,7 @@ def phi_coordinates(level: int) -> np.ndarray:
 
     Cached and shared: the array is read-only.
     """
-    out = (_h_arrays(level) - 1.0 / 3.0) / SQRT2
-    out.flags.writeable = False
-    return out
+    return _frozen((_h_arrays(level) - 1.0 / 3.0) / SQRT2)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +301,7 @@ def edge_length_tables(max_gen: int, depth: int):
     """
     _check_tables(max_gen, depth)
     stack = _stacked_cells(sg_hierarchy(max_gen))
-    lo, hi = _segment_bounds(phi_coordinates(max_gen)[stack], depth)
-    lo.flags.writeable = False
-    hi.flags.writeable = False
+    lo, hi = map(_frozen, _segment_bounds(phi_coordinates(max_gen)[stack], depth))
     starts = [3 * start for start in _generation_starts(max_gen)]
     return tuple((lo[a:b], hi[a:b]) for a, b in zip(starts, starts[1:]))
 
@@ -311,13 +309,13 @@ def edge_length_tables(max_gen: int, depth: int):
 def edge_polylines(words, local_edges, depth: int) -> np.ndarray:
     """Dyadic sample points of many image edges, (E, 2^k + 1, 3).
 
-    Edge e is local edge ``local_edges[e]`` (1..3) of the cell addressed
-    by ``words[e]``; its points are the base-edge dyadic points carried
-    onto that cell, Phi(f_w y) = sum_j h_j(y) Phi(f_w p_j).
+    Edge e is local edge ``local_edges[e]`` (1..3) of the cell whose
+    address is the string ``words[e]``; its points are the base-edge
+    dyadic points carried onto that cell, Phi(f_w y) = sum_j h_j(y)
+    Phi(f_w p_j).
     """
-    parsed = [as_word(w) for w in words]
-    gens = np.array([len(w) for w in parsed], dtype=np.int64)
-    rows = np.array([cell_index(w) for w in parsed], dtype=np.int64)
+    gens = np.array([len(w) for w in words], dtype=np.int64)
+    rows = np.array([cell_index(w) for w in words], dtype=np.int64)
     local = np.asarray(local_edges, dtype=np.int64) - 1
     if len(local) != len(rows):
         raise GasketError("one local edge index per word is required")
@@ -338,14 +336,9 @@ def edge_polylines(words, local_edges, depth: int) -> np.ndarray:
     return out
 
 
-def edge_polyline(word, local_edge: int, depth: int) -> np.ndarray:
-    """Dyadic sample points of one image edge, (2^k + 1, 3)."""
-    return edge_polylines([word], [local_edge], depth)[0]
-
-
-def gasket_diameter(level: int = 4) -> float:
-    """Sampled diameter of the embedded gasket (max over vertex images)."""
-    pts = phi_coordinates(level)
+def gasket_diameter() -> float:
+    """Sampled diameter of the embedded gasket (max over level-4 vertex images)."""
+    pts = phi_coordinates(4)
     gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     return float(gaps.max())
 

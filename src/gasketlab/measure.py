@@ -94,6 +94,22 @@ def _sg_midpoints(n: int) -> np.ndarray:
     return mids.reshape(-1, 2)
 
 
+def _check_stage(tag: str, n: int, alpha: Optional[float]) -> None:
+    """Refuse stage n of a family as ``functional_sample`` does, building nothing."""
+    if n < 0:
+        raise GasketError(f"functional stage must be >= 0, got {n}")
+    if tag == "stretched-joining":
+        if alpha is None:
+            raise GasketError("stretched-joining functional requires alpha")
+        if n < 1:
+            raise GasketError("stretched-joining functional needs n >= 1")
+        _check_cap("stretched", n)
+    elif tag in ("sg-midpoints", "harmonic-midpoints"):
+        _check_cap("sg", n)
+    else:
+        raise GasketError(f"unknown functional tag {tag!r}")
+
+
 def functional_sample(tag: str, n: int, alpha: Optional[float] = None) -> FunctionalSample:
     """Build the point set and weights of one functional.
 
@@ -103,28 +119,18 @@ def functional_sample(tag: str, n: int, alpha: Optional[float] = None) -> Functi
     mesh is built, when the level-n model of the family's variant (sg for
     the midpoint families) would exceed the edge cap.
     """
-    if n < 0:
-        raise GasketError(f"functional stage must be >= 0, got {n}")
+    _check_stage(tag, n, alpha)
     if tag == "sg-midpoints":
-        _check_cap("sg", n)
         pts = _sg_midpoints(n)
     elif tag == "harmonic-midpoints":
-        _check_cap("sg", n)
         # midpoints of level-n cells are the fresh vertices of level n+1,
         # appended as (m_ab, m_ac, m_bc) per cell in cell order
         count = harmonic.vertex_count(n)
         pts = harmonic.phi_coordinates(n + 1)[count:]
-    elif tag == "stretched-joining":
-        if alpha is None:
-            raise GasketError("stretched-joining functional requires alpha")
-        if n < 1:
-            raise GasketError("stretched-joining functional needs n >= 1")
-        _check_cap("stretched", n)
+    else:
         meshes, joins = stretched_hierarchy(n, check_alpha(alpha))
         ids = joins[n - 1].reshape(-1, 2).reshape(-1)
         pts = meshes[n].points[ids]
-    else:
-        raise GasketError(f"unknown functional tag {tag!r}")
     weights = np.full(len(pts), 1.0 / len(pts))
     return FunctionalSample(tag, n, pts, weights)
 

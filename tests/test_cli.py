@@ -404,12 +404,34 @@ def test_spectrum_refuses_a_p_whose_curve_trace_overflows(capsys, argv, p):
     ("spectrum --variant sg", "a3bc522f053293b9"),
     ("spectrum --variant stretched --alpha 0.05 --rungs 12", "2b10b2c5166f3cba"),
     ("spectrum --variant stretched --alpha 0.3 --eps-start 0.4", "6cea3d13a0e8b090"),
-    ("dimension --variant harmonic --depth 4", "0b5c0ccd63bf98d2")])
-def test_dimension_and_spectrum_stdout_bytes_are_pinned(capsys, argv, digest):
-    # the first 16 hex digits of the stdout sha256: a rework of the spectrum
-    # code must leave every printed bit in place
-    assert main(argv.split()) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16] == digest
+    ("dimension --variant harmonic --depth 4", "0b5c0ccd63bf98d2"),
+    ("build --variant sg --level 5 --out {dir}/m.json --svg {dir}/m.svg",
+     {"m.json": "f4e424a9daac9db5", "m.svg": "c2826b14cee0cfd3"}),
+    ("build --variant stretched --alpha 0.2 --level 4 --out {dir}/m.json --svg {dir}/m.svg",
+     {"m.json": "1938ea3b7ccf096c", "m.svg": "5e3b0487f7cf0c54"}),
+    ("build --variant harmonic --level 3 --depth 3 --out {dir}/m.json --svg {dir}/m.svg",
+     {"m.json": "e78d7907ec32716c", "m.svg": "8baa67073a344e69"}),
+    ("distance --variant stretched --alpha 0.2 --level 5 --from 0,0 --to 1,0 "
+     "--path-out {dir}/path.json",
+     {"stdout": "914d67033f8413f5", "path.json": "b7f56e5828d14201"}),
+    ("measure --family harmonic-midpoints --f x^2-y --n 4 --n-min 1",
+     {"stdout": "d8b259bf06a50321"}),
+    ("compare --d 1.5 --length 6", {"stdout": "817c4bc737ae33a4"}),
+    ("report --variant harmonic --level 4 --depth 4 --out-dir {dir}/r",
+     {"r/dimension.csv": "c1e8406fc8f5c038", "r/model.json": "9d46eeb39e755787",
+      "r/model.svg": "6e097bd674beb488", "r/spectrum_scan.csv": "aa6150ec5fdf73e2",
+      "r/spread.json": "817c4bc737ae33a4"})])
+def test_dimension_and_spectrum_stdout_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    # the first 16 hex digits of the sha256 of stdout (a plain string digest)
+    # or of stdout and every file written (a dict): a rework of the code must
+    # leave every printed or written bit in place
+    assert main([arg.format(dir=tmp_path) for arg in argv.split()]) == 0
+    out = capsys.readouterr().out.encode()
+    blobs = ({"stdout": out} if out else {}) | {
+        str(path.relative_to(tmp_path)): path.read_bytes()
+        for path in tmp_path.rglob("*") if path.is_file()}
+    got = {name: hashlib.sha256(blob).hexdigest()[:16] for name, blob in blobs.items()}
+    assert got == (digest if isinstance(digest, dict) else {"stdout": digest})
 
 
 def test_spectrum_verb_csv(tmp_path):
@@ -559,6 +581,43 @@ def test_measure_holds_the_edge_cap(monkeypatch, capsys, family, variant):
     assert captured.err == f"error: {variant} level 8 needs {edges} edges, cap is 100\n"
 
 
+def spy_samples(monkeypatch):
+    """Record the (family, stage) of every ``measure.functional_sample`` call."""
+    from gasketlab import measure
+
+    calls = []
+    real = measure.functional_sample
+
+    def spy(tag, n, alpha=None):
+        calls.append((tag, n))
+        return real(tag, n, alpha)
+
+    monkeypatch.setattr(measure, "functional_sample", spy)
+    return calls
+
+
+def test_measure_refuses_an_over_cap_stage_before_building_any(monkeypatch, capsys):
+    # stages 0-8 were built, one after another, before stage 9 was refused
+    calls = spy_samples(monkeypatch)
+    monkeypatch.setenv("GASKET_MAX_EDGES", "19683")
+    assert main(["measure", "--family", "harmonic-midpoints", "--f", "x", "--n", "9"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, calls) == ("", [])
+    assert captured.err == "error: sg level 9 needs 59049 edges, cap is 19683\n"
+
+
+def test_report_builds_each_measure_stage_once(monkeypatch, tmp_path):
+    # one sample per (test function, stage): 15 for 5 functions and 3 stages
+    calls = spy_samples(monkeypatch)
+    assert main(["report", "--variant", "stretched", "--alpha", "0.2", "--level", "1",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert calls == [("stretched-joining", n) for n in (2, 4, 6)]
+    rows = (tmp_path / "measures.csv").read_text().splitlines()
+    assert [row.split(",")[:3] for row in rows[1:]] == [
+        [str(n), "stretched-joining", f] for f in ("1", "x", "y", "x^2", "x*y")
+        for n in (2, 4, 6)]
+
+
 @pytest.mark.parametrize("text,message", [
     ("1.2.3", "malformed number '1.2.3' (at position 0)"),
     (".", "malformed number '.' (at position 0)"),
@@ -685,7 +744,7 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path, argv, modules):
 # the package's public names by defining module, as its __init__ imported
 # them before they resolved on first use
 EXPORTS = {
-    "geometry": "EdgeCurve GasketError GasketModel ResourceCapError Word build_model",
+    "geometry": "EdgeCurve GasketError GasketModel ResourceCapError build_model",
     "harmonic": "harmonic_structure",
     "metric": "GeodesicResult MetricGraph geodesic lipschitz_witness_check to_metric_graph",
     "measure": "FunctionalSample dixmier_functional functional_sample "
@@ -721,7 +780,7 @@ def test_package_names_resolve_to_their_modules_objects():
         "    print(exc)\n"
     )
     names = sorted(" ".join(EXPORTS.values()).split())
-    assert len(names) == 33
+    assert len(names) == 32
     star, version, missing = fresh_python(code, json.dumps(EXPORTS)).splitlines()
     assert star.split() == names
     assert version == "0.1.0"

@@ -1,6 +1,7 @@
 """Contraction maps, words, model construction, vertex sets."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from gasketlab.geometry import (
     GasketError,
     GasketModel,
     ResourceCapError,
-    Word,
-    as_word,
     cell_index,
     contractions,
     _endpoint_nodes,
@@ -26,6 +25,7 @@ from gasketlab.geometry import (
     stretched_hierarchy,
 )
 from gasketlab.serialize import model_to_json
+from gasketlab.svg import render_svg
 
 P = dict(enumerate(FIXED_POINTS, start=1))
 
@@ -99,14 +99,23 @@ def test_compose_matches_sequential_application():
 
 
 def test_word_validation():
-    with pytest.raises(GasketError):
-        Word((4,))
-    with pytest.raises(GasketError):
-        Word.parse("10")
-    assert len(Word.parse("132")) == 3
-    assert str(Word.parse("132")) == "132"
-    with pytest.raises(GasketError):
-        as_word("x")
+    # an address is a str over the letters 1, 2, 3; int() alone would take
+    # " 1", "1_2" and "+1" as base-3 numerals
+    e = gl.build_model("harmonic", 1, harmonic_depth=2).edges
+    for word in ("4", "10", "x", " 1", "1_2", "+1"):
+        message = f"cell address {word!r} is not a word over 1, 2, 3"
+        with pytest.raises(GasketError, match=re.escape(message)):
+            cell_index(word)
+        with pytest.raises(GasketError, match=re.escape(message)):
+            harmonic.edge_polylines(["1", word], [1, 2], 2)
+        words = e.word[:4] + (word,) + e.word[5:]
+        bad = EdgeTable(e.id, e.kind, e.gen, e.p, e.q, e.length, words,
+                        e.length_lo, e.length_hi)
+        with pytest.raises(GasketError, match=re.escape(message)):
+            render_svg(GasketModel("harmonic", None, 1, bad))
+    with pytest.raises(GasketError, match=re.escape("cell address (1, 2) is not a word")):
+        cell_index((1, 2))      # the tuple form is gone
+    assert [cell_index(w) for w in ("", "1", "3", "21", "132")] == [0, 0, 2, 3, 7]
 
 
 def test_cell_addressing_roundtrip():

@@ -35,7 +35,6 @@ from gasketlab.geometry import (
 from gasketlab.harmonic import (
     MIDPOINT_RULE,
     edge_length_tables,
-    edge_polyline,
     gasket_diameter,
     harmonic_structure,
     phi_coordinates,
@@ -248,6 +247,11 @@ def test_polyline_length_monotone_in_depth():
             prev = lo
 
 
+def edge_polyline(word, local_edge, depth):
+    """Dyadic sample points of one image edge, (2^k + 1, 3)."""
+    return harmonic.edge_polylines([word], [local_edge], depth)[0]
+
+
 def test_edge_polyline_endpoints():
     pts = edge_polyline("", 1, 3)
     assert pts.shape == (9, 3)
@@ -365,7 +369,7 @@ def test_barycentric_identity_on_level_two_vertices():
                   for j in range(3)], axis=1)
     for k in range(4):
         for idx in np.ndindex(*(3,) * k):
-            word = tuple(i + 1 for i in idx)
+            word = "".join(str(i + 1) for i in idx)
             # mesh row cell_index(word) is f_{w1} o ... o f_{wk}, and
             # apply_word applies its first letter first
             lhs = phi_coordinates(2 + k)[vertex_rows(apply_word("sg", word[::-1], pts), 2 + k)]
