@@ -29,7 +29,7 @@ import numpy as np
 from gasketlab.geometry import GasketError, build_model
 
 if TYPE_CHECKING:
-    from gasketlab.spectrum import DimensionEstimate
+    from gasketlab.spectrum import DimensionEstimate, LengthSpectrum
 
 
 class UsageError(GasketError):
@@ -86,6 +86,14 @@ def _dimension(variant: str, alpha: Optional[float],
     return spectrum.DimensionEstimate(value, value, "closed-form")
 
 
+def _flat_spectrum(variant: str, alpha: Optional[float]) -> LengthSpectrum:
+    """The closed-form length spectrum of the sg or stretched variant."""
+    from gasketlab import spectrum
+
+    return (spectrum.sg_length_spectrum() if variant == "sg"
+            else spectrum.stretched_length_spectrum(alpha))
+
+
 def _spectrum_scan(variant: str, alpha: Optional[float], depth: int,
                    eps_start: float, rungs: int) -> str:
     """Trace scan CSV along the residue ladder s = 1 + eps_start / 2^k."""
@@ -101,8 +109,7 @@ def _spectrum_scan(variant: str, alpha: Optional[float], depth: int,
             lo, hi = spectrum.kh_trace_interval(p, depth)
             return lo, (hi - lo) if np.isfinite(hi) else float("inf")
     else:
-        lengths = (spectrum.sg_length_spectrum() if variant == "sg"
-                   else spectrum.stretched_length_spectrum(alpha))
+        lengths = _flat_spectrum(variant, alpha)
         ds = lengths.abscissa
 
         def trace_at(p: float) -> tuple[float, float]:
@@ -177,17 +184,17 @@ def cmd_dimension(args) -> int:
     _require_depth(args)
     if np.isnan(args.tol):         # the bisection compares widths to it: never true
         raise UsageError("--tol nan: the bracket tolerance must be a number")
+    if args.variant == "harmonic" and args.bracket:
+        raise UsageError("--bracket does not apply to the harmonic variant")
     est = _dimension(args.variant, alpha, args.depth)
     if args.variant == "harmonic":
         print(f"{format_number(est.lower)},{format_number(est.upper)}")
         return 0
     print(format_number(est.lower))
-    if args.variant == "stretched" and args.bracket:
+    if args.bracket:
         from gasketlab import spectrum
 
-        lo, hi = spectrum.abscissa_bracket(
-            spectrum.stretched_length_spectrum(alpha), tol=args.tol
-        )
+        lo, hi = spectrum.abscissa_bracket(_flat_spectrum(args.variant, alpha), tol=args.tol)
         print(f"bracket,{format_number(lo)},{format_number(hi)}")
     return 0
 

@@ -20,6 +20,8 @@ Conventions fixed here and relied on throughout the package:
   edges of a cell run counterclockwise starting at the corner-1 image:
   local 1 = (c1 -> c3), 2 = (c3 -> c2), 3 = (c2 -> c1).  Joining edges
   of a cell use the fixed labels 1 = right, 2 = bottom, 3 = left;
+* one subdivision step, ``_refine``, for every variant: a rule for the
+  points each cell appends, and tables of its children (and joins);
 * the prefix invariant: refinement only appends vertices, so level m's
   vertex coordinates and harmonic images (``harmonic.phi_coordinates``)
   are the first rows of every finer level's, bit for bit, and level-m
@@ -159,64 +161,37 @@ class TriangleMesh:
     cells: np.ndarray
 
 
-def _refine_shared(points: np.ndarray, cells: np.ndarray):
-    """One subdivision step with shared edge midpoints (classical gasket).
-
-    Every midpoint belongs to exactly one parent cell, so fresh ids never
-    collide across cells.
-    """
-    n_old = len(points)
-    a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
-    m_ab = (points[a] + points[b]) / 2.0
-    m_ac = (points[a] + points[c]) / 2.0
-    m_bc = (points[b] + points[c]) / 2.0
-    new_points = np.concatenate(
-        [points, np.stack([m_ab, m_ac, m_bc], axis=1).reshape(-1, 2)]
-    )
-    base = n_old + 3 * np.arange(len(cells), dtype=np.int64)
-    iab, iac, ibc = base, base + 1, base + 2
-    children = np.empty((3 * len(cells), 3), dtype=np.int64)
-    children[0::3] = np.stack([a, iab, iac], axis=1)
-    children[1::3] = np.stack([iab, b, ibc], axis=1)
-    children[2::3] = np.stack([iac, ibc, c], axis=1)
-    return new_points, children
+#: a cell's ids are its 3 corners, then the k points its step appends; child
+#: j is a row of those ids keeping corner j, and the joins run right, bottom, left
+SG_CHILDREN = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
+STRETCHED_CHILDREN = ((0, 3, 4), (5, 1, 6), (7, 8, 2))
+STRETCHED_JOINS = ((6, 8), (4, 7), (3, 5))
 
 
-def _refine_stretched(points: np.ndarray, cells: np.ndarray, alpha: float):
-    """One subdivision step of the stretched variant.
+def _sg_rule(corners: np.ndarray) -> np.ndarray:
+    """The shared edge midpoints m_ab, m_ac, m_bc (C, 3, d) of corners (3, C, d)."""
+    a, b, c = corners
+    return np.stack([(a + b) / 2.0, (a + c) / 2.0, (b + c) / 2.0], axis=1)
 
-    Child j keeps corner j of its parent; the other two corners contract
-    toward it with ratio (1-alpha)/2, so sub-cells are pairwise disjoint.
-    Also returns the three joining segments spawned inside each parent,
-    as endpoint-id pairs: label 1 = right, 2 = bottom, 3 = left.
-    """
-    s = (1.0 - alpha) / 2.0
-    n_old = len(points)
-    a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
-    pa, pb, pc = points[a], points[b], points[c]
-    ab = pa + s * (pb - pa)
-    ac = pa + s * (pc - pa)
-    ba = pb + s * (pa - pb)
-    bc = pb + s * (pc - pb)
-    ca = pc + s * (pa - pc)
-    cb = pc + s * (pb - pc)
-    new_points = np.concatenate(
-        [points, np.stack([ab, ac, ba, bc, ca, cb], axis=1).reshape(-1, 2)]
-    )
-    base = n_old + 6 * np.arange(len(cells), dtype=np.int64)
-    iab, iac, iba, ibc, ica, icb = (base, base + 1, base + 2,
-                                    base + 3, base + 4, base + 5)
-    children = np.empty((3 * len(cells), 3), dtype=np.int64)
-    children[0::3] = np.stack([a, iab, iac], axis=1)
-    children[1::3] = np.stack([iba, b, ibc], axis=1)
-    children[2::3] = np.stack([ica, icb, c], axis=1)
-    joins = np.stack(
-        [np.stack([ibc, icb], axis=1),   # right: child2 corner3 -> child3 corner2
-         np.stack([iac, ica], axis=1),   # bottom: child1 corner3 -> child3 corner1
-         np.stack([iab, iba], axis=1)],  # left: child1 corner2 -> child2 corner1
-        axis=1,
-    )
-    return new_points, children, joins
+
+def _stretched_rule(corners: np.ndarray, s: float) -> np.ndarray:
+    """The six points (C, 6, d) at ratio s = (1 - alpha)/2 from each corner
+    toward the other two: ab, ac, ba, bc, ca, cb (disjoint sub-cells)."""
+    a, b, c = corners
+    return np.stack([a + s * (b - a), a + s * (c - a), b + s * (a - b),
+                     b + s * (c - b), c + s * (a - c), c + s * (b - c)], axis=1)
+
+
+def _refine(points: np.ndarray, cells: np.ndarray, rule, children, joins=None):
+    """One subdivision step: the refined points, three child cells per parent
+    and, given ``joins``, each parent's (3, 2) joining endpoint ids.  ``rule``
+    maps the corners ``points[cells.T]`` (3, C, d) to the k fresh points of
+    each cell (C, k, d); point i of cell c gets id ``len(points) + k c + i``."""
+    fresh = rule(points[cells.T])
+    count, k, dim = fresh.shape
+    ids = np.hstack([cells, len(points) + np.arange(count * k).reshape(count, k)])
+    tables = [ids[:, children].reshape(-1, 3)] + ([] if joins is None else [ids[:, joins]])
+    return (np.concatenate([points, fresh.reshape(-1, dim)]), *tables)
 
 
 def _hierarchy(level: int, refine):
@@ -236,7 +211,7 @@ def _hierarchy(level: int, refine):
 def sg_hierarchy(level: int) -> tuple[TriangleMesh, ...]:
     """Meshes of the classical gasket for levels 0..level (cached)."""
     _check_level(level)
-    return _hierarchy(level, _refine_shared)[0]
+    return _hierarchy(level, partial(_refine, rule=_sg_rule, children=SG_CHILDREN))[0]
 
 
 @lru_cache(maxsize=16)
@@ -248,7 +223,9 @@ def stretched_hierarchy(level: int, alpha: float):
     segments born at generation m.
     """
     _check_level(level)
-    return _hierarchy(level, partial(_refine_stretched, alpha=check_alpha(alpha)))
+    rule = partial(_stretched_rule, s=(1.0 - check_alpha(alpha)) / 2.0)
+    return _hierarchy(level, partial(_refine, rule=rule, children=STRETCHED_CHILDREN,
+                                     joins=STRETCHED_JOINS))
 
 
 def _stacked_cells(meshes: Sequence[TriangleMesh]) -> np.ndarray:

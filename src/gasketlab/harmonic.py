@@ -6,8 +6,8 @@ to the next level so the energy is minimal decouples cell by cell: the
 three new midpoint values of a cell depend only on its corner values,
 through a linear rule derived here by solving the normal equations of
 the one-cell quadratic form (it comes out as (2a+2b+c)/5 for the
-midpoint opposite c).  Under that extension the energy contracts by
-exactly 3/5 per level.
+midpoint opposite c; ``_harmonic_rule``).  Under that extension the
+energy contracts by exactly 3/5 per level.
 
 Embedding the gasket through the triple of harmonic functions with
 Kronecker boundary data,
@@ -73,12 +73,8 @@ SQRT6 = math.sqrt(6.0)
 
 
 # ---------------------------------------------------------------------------
-# Vertex counts and the minimizing midpoint rule
+# The minimizing midpoint rule
 # ---------------------------------------------------------------------------
-
-
-def vertex_count(level: int) -> int:
-    return 3 * (3 ** level + 1) // 2
 
 
 def _derive_midpoint_rule() -> np.ndarray:
@@ -112,16 +108,24 @@ MIDPOINT_RULE = _derive_midpoint_rule()
 # ---------------------------------------------------------------------------
 
 
+def _harmonic_rule(corners: np.ndarray) -> np.ndarray:
+    """Minimizing midpoint values (C, 3, 3) from corner values (3, C, 3)."""
+    return np.einsum("ij,jck->cik", MIDPOINT_RULE, corners)
+
+
 @lru_cache(maxsize=16)
 def _h_arrays(level: int) -> np.ndarray:
     """(N, 3) array of the three basis harmonics on V_level (cached); its
-    first ``vertex_count(m)`` rows are those on V_m (prefix invariant)."""
+    first 3 (3^m + 1)/2 rows are those on V_m (prefix invariant)."""
     arr = np.eye(3)
     for mesh in sg_hierarchy(level)[:-1]:
-        corner_vals = arr[mesh.cells]                      # (C, 3, 3)
-        new_vals = np.einsum("ij,cjk->cik", MIDPOINT_RULE, corner_vals)
-        arr = np.concatenate([arr, new_vals.reshape(-1, 3)])
+        arr = np.concatenate([arr, _harmonic_rule(arr[mesh.cells.T]).reshape(-1, 3)])
     return _frozen(arr)
+
+
+def _phi(h: np.ndarray) -> np.ndarray:
+    """Phi of the points whose harmonic values are ``h`` (..., 3)."""
+    return (h - 1.0 / 3.0) / SQRT2
 
 
 @lru_cache(maxsize=16)
@@ -130,7 +134,7 @@ def phi_coordinates(level: int) -> np.ndarray:
 
     Cached and shared: the array is read-only.
     """
-    return _frozen((_h_arrays(level) - 1.0 / 3.0) / SQRT2)
+    return _frozen(_phi(_h_arrays(level)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +318,18 @@ def edge_polylines(words, local_edges, depth: int) -> np.ndarray:
     dyadic points carried onto that cell, Phi(f_w y) = sum_j h_j(y)
     Phi(f_w p_j).
     """
-    gens = np.array([len(w) for w in words], dtype=np.int64)
-    rows = np.array([cell_index(w) for w in words], dtype=np.int64)
+    # stacked rows, as Python ints until the cap has passed (int64 overflows)
+    rows = [cell_index(w) + (3 ** len(w) - 1) // 2 for w in words]
     local = np.asarray(local_edges, dtype=np.int64) - 1
     if len(local) != len(rows):
         raise GasketError("one local edge index per word is required")
     if np.any((local < 0) | (local > 2)):
         raise GasketError("local edge index must be 1..3")
     npts = 2 ** depth + 1
-    max_gen = int(gens.max(initial=0))
+    max_gen = max(map(len, words), default=0)
     _require_cap(max_gen, depth, len(rows) * npts)
-    starts = np.take(_generation_starts(max_gen), gens)
-    corners = phi_coordinates(max_gen)[_stacked_cells(sg_hierarchy(max_gen))[starts + rows]]
+    stack = _stacked_cells(sg_hierarchy(max_gen))
+    corners = phi_coordinates(max_gen)[stack[np.array(rows, dtype=np.int64)]]
     out = np.empty((len(rows), npts, 3))
     for idx, (i, j) in enumerate(TRIANGLE_EDGE_CORNERS):
         sel = np.flatnonzero(local == idx)
@@ -337,8 +341,8 @@ def edge_polylines(words, local_edges, depth: int) -> np.ndarray:
 
 
 def gasket_diameter() -> float:
-    """Sampled diameter of the embedded gasket (max over level-4 vertex images)."""
-    pts = phi_coordinates(4)
+    """Diameter of the embedded gasket: its largest corner chord (module docstring)."""
+    pts = phi_coordinates(0)
     gaps = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
     return float(gaps.max())
 

@@ -4,9 +4,9 @@ Three weighted point-set functionals, one per gasket variant, sample
 continuous functions along the construction:
 
 * classical gasket: uniform average over the 3^(n+1) cell-edge midpoints
-  at level n;
+  at level n, the points the next subdivision step appends;
 * harmonic gasket: the same average pushed through the harmonic
-  embedding;
+  embedding, from the minimizing rule on the level-n harmonic values;
 * stretched gasket: uniform average over the 2 * 3^n endpoints of the
   joining segments born at stage n.
 
@@ -38,6 +38,7 @@ from gasketlab.geometry import (
     GasketModel,
     _check_cap,
     _generation_starts,
+    _sg_rule,
     _stacked_cells,
     build_model,
     check_alpha,
@@ -85,15 +86,6 @@ class FunctionalSample:
         return float(self.weights @ _evaluate(f, self.points))
 
 
-def _sg_midpoints(n: int) -> np.ndarray:
-    mesh = sg_hierarchy(n)[n]
-    corners = mesh.points[mesh.cells]                    # (C, 3, 2)
-    mids = np.stack([(corners[:, 0] + corners[:, 1]) / 2.0,
-                     (corners[:, 0] + corners[:, 2]) / 2.0,
-                     (corners[:, 1] + corners[:, 2]) / 2.0], axis=1)
-    return mids.reshape(-1, 2)
-
-
 def _check_stage(tag: str, n: int, alpha: Optional[float]) -> None:
     """Refuse stage n of a family as ``functional_sample`` does, building nothing."""
     if n < 0:
@@ -117,16 +109,19 @@ def functional_sample(tag: str, n: int, alpha: Optional[float] = None) -> Functi
     ``stretched-joining`` needs n >= 1 (no joining edges exist before
     stage 1) and the variant's alpha.  Stage n is refused, before any
     mesh is built, when the level-n model of the family's variant (sg for
-    the midpoint families) would exceed the edge cap.
+    the midpoint families) would exceed the edge cap.  A midpoint stage
+    applies the subdivision rule to the level-n corners (for harmonic,
+    their harmonic values, then Phi) and builds nothing above level n.
     """
     _check_stage(tag, n, alpha)
     if tag == "sg-midpoints":
-        pts = _sg_midpoints(n)
+        mesh = sg_hierarchy(n)[n]
+        pts = _sg_rule(mesh.points[mesh.cells.T]).reshape(-1, 2)
     elif tag == "harmonic-midpoints":
-        # midpoints of level-n cells are the fresh vertices of level n+1,
-        # appended as (m_ab, m_ac, m_bc) per cell in cell order
-        count = harmonic.vertex_count(n)
-        pts = harmonic.phi_coordinates(n + 1)[count:]
+        cells = sg_hierarchy(n)[n].cells
+        # the corner values stay unnamed, so two stage-sized arrays live at once
+        values = harmonic._harmonic_rule(harmonic._h_arrays(n)[cells.T]).reshape(-1, 3)
+        pts = harmonic._phi(values)
     else:
         meshes, joins = stretched_hierarchy(n, check_alpha(alpha))
         ids = joins[n - 1].reshape(-1, 2).reshape(-1)

@@ -233,11 +233,11 @@ def _dijkstra(graph: MetricGraph, source: int,
 
 
 # The nine nodes of a cell are its children's corners, child-major: node
-# 3c + j is corner j of child c.  Child j keeps corner j of its parent, so
-# the cell's own corner j is node 4j.
+# 3c + j is corner j of child c (geometry's child tables).  Child j keeps
+# corner j of its parent, so the cell's own corner j is node 4j.
 _OWN = np.array([0, 4, 8])
 # the right, bottom and left joining segments of a stretched cell
-# (geometry._refine_stretched) as pairs of nine-node ids; on sg each pair
+# (geometry.STRETCHED_JOINS) as pairs of nine-node ids; on sg each pair
 # is one shared midpoint
 _JOINS = np.array([[5, 7], [2, 6], [1, 3]])
 _CHILDREN = np.arange(3)

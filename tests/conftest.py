@@ -4,13 +4,18 @@ from functools import reduce
 
 import numpy as np
 
-from gasketlab.geometry import sg_hierarchy
-from gasketlab.harmonic import MIDPOINT_RULE, harmonic_structure, vertex_count
+from gasketlab.geometry import CORNERS, sg_hierarchy
+from gasketlab.harmonic import MIDPOINT_RULE, harmonic_structure
 from gasketlab.measure import functional_sample
 
 SQ3 = np.sqrt(3.0)
 FIXED_POINTS = np.array([[0.0, 0.0], [0.5, SQ3 / 2], [1.0, 0.0],
                          [0.75, SQ3 / 4], [0.5, 0.0], [0.25, SQ3 / 4]])
+
+
+def vertex_count(level: int) -> int:
+    """Vertices of the level-n classical mesh: 3 (3^n + 1) / 2."""
+    return 3 * (3 ** level + 1) // 2
 
 
 def index_word(level: int, index: int) -> str:
@@ -25,6 +30,61 @@ def vertex_rows(points, level: int) -> np.ndarray:
     rows = gaps.argmin(axis=1)
     assert gaps[np.arange(len(rows)), rows].max() < 1e-12, "not a vertex"
     return rows
+
+
+def refine_shared(points, cells):
+    """One subdivision step with shared edge midpoints (classical gasket),
+    written out per child: fresh ids m_ab, m_ac, m_bc of cell c are
+    n_old + 3c + (0, 1, 2)."""
+    n_old = len(points)
+    a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
+    m_ab = (points[a] + points[b]) / 2.0
+    m_ac = (points[a] + points[c]) / 2.0
+    m_bc = (points[b] + points[c]) / 2.0
+    new_points = np.concatenate([points, np.stack([m_ab, m_ac, m_bc], axis=1).reshape(-1, 2)])
+    base = n_old + 3 * np.arange(len(cells), dtype=np.int64)
+    iab, iac, ibc = base, base + 1, base + 2
+    children = np.empty((3 * len(cells), 3), dtype=np.int64)
+    children[0::3] = np.stack([a, iab, iac], axis=1)
+    children[1::3] = np.stack([iab, b, ibc], axis=1)
+    children[2::3] = np.stack([iac, ibc, c], axis=1)
+    return new_points, children
+
+
+def refine_stretched(points, cells, alpha):
+    """One stretched subdivision step, written out per child: child j keeps
+    corner j and contracts the other two toward it with ratio (1-alpha)/2.
+    Also returns each parent's joining segments, right, bottom, left."""
+    s = (1.0 - alpha) / 2.0
+    n_old = len(points)
+    a, b, c = cells[:, 0], cells[:, 1], cells[:, 2]
+    pa, pb, pc = points[a], points[b], points[c]
+    fresh = [pa + s * (pb - pa), pa + s * (pc - pa), pb + s * (pa - pb),
+             pb + s * (pc - pb), pc + s * (pa - pc), pc + s * (pb - pc)]
+    new_points = np.concatenate([points, np.stack(fresh, axis=1).reshape(-1, 2)])
+    base = n_old + 6 * np.arange(len(cells), dtype=np.int64)
+    iab, iac, iba, ibc, ica, icb = (base + i for i in range(6))
+    children = np.empty((3 * len(cells), 3), dtype=np.int64)
+    children[0::3] = np.stack([a, iab, iac], axis=1)
+    children[1::3] = np.stack([iba, b, ibc], axis=1)
+    children[2::3] = np.stack([ica, icb, c], axis=1)
+    joins = np.stack([np.stack([ibc, icb], axis=1),   # right: child 2 corner 3 -> child 3 corner 2
+                      np.stack([iac, ica], axis=1),   # bottom: child 1 corner 3 -> child 3 corner 1
+                      np.stack([iab, iba], axis=1)],  # left: child 1 corner 2 -> child 2 corner 1
+                     axis=1)
+    return new_points, children, joins
+
+
+def oracle_hierarchy(level: int, refine):
+    """Points and cells of levels 0..level, and the further tables of every
+    step, from ``refine(points, cells)`` applied level by level."""
+    points, cells = CORNERS, np.array([[0, 1, 2]], dtype=np.int64)
+    meshes, extras = [(points, cells)], []
+    for _ in range(level):
+        points, cells, *extra = refine(points, cells)
+        meshes.append((points, cells))
+        extras.extend(extra)
+    return meshes, extras
 
 
 def energy(level: int, values) -> float:

@@ -276,6 +276,26 @@ def test_negative_bracket_tolerance_acts_as_zero(capsys):
     assert capsys.readouterr().out == negative
 
 
+@pytest.mark.parametrize("tol", ["1e-3", "1e-6", "1e-12", "0"])
+def test_sg_bracket_encloses_the_closed_form(capsys, tol):
+    # --bracket printed nothing for sg and exited 0
+    assert main(["dimension", "--variant", "sg", "--bracket", "--tol", tol]) == 0
+    closed, bracket = capsys.readouterr().out.splitlines()
+    name, lo, hi = bracket.split(",")
+    assert closed == "1.5849625007211563" and name == "bracket"
+    assert float(lo) <= math.log2(3) <= float(hi)
+    assert float(hi) - float(lo) <= max(float(tol), 2 * GROWTH_ROUNDING * float(hi)
+                                        + 2 * math.ulp(float(hi)))
+
+
+def test_harmonic_bracket_is_usage_error(capsys):
+    # the harmonic dimension is an interval with no length spectrum to bracket
+    assert main(["dimension", "--variant", "harmonic", "--bracket"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: --bracket does not apply to the harmonic variant\n"
+
+
 def test_dimension_verb_harmonic_interval(capsys):
     assert main(["dimension", "--variant", "harmonic", "--depth", "2"]) == 0
     lo, hi = (float(v) for v in capsys.readouterr().out.strip().split(","))

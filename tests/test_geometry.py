@@ -2,10 +2,21 @@
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
-from conftest import FIXED_POINTS, SQ3, apply_word, generators, index_word
+from conftest import (
+    FIXED_POINTS,
+    SQ3,
+    apply_word,
+    generators,
+    index_word,
+    oracle_hierarchy,
+    refine_shared,
+    refine_stretched,
+    vertex_count,
+)
 
 import gasketlab as gl
 from gasketlab import harmonic
@@ -332,6 +343,29 @@ def test_sg_meshes_share_midpoints():
         assert mesh.cells.shape == (3 ** m, 3)
 
 
+@pytest.mark.parametrize("variant,alpha,level", [("sg", None, 8), ("stretched", 1e-9, 7),
+                                                 ("stretched", 0.05, 7), ("stretched", 0.2, 7),
+                                                 ("stretched", 0.333, 7)])
+def test_hierarchies_match_the_per_child_refinement_oracles(variant, alpha, level):
+    # the table-driven step against the per-child steps written out by
+    # hand: every level's points and cells, and every joining table, as bytes
+    if variant == "sg":
+        meshes, joins = sg_hierarchy(level), ()
+        want, want_joins = oracle_hierarchy(level, refine_shared)
+    else:
+        meshes, joins = stretched_hierarchy(level, alpha)
+        want, want_joins = oracle_hierarchy(level, partial(refine_stretched, alpha=alpha))
+    assert len(meshes) == len(want) == level + 1 and len(joins) == len(want_joins)
+    for m, (mesh, (points, cells)) in enumerate(zip(meshes, want)):
+        assert mesh.level == m
+        for got, ref in ((mesh.points, points), (mesh.cells, cells)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes() and not got.flags.writeable
+    for got, ref in zip(joins, want_joins):
+        assert got.dtype == ref.dtype and got.shape == ref.shape == (len(ref), 3, 2)
+        assert got.tobytes() == ref.tobytes() and not got.flags.writeable
+
+
 # -- the prefix invariant --------------------------------------------------------
 
 @pytest.mark.parametrize("level", range(8))
@@ -355,5 +389,5 @@ def test_every_level_is_a_prefix_of_the_finest(level):
         assert ends.max() < len(meshes[m + 1].points)
     phi = harmonic.phi_coordinates(level)
     for m in range(level + 1):
-        count = harmonic.vertex_count(m)
+        count = vertex_count(m)
         assert phi[:count].tobytes() == harmonic.phi_coordinates(m).tobytes()

@@ -11,6 +11,7 @@ from conftest import (
     harmonic_extend,
     index_word,
     oracle_phi,
+    vertex_count,
     vertex_rows,
     word_matrix,
     word_norm,
@@ -38,9 +39,9 @@ from gasketlab.harmonic import (
     gasket_diameter,
     harmonic_structure,
     phi_coordinates,
-    vertex_count,
 )
-from gasketlab.serialize import model_to_json
+from gasketlab.serialize import model_from_json, model_to_json
+from gasketlab.svg import render_svg
 
 SQ2 = math.sqrt(2.0)
 
@@ -257,6 +258,14 @@ def test_edge_polyline_endpoints():
     assert pts.shape == (9, 3)
     np.testing.assert_allclose(pts[0], phi_coordinates(0)[0], atol=1e-14)
     np.testing.assert_allclose(pts[-1], phi_coordinates(0)[2], atol=1e-14)
+
+
+def test_diameter_is_the_largest_corner_chord():
+    # the images lie in the triangle of the corner images, so sampling
+    # every level-4 vertex finds no longer chord, to the bit
+    pts = phi_coordinates(4)
+    sampled = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1).max()
+    assert gasket_diameter() == float(sampled) == 0.9999999999999999
 
 
 def test_kigami_style_envelope():
@@ -490,6 +499,24 @@ def test_length_tables_cap_counts_segments_before_building(monkeypatch):
             build(max_gen, depth)
     with pytest.raises(ResourceCapError):
         harmonic.edge_polylines([""] * 22, [1] * 22, 2)
+
+
+def test_long_words_are_refused_by_the_cap_whatever_their_index():
+    # "3" * 41 addresses row 3^41 - 1, past int64: the index must not
+    # become an array before the cap has refused generation 41
+    messages = set()
+    for word in ("1" * 41, "3" * 41):
+        with pytest.raises(ResourceCapError) as err:
+            harmonic.edge_polylines([word], [1], 2)
+        messages.add(str(err.value))
+    assert len(messages) == 1
+    with pytest.raises(GasketError, match="is not a word over 1, 2, 3"):
+        harmonic.edge_polylines(["3" * 40 + "4"], [1], 2)
+    text = model_to_json(gl.build_model("harmonic", 1, harmonic_depth=2))
+    read = model_from_json(text.replace('"word": "1"', '"word": "' + "3" * 41 + '"', 1))
+    assert read.edges.word[0] == "3" * 41
+    with pytest.raises(GasketError):
+        render_svg(read)
 
 
 def per_generation_polylines(words, local_edges, depth):

@@ -1,10 +1,19 @@
 """Measure functionals, self-affinity, Dixmier-route measure recovery."""
 
+import os
 import warnings
 
 import numpy as np
 import pytest
-from conftest import POLY_2D, POLY_3D, oracle_phi, self_affinity_residual, word_norm
+from conftest import (
+    POLY_2D,
+    POLY_3D,
+    oracle_phi,
+    self_affinity_residual,
+    vertex_count,
+    word_norm,
+)
+from test_cli import run_python
 
 import gasketlab as gl
 from gasketlab import harmonic, measure
@@ -18,7 +27,6 @@ from gasketlab.geometry import (
     sg_hierarchy,
     stretched_hierarchy,
 )
-from gasketlab.harmonic import vertex_count
 from gasketlab.spectrum import (
     curve_trace_constant,
     extrapolate_ladder,
@@ -87,6 +95,59 @@ def test_sample_refuses_a_stage_over_the_cap(monkeypatch, tag, alpha, variant):
             measure.functional_sample(tag, n, alpha)
         if n == top + 1:
             assert str(err.value) == str(built.value)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_midpoint_families_are_the_points_step_n_plus_one_appends(n):
+    # the level-n midpoints are the fresh vertices of level n + 1, and their
+    # images the fresh rows of the level-(n + 1) embedding, bit for bit
+    count = vertex_count(n)
+    pairs = [("sg-midpoints", sg_hierarchy(n + 1)[n + 1].points),
+             ("harmonic-midpoints", harmonic.phi_coordinates(n + 1))]
+    for tag, finer in pairs:
+        points = measure.functional_sample(tag, n).points
+        assert points.shape == finer[count:].shape == (3 ** (n + 1), finer.shape[1])
+        assert points.tobytes() == finer[count:].tobytes()
+
+
+def test_harmonic_midpoints_request_no_level_above_n(monkeypatch):
+    requested = []
+
+    def spy(fn):
+        def wrapped(level):
+            requested.append(level)
+            return fn(level)
+        return wrapped
+
+    # uncached spies, so the calls the cached functions make are seen too
+    for module in (measure, harmonic):
+        monkeypatch.setattr(module, "sg_hierarchy", spy(sg_hierarchy.__wrapped__))
+    for name in ("_h_arrays", "phi_coordinates"):
+        monkeypatch.setattr(harmonic, name, spy(getattr(harmonic, name).__wrapped__))
+    for n in range(6):
+        requested.clear()
+        measure.functional_sample("harmonic-midpoints", n)
+        assert requested and max(requested) == n
+
+
+def test_harmonic_midpoints_stage_eleven_peaks_under_100_mb():
+    # stage 11 builds the level-11 mesh and harmonic values and 3^12
+    # midpoint images; building level 12 as well took the peak to 131 MB
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("the peak resident set is read from /proc/self/status")
+    code = ("import sys\n"
+            "from gasketlab.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "peak = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+            "sys.stderr.write(peak[0])\n"
+            "sys.exit(code)\n")
+    done = run_python("-c", code, "measure", "--family", "harmonic-midpoints",
+                      "--f", "x", "--n", "11", "--n-min", "11")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1].startswith("11,harmonic-midpoints,x,")
+    name, kb, unit = done.stderr.split()
+    assert name == "VmHWM:" and unit == "kB"
+    assert int(kb) < 100 * 1024
 
 
 def test_joining_functional_normalization():

@@ -11,7 +11,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 import gasketlab as gl
-from gasketlab import metric
+from gasketlab import geometry, metric
 from gasketlab.geometry import EdgeCurve, EdgeTable, GasketError, GasketModel
 from gasketlab.metric import (
     SNAP_TOL,
@@ -377,6 +377,22 @@ def _allowed(graph, src, dst, direct=math.inf):
     """The corridor as the node set the heap search may enter."""
     nodes, _ = graph.corner_tables.corridor(src, dst, direct)
     return set(nodes.tolist()) | {graph.node_count, graph.node_count + 1}
+
+
+@pytest.mark.parametrize("children,joins", [(geometry.SG_CHILDREN, None),
+                                            (geometry.STRETCHED_CHILDREN,
+                                             geometry.STRETCHED_JOINS)])
+def test_nine_node_ids_follow_the_child_and_join_tables(children, joins):
+    # node 3c + j is corner j of child c: a cell-local id's nodes are where
+    # it sits in the flattened child table
+    nine = np.array(children).reshape(-1)
+    np.testing.assert_array_equal(nine[metric._OWN], [0, 1, 2])
+    for own in range(3):
+        assert np.flatnonzero(nine == own)[0] == metric._OWN[own]
+    # a joining segment joins the nodes of its two ends; on sg a pair is the
+    # one shared midpoint of the right (m_bc), bottom (m_ac) or left (m_ab) side
+    sides = ((5, 5), (4, 4), (3, 3)) if joins is None else joins
+    np.testing.assert_array_equal(nine[metric._JOINS], sides)
 
 
 def test_corridor_dijkstra_matches_full_run():
