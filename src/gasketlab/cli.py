@@ -46,9 +46,19 @@ def _require_alpha(args) -> Optional[float]:
     return None
 
 
-def _require_depth(args) -> None:
-    if args.variant == "harmonic" and args.depth < 2:    # the interval needs 3 generations
-        raise UsageError(f"--depth {args.depth}: the harmonic dimension needs depth >= 2")
+def _require_depth(args, least: int = 2) -> int:
+    """The harmonic ``--depth``, refused for the flat variants (which read
+    none) and below ``least``: 2 for the dimension interval, which needs 3
+    generations, 1 for the edge-length bounds."""
+    if args.variant != "harmonic":
+        if args.depth is not None:
+            raise UsageError(f"--depth does not apply to the {args.variant} variant")
+        return args.harmonic_depth
+    depth = args.harmonic_depth if args.depth is None else args.depth
+    if depth < least:
+        what = "dimension needs" if least == 2 else "edge-length bounds need"
+        raise UsageError(f"--depth {depth}: the harmonic {what} depth >= {least}")
+    return depth
 
 
 def _parse_point(text: str) -> tuple[float, float]:
@@ -168,7 +178,7 @@ def cmd_build(args) -> int:
 
     alpha = _require_alpha(args)
     model = build_model(args.variant, args.level, alpha,
-                        harmonic_depth=args.depth)
+                        harmonic_depth=_require_depth(args, least=1))
     write_model(model, args.out)
     if args.svg:
         from gasketlab import svg
@@ -181,12 +191,14 @@ def cmd_dimension(args) -> int:
     from gasketlab.serialize import format_number
 
     alpha = _require_alpha(args)
-    _require_depth(args)
-    if np.isnan(args.tol):         # the bisection compares widths to it: never true
+    depth = _require_depth(args)
+    if args.tol is not None and not args.bracket:
+        raise UsageError("--tol applies only with --bracket")
+    if args.tol is not None and np.isnan(args.tol):    # widths never compare <= nan
         raise UsageError("--tol nan: the bracket tolerance must be a number")
     if args.variant == "harmonic" and args.bracket:
         raise UsageError("--bracket does not apply to the harmonic variant")
-    est = _dimension(args.variant, alpha, args.depth)
+    est = _dimension(args.variant, alpha, depth)
     if args.variant == "harmonic":
         print(f"{format_number(est.lower)},{format_number(est.upper)}")
         return 0
@@ -194,20 +206,21 @@ def cmd_dimension(args) -> int:
     if args.bracket:
         from gasketlab import spectrum
 
-        lo, hi = spectrum.abscissa_bracket(_flat_spectrum(args.variant, alpha), tol=args.tol)
+        lo, hi = spectrum.abscissa_bracket(_flat_spectrum(args.variant, alpha),
+                                           tol=1e-6 if args.tol is None else args.tol)
         print(f"bracket,{format_number(lo)},{format_number(hi)}")
     return 0
 
 
 def cmd_spectrum(args) -> int:
     alpha = _require_alpha(args)
-    _require_depth(args)
+    depth = _require_depth(args)
     if args.rungs < 1:
         raise UsageError(f"--rungs {args.rungs}: the scan needs at least 1 rung")
     if not 0.0 < args.eps_start < np.inf:
         raise UsageError(f"--eps-start {args.eps_start}: must be finite and positive")
-    _emit(_spectrum_scan(args.variant, alpha, args.depth, args.eps_start,
-                         args.rungs), args.out)
+    _emit(_spectrum_scan(args.variant, alpha, depth, args.eps_start, args.rungs),
+          args.out)
     return 0
 
 
@@ -218,8 +231,6 @@ def cmd_distance(args) -> int:
     from gasketlab.serialize import format_number
 
     alpha = _require_alpha(args)
-    if args.variant == "harmonic":
-        raise UsageError("distance supports the sg and stretched variants")
     model = build_model(args.variant, args.level, alpha)
     result = metric.geodesic(model, _parse_point(args.src), _parse_point(args.dst))
     print(f"{format_number(result.distance)},{result.level},"
@@ -264,21 +275,20 @@ def cmd_report(args) -> int:
     from gasketlab.serialize import format_number, write_model
 
     alpha = _require_alpha(args)
-    _require_depth(args)
+    depth = _require_depth(args)
     os.makedirs(args.out_dir, exist_ok=True)
 
     def path(name: str) -> str:
         return os.path.join(args.out_dir, name)
 
-    model = build_model(args.variant, args.level, alpha,
-                        harmonic_depth=args.depth)
+    model = build_model(args.variant, args.level, alpha, harmonic_depth=depth)
     write_model(model, path("model.json"))
     svg.emit_svg(model, path("model.svg"))
 
-    est = _dimension(args.variant, alpha, args.depth)
+    est = _dimension(args.variant, alpha, depth)
     _emit(f"variant,lower,upper\n{args.variant},{format_number(est.lower)},"
           f"{format_number(est.upper)}\n", path("dimension.csv"))
-    _emit(_spectrum_scan(args.variant, alpha, args.depth, 0.1, 8),
+    _emit(_spectrum_scan(args.variant, alpha, depth, 0.1, 8),
           path("spectrum_scan.csv"))
 
     if args.variant == "stretched":
@@ -298,11 +308,17 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_variant(p, include_harmonic: bool = True) -> None:
-    choices = ["sg", "stretched"] + (["harmonic"] if include_harmonic else [])
+def _add_variant(p, depth: Optional[int] = None) -> None:
+    """--variant and --alpha; a verb given a harmonic default ``depth``
+    also takes the harmonic variant and its --depth."""
+    choices = ["sg", "stretched"] + (["harmonic"] if depth else [])
     p.add_argument("--variant", required=True, choices=choices)
     p.add_argument("--alpha", type=float, default=None,
                    help="stretching parameter, required for --variant stretched")
+    if depth:
+        p.add_argument("--depth", type=int, default=None,
+                       help=f"harmonic only: subdivision depth (default {depth})")
+        p.set_defaults(harmonic_depth=depth)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -313,34 +329,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("build", help="build a model and write its JSON")
-    _add_variant(p)
+    _add_variant(p, depth=4)
     p.add_argument("--level", type=int, default=3)
-    p.add_argument("--depth", type=int, default=4,
-                   help="harmonic edge-length subdivision depth")
     p.add_argument("--out", required=True)
     p.add_argument("--svg", default=None, help="also render to this SVG file")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("dimension", help="spectral dimension (value or interval)")
-    _add_variant(p)
-    p.add_argument("--depth", type=int, default=3,
-                   help="harmonic truncation depth")
+    _add_variant(p, depth=3)
     p.add_argument("--bracket", action="store_true",
                    help="also print the independent growth bracket")
-    p.add_argument("--tol", type=float, default=1e-6,
-                   help="bracket bisection tolerance")
+    p.add_argument("--tol", type=float, default=None,
+                   help="with --bracket: bisection tolerance (default 1e-6)")
     p.set_defaults(func=cmd_dimension)
 
     p = sub.add_parser("spectrum", help="trace scan along the residue ladder")
-    _add_variant(p)
-    p.add_argument("--depth", type=int, default=3)
+    _add_variant(p, depth=3)
     p.add_argument("--eps-start", type=float, default=0.1)
     p.add_argument("--rungs", type=int, default=8)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("distance", help="geodesic distance between two points")
-    _add_variant(p, include_harmonic=False)
+    _add_variant(p)
     p.add_argument("--from", dest="src", required=True, metavar="X,Y")
     p.add_argument("--to", dest="dst", required=True, metavar="X,Y")
     p.add_argument("--level", type=int, default=3)
@@ -368,9 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("report", help="write a bundle of artifacts")
-    _add_variant(p)
+    _add_variant(p, depth=3)
     p.add_argument("--level", type=int, default=3)
-    p.add_argument("--depth", type=int, default=3)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_report)
 

@@ -241,12 +241,16 @@ def _generation_starts(level: int) -> tuple[int, ...]:
 _LETTER_DIGITS = str.maketrans("123", "012")
 
 
-def cell_index(word: str) -> int:
-    """Mesh row of the cell addressed by ``word`` (base-3 numeral)."""
+def _check_word(word: str) -> str:
     # the letter check comes first: int() would also take blanks, "_" and signs
     if not isinstance(word, str) or word.strip("123"):
         raise GasketError(f"cell address {word!r} is not a word over 1, 2, 3")
-    return int(word.translate(_LETTER_DIGITS), 3) if word else 0
+    return word
+
+
+def cell_index(word: str) -> int:
+    """Mesh row of the cell addressed by ``word`` (base-3 numeral)."""
+    return int(_check_word(word).translate(_LETTER_DIGITS), 3) if word else 0
 
 
 # ---------------------------------------------------------------------------

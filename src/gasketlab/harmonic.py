@@ -57,6 +57,7 @@ from gasketlab.geometry import (
     GasketModel,
     ResourceCapError,
     TRIANGLE_EDGE_CORNERS,
+    _check_word,
     _edge_table,
     _frozen,
     _generation_starts,
@@ -194,6 +195,8 @@ def _require_cap(gen: int, depth: int, samples: int) -> None:
     """
     need = max(3 ** gen, 3 ** depth, samples)
     if need > edge_cap():
+        if need > 10 ** 4000:       # int() prints no more than 4,300 digits
+            need = f"3^{max(gen, depth)}"
         raise ResourceCapError(
             f"generation {gen} at subdivision depth {depth} needs {need} "
             f"cells or samples, cap is {edge_cap()}"
@@ -318,16 +321,18 @@ def edge_polylines(words, local_edges, depth: int) -> np.ndarray:
     dyadic points carried onto that cell, Phi(f_w y) = sum_j h_j(y)
     Phi(f_w p_j).
     """
-    # stacked rows, as Python ints until the cap has passed (int64 overflows)
-    rows = [cell_index(w) + (3 ** len(w) - 1) // 2 for w in words]
+    # the letters first, then the cap from the word lengths alone: no word is
+    # read as a numeral before it passes (int() refuses 4,300 digits, int64
+    # overflows past 40)
+    max_gen = max((len(_check_word(w)) for w in words), default=0)
     local = np.asarray(local_edges, dtype=np.int64) - 1
-    if len(local) != len(rows):
+    if len(local) != len(words):
         raise GasketError("one local edge index per word is required")
     if np.any((local < 0) | (local > 2)):
         raise GasketError("local edge index must be 1..3")
     npts = 2 ** depth + 1
-    max_gen = max(map(len, words), default=0)
-    _require_cap(max_gen, depth, len(rows) * npts)
+    _require_cap(max_gen, depth, len(words) * npts)
+    rows = [cell_index(w) + (3 ** len(w) - 1) // 2 for w in words]
     stack = _stacked_cells(sg_hierarchy(max_gen))
     corners = phi_coordinates(max_gen)[stack[np.array(rows, dtype=np.int64)]]
     out = np.empty((len(rows), npts, 3))

@@ -49,7 +49,6 @@ from gasketlab.geometry import (
 from gasketlab.spectrum import (
     ResidueResult,
     _bisect,
-    _check_rungs,
     _ladder_eps,
     curve_trace_constant,
     extrapolate_ladder,
@@ -57,6 +56,7 @@ from gasketlab.spectrum import (
 )
 
 PointFunction = Callable[[np.ndarray], np.ndarray]
+KH_EPS_START = 0.4      # first rung of the harmonic ratio's ladder
 
 
 def _evaluate(f: PointFunction, points: np.ndarray) -> np.ndarray:
@@ -159,19 +159,14 @@ def _is_built(model: GasketModel) -> bool:
     return model == build_model("stretched", model.level, model.alpha)
 
 
-def dixmier_functional(
-    model: GasketModel,
-    f: PointFunction,
-    eps_start: float = 0.1,
-    rungs: int = 8,
-) -> ResidueResult:
+def dixmier_functional(model: GasketModel, f: PointFunction) -> ResidueResult:
     """Residue estimate of the f-weighted Dixmier trace on the stretched gasket.
 
-    Evaluates (s-1) sum_j fbar_j beta_{ds*s} l_j^{ds*s} on the epsilon
-    ladder and Richardson-extrapolates to s -> 1+.  Edges beyond the
-    model's level enter through a geometric tail whose per-curve f
-    average is frozen at the deepest computed generation (the averages
-    converge weak-*, so the tail bias shrinks with the model level).
+    Evaluates (s-1) sum_j fbar_j beta_{ds*s} l_j^{ds*s} on the fixed
+    ladder (8 rungs from eps 0.1) and Richardson-extrapolates to s -> 1+.
+    Edges beyond the model's level enter through a geometric tail whose
+    per-curve f average is frozen at the deepest computed generation (the
+    averages converge weak-*, so the tail bias shrinks with the model level).
     Converges to (Dixmier constant) * (self-affine integral of f).
     The sums are read off the built level and alpha, so any other model,
     such as a read document with edited edges, is refused.
@@ -199,16 +194,15 @@ def dixmier_functional(
         total += join_avg * 3.0 * alpha ** p * q ** n / (1.0 - q)
         return eps * curve_trace_constant(p) * total
 
-    return extrapolate_ladder(g, eps_start, rungs)
+    return extrapolate_ladder(g)
 
 
-def _check_ladder(depth: int, eps_start: float, rungs: int) -> None:
-    _check_rungs(rungs)
+def _check_ladder(depth: int) -> None:
     harmonic._check_tables(depth, depth)
 
 
 @harmonic._checked_cache(_check_ladder, maxsize=8)
-def _kh_ladder(depth: int, eps_start: float, rungs: int) -> tuple[dict, dict]:
+def _kh_ladder(depth: int) -> tuple[dict, dict]:
     """The part of ``kh_dixmier_ratio`` that does not depend on f (cached).
 
     Per length side (polyline bound, envelope bound), a dict from each
@@ -226,10 +220,10 @@ def _kh_ladder(depth: int, eps_start: float, rungs: int) -> tuple[dict, dict]:
 
         # this side's pole: the exponent at which the frozen geometric
         # tail would stop converging
-        lo_p, hi_p = _bisect(lambda p: last_ratio(p) > 1.0, 1.0, 3.0, steps=60)
+        lo_p, hi_p = _bisect(lambda p: last_ratio(p) > 1.0, 1.0, 3.0)
         ds = 0.5 * (lo_p + hi_p)
         rung = {}
-        for eps in _ladder_eps(eps_start, rungs):
+        for eps in _ladder_eps(KH_EPS_START):
             powers = [x ** (ds * (1.0 + eps)) for x in lengths]
             terms = np.array([np.sum(x) for x in powers])
             gr = terms[-1] / terms[-2]
@@ -238,25 +232,20 @@ def _kh_ladder(depth: int, eps_start: float, rungs: int) -> tuple[dict, dict]:
     return tuple(sides)
 
 
-def kh_dixmier_ratio(
-    f: PointFunction,
-    depth: int,
-    eps_start: float = 0.4,
-    rungs: int = 8,
-) -> tuple[float, float]:
+def kh_dixmier_ratio(f: PointFunction, depth: int) -> tuple[float, float]:
     """Interval estimate of tau(f)/tau(1) for the harmonic-gasket trace.
 
     Curve lengths are only known as intervals, so the trace-ratio limit
     is evaluated once per length side (polyline bound, envelope bound),
-    each at its own growth-root exponent, and the min/max returned.  The
-    ratio cancels the unknown normalization; its limit is the
-    self-affine integral of f, so it should be compared against the
-    embedded midpoint functionals at large n.  Everything but the f
-    averages comes from the cached ``_kh_ladder``; f is evaluated once,
-    on the level-depth vertex images, which every generation's cells
-    index by the prefix invariant.
+    each at its own growth-root exponent on the 8 rungs from eps 0.4, and
+    the min/max returned.  The ratio cancels the unknown normalization;
+    its limit is the self-affine integral of f, so it should be compared
+    against the embedded midpoint functionals at large n.  Everything but
+    the f averages comes from the cached ``_kh_ladder``; f is evaluated
+    once, on the level-depth vertex images, which every generation's
+    cells index by the prefix invariant.
     """
-    ladder = _kh_ladder(depth, eps_start, rungs)
+    ladder = _kh_ladder(depth)
 
     values = _evaluate(f, harmonic.phi_coordinates(depth))
     fa, fb, fc = values[_stacked_cells(sg_hierarchy(depth)).T]
@@ -271,7 +260,7 @@ def kh_dixmier_ratio(
             num = sum(float(s @ x) for s, x in zip(fbar_sums, powers))
             return (num + f_last * tail) / (den + tail)
 
-        return extrapolate_ladder(ratio, eps_start, rungs).value
+        return extrapolate_ladder(ratio, KH_EPS_START).value
 
     corners = [ratio_limit(rung) for rung in ladder]
     return min(corners), max(corners)

@@ -35,6 +35,7 @@ from gasketlab.geometry import (GasketError, GasketModel, _endpoint_nodes,
                                 _generation_starts)
 
 SNAP_TOL = 1e-9
+WITNESS_TARGETS = 20        # chains one witness check walks
 # a node joins a geodesic's corridor when d(p, v) + d(v, q) is within this
 # factor of d(p, q), so rounding in the corner tables loses no path node
 _CORRIDOR_SLACK = 1.0 + 1e-9
@@ -769,8 +770,7 @@ def _tight_predecessors(graph: MetricGraph, field: np.ndarray) -> np.ndarray:
     return pred
 
 
-def lipschitz_witness_check(model: GasketModel, q: int, n_targets: int = 20,
-                            seed: int = 0) -> WitnessReport:
+def lipschitz_witness_check(model: GasketModel, q: int, seed: int = 0) -> WitnessReport:
     """Check that h = d(., q) witnesses the spectral distance.
 
     The distance field from q must be 1-Lipschitz along every arc (its
@@ -779,7 +779,7 @@ def lipschitz_witness_check(model: GasketModel, q: int, n_targets: int = 20,
     of facts that lets h realize the supremum defining the spectral
     distance.  The second fact is checked by walking each target's
     shortest-path chain back to q and summing its arc weights, at
-    ``n_targets`` >= 1 nodes drawn with ``seed``.
+    ``WITNESS_TARGETS`` nodes drawn with ``seed``.
 
     The field comes from ``distance_field`` (the corner tables) and each
     node's chain step from its tight predecessor, the in-arc minimising
@@ -789,8 +789,6 @@ def lipschitz_witness_check(model: GasketModel, q: int, n_targets: int = 20,
     its chains from the heap ``_dijkstra`` instead, since the ends of
     such an arc can name each other.
     """
-    if not (isinstance(n_targets, numbers.Integral) and n_targets >= 1):
-        raise GasketError(f"n_targets must be an integer >= 1, got {n_targets!r}")
     graph = to_metric_graph(model)
     _check_node(graph, q, "witness target")
     field = distance_field(graph, q)
@@ -801,13 +799,13 @@ def lipschitz_witness_check(model: GasketModel, q: int, n_targets: int = 20,
         chain = _dijkstra(graph, q)[1]
         pred = np.array([chain.get(v, -1) for v in range(graph.node_count)])
     rng = np.random.default_rng(seed)
-    targets = rng.integers(0, graph.node_count, size=n_targets)
+    targets = rng.integers(0, graph.node_count, size=WITNESS_TARGETS)
     return WitnessReport(
         target=q,
         level=graph.level,
         arcs_checked=len(graph.arc_w),
         max_arc_violation=float(slacks.max()),
         lipschitz_ok=bool((slacks <= 1e-12).all()),
-        targets_checked=n_targets,
+        targets_checked=WITNESS_TARGETS,
         attained_all=_chains_attain(graph, field, pred, q, targets),
     )

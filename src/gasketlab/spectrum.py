@@ -11,7 +11,10 @@ of a flat variant form one geometric family, so the series sums in
 closed form and its abscissa of convergence (the spectral dimension) is
 log 3 / -log(ratio).  The Dixmier trace of |D|^(-ds) is computed
 throughout as the residue lim_{s->1+} (s-1) tr(|D|^(-ds*s)), never
-through an extended limit.
+through an extended limit, read off one fixed ladder: 8 rungs
+s = 1 + eps_start / 2^k from eps_start 0.1 (0.4 for the harmonic ratio).
+Every root comes from one bisection, halving to its tolerance or to
+adjacent doubles.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -166,16 +169,17 @@ def stretched_dimension(alpha: float) -> float:
 
 
 def _bisect(below: Callable[[float], bool], lo: float, hi: float, *,
-            tol: float = 0.0, steps: Optional[int] = None) -> tuple[float, float]:
+            tol: float = 0.0) -> tuple[float, float]:
     """Halve [lo, hi] around the point where ``below`` turns false.
 
     ``below(p)`` holds left of the root.  Stops once the width is at
-    most ``tol``, after ``steps`` halvings, or once a halving would leave
-    [lo, hi] unchanged: for adjacent doubles the midpoint rounds onto the
-    end it replaces, and a ``tol`` below one ulp is never met.
+    most ``tol``, or once a halving would leave [lo, hi] unchanged: for
+    adjacent doubles the midpoint rounds onto the end it replaces, and a
+    ``tol`` below one ulp is never met.  Doubles at or above 1 are at
+    least 2^-52 apart, so a range there ends after about
+    log2((hi - lo) 2^52) halvings: 53 on [1, 3].
     """
-    step = 0
-    while hi - lo > tol and (steps is None or step < steps):
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         left = below(mid)
         if mid == (lo if left else hi):
@@ -184,7 +188,6 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float, *,
             lo = mid
         else:
             hi = mid
-        step += 1
     return lo, hi
 
 
@@ -249,9 +252,6 @@ class ResidueResult:
     raw: tuple[float, ...]
     extrapolants: tuple[float, ...]
 
-    def __float__(self) -> float:
-        return self.value
-
 
 def _richardson(g: np.ndarray) -> np.ndarray:
     """Order-2 Richardson extrapolation on a ratio-1/2 epsilon ladder."""
@@ -259,32 +259,27 @@ def _richardson(g: np.ndarray) -> np.ndarray:
     return (4.0 * r1[1:] - r1[:-1]) / 3.0
 
 
-def _check_rungs(rungs: int) -> None:
-    """Two order-2 Richardson passes leave rungs - 2 extrapolants, and the
-    convergence test compares the last two."""
-    if rungs < 4:
-        raise GasketError("ladder needs at least 4 rungs")
+#: rungs of every residue ladder; the convergence test compares the last
+#: two of the 6 extrapolants two Richardson passes leave
+LADDER_RUNGS = 8
 
 
-def _ladder_eps(eps_start: float, rungs: int) -> np.ndarray:
-    """The epsilon rungs ``extrapolate_ladder`` evaluates: eps_start / 2^k."""
+def _ladder_eps(eps_start: float, rungs: int = LADDER_RUNGS) -> np.ndarray:
+    """The epsilon rungs eps_start / 2^k, k < ``rungs``."""
     return eps_start * 0.5 ** np.arange(rungs)
 
 
-def extrapolate_ladder(
-    values: Callable[[float], float],
-    eps_start: float = 0.1,
-    rungs: int = 8,
-) -> ResidueResult:
-    """Evaluate g on the geometric epsilon ladder and extrapolate to 0+.
+def extrapolate_ladder(values: Callable[[float], float],
+                       eps_start: float = 0.1) -> ResidueResult:
+    """Evaluate g on the ``LADDER_RUNGS`` rungs from ``eps_start`` and
+    extrapolate to 0+.
 
     Converged when the last two extrapolants agree to 1e-3, measured
     against the larger of the limit and the coarsest rung (so vanishing
     limits register as converged rather than forever failing a pure
     relative test).
     """
-    _check_rungs(rungs)
-    eps = _ladder_eps(eps_start, rungs)
+    eps = _ladder_eps(eps_start)
     g = np.array([values(e) for e in eps])
     extr = _richardson(g)
     diff = abs(extr[-1] - extr[-2])
@@ -293,12 +288,7 @@ def extrapolate_ladder(
                          tuple(eps), tuple(g), tuple(extr))
 
 
-def residue_estimate(
-    spectrum: LengthSpectrum,
-    ds: float,
-    eps_start: float = 0.1,
-    rungs: int = 8,
-) -> ResidueResult:
+def residue_estimate(spectrum: LengthSpectrum, ds: float) -> ResidueResult:
     """Residue lim_{s->1+} (s-1) tr(|D|^(-ds*s)) by ladder extrapolation.
 
     At the abscissa this recovers the Dixmier trace of |D|^(-ds).
@@ -306,7 +296,7 @@ def residue_estimate(
     def g(eps: float) -> float:
         return eps * spectrum_trace(spectrum, ds * (1.0 + eps))
 
-    return extrapolate_ladder(g, eps_start, rungs)
+    return extrapolate_ladder(g)
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +307,13 @@ def residue_estimate(
 KH_DIMENSION_UPPER = math.log(3.0) / (math.log(5.0) - math.log(3.0))
 
 
-def growth_root(
-    generation_lengths: Sequence[np.ndarray],
-    p_range: tuple[float, float] = (1.0, KH_DIMENSION_UPPER),
-    iterations: int = 60,
-) -> float:
+def growth_root(generation_lengths: Sequence[np.ndarray]) -> float:
     """Exponent at which per-generation power sums stop growing.
 
     Uses the mean log-ratio of the sums from generation 1 to the last
     (generation 0 carries boundary effects), so only those two
-    generations are summed; clamps to ``p_range`` when the sign never
-    flips inside it.
+    generations are summed; clamps to [1, ``KH_DIMENSION_UPPER``] when
+    the sign never flips inside it.
     """
     if len(generation_lengths) < 3:
         raise GasketError("growth root needs at least 3 generations")
@@ -337,12 +323,12 @@ def growth_root(
     def mean_log_growth(p: float) -> float:
         return math.log(np.sum(last ** p) / np.sum(first ** p)) / steps
 
-    lo, hi = p_range
+    lo, hi = 1.0, KH_DIMENSION_UPPER
     if mean_log_growth(hi) > 0.0:
         return hi
     if mean_log_growth(lo) < 0.0:
         return lo
-    lo, hi = _bisect(lambda p: mean_log_growth(p) > 0.0, lo, hi, steps=iterations)
+    lo, hi = _bisect(lambda p: mean_log_growth(p) > 0.0, lo, hi)
     return 0.5 * (lo + hi)
 
 

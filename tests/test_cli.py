@@ -316,6 +316,40 @@ def test_harmonic_depth_below_two_is_usage_error(tmp_path, capsys, verb):
                  "--out", str(tmp_path / "kh.json")]) == 0
 
 
+def test_harmonic_build_depth_below_one_is_usage_error(tmp_path, capsys):
+    # it exited 1 with "subdivision depth must be >= 1"
+    out = tmp_path / "kh.json"
+    for depth in ("0", "-3"):
+        assert main(["build", "--variant", "harmonic", "--depth", depth,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"usage error: --depth {depth}: the harmonic "
+                                       "edge-length bounds need depth >= 1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["build", "dimension", "spectrum", "report"])
+@pytest.mark.parametrize("variant", [["sg"], ["stretched", "--alpha", "0.2"]])
+def test_depth_is_usage_error_for_the_flat_variants(tmp_path, capsys, verb, variant):
+    # the flat variants read no depth, and every verb ignored the flag
+    extra = {"build": ["--out", str(tmp_path / "m.json")],
+             "report": ["--out-dir", str(tmp_path / "r")]}.get(verb, [])
+    for depth in ("5", "-5"):
+        assert main([verb, "--variant", *variant, "--depth", depth, *extra]) == 2
+        assert capsys.readouterr() == ("", "usage error: --depth does not apply to the "
+                                       f"{variant[0]} variant\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("variant", [["sg"], ["stretched", "--alpha", "0.2"],
+                                     ["harmonic", "--depth", "2"]])
+def test_tolerance_without_bracket_is_usage_error(capsys, variant):
+    # --tol is read only by the bracket: without it the verb printed the
+    # dimension and exited 0
+    for tol in ("5", "1e-9", "nan"):
+        assert main(["dimension", "--variant", *variant, "--tol", tol]) == 2
+        assert capsys.readouterr() == ("", "usage error: --tol applies only with --bracket\n")
+
+
 def test_distance_verb(capsys):
     assert main(["distance", "--variant", "stretched", "--alpha", "0.2",
                  "--from", "0,0", "--to", "1,0", "--level", "4"]) == 0

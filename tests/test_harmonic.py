@@ -519,6 +519,23 @@ def test_long_words_are_refused_by_the_cap_whatever_their_index():
         render_svg(read)
 
 
+@pytest.mark.parametrize("length", [5000, 10000])
+def test_words_past_int_digit_limit_are_refused_by_the_cap(length):
+    # int(word, 3) refuses numerals past 4,300 digits: a 5,000-letter word
+    # raised a bare ValueError before the cap was checked, and past 9,000
+    # letters the cap's own count no longer printed as a decimal
+    with pytest.raises(ResourceCapError, match=f"^generation {length} at subdivision depth 2"):
+        harmonic.edge_polylines(["1" * length], [1], 2)
+    # the letter check still comes first, whatever the length
+    with pytest.raises(GasketError, match="is not a word over 1, 2, 3"):
+        harmonic.edge_polylines(["1" * length + "4"], [1], 2)
+    text = model_to_json(gl.build_model("harmonic", 1, harmonic_depth=2))
+    read = model_from_json(text.replace('"word": "1"', '"word": "' + "1" * length + '"', 1))
+    assert read.edges.word[0] == "1" * length
+    with pytest.raises(ResourceCapError):
+        render_svg(read)
+
+
 def per_generation_polylines(words, local_edges, depth):
     """``edge_polylines`` one generation at a time, each generation's cells
     carried to its own level's corner images, as the reference."""

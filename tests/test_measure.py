@@ -244,7 +244,7 @@ def test_dixmier_functional_ratio_for_x_is_one_half():
     assert num / den == pytest.approx(0.5, abs=1e-6)
 
 
-def loop_dixmier_functional(model, f, eps_start=0.1, rungs=8):
+def loop_dixmier_functional(model, f):
     """dixmier_functional with one f evaluation per level, corner and
     generation, each on that level's own points, as the reference."""
     meshes, joins = stretched_hierarchy(model.level, model.alpha)
@@ -271,7 +271,7 @@ def loop_dixmier_functional(model, f, eps_start=0.1, rungs=8):
         total += join_avg * 3.0 * alpha ** p * q ** n / (1.0 - q)
         return eps * curve_trace_constant(p) * total
 
-    return extrapolate_ladder(g, eps_start, rungs)
+    return extrapolate_ladder(g)
 
 
 def bits(result):
@@ -303,8 +303,6 @@ def test_dixmier_functional_matches_the_per_level_loop(alpha):
         for f in functions:
             assert bits(gl.dixmier_functional(model, f)) == bits(
                 loop_dixmier_functional(model, f))
-    assert bits(gl.dixmier_functional(model, functions[0], 0.2, 5)) == bits(
-        loop_dixmier_functional(model, functions[0], 0.2, 5))
 
 
 def counting(f):
@@ -402,7 +400,7 @@ def test_kh_ratio_approaches_embedded_functional():
     assert gaps[2] < gaps[0]
 
 
-def loop_kh_dixmier_ratio(f, depth, eps_start=0.4, rungs=8):
+def loop_kh_dixmier_ratio(f, depth):
     """kh_dixmier_ratio with its own 60-step pole bisection, as the reference."""
     tables = harmonic.edge_length_tables(depth, depth)
     fbar_sums = []
@@ -432,7 +430,7 @@ def loop_kh_dixmier_ratio(f, depth, eps_start=0.4, rungs=8):
             tail = terms[-1] * gr / (1.0 - gr)
             return (num + f_last * tail) / (float(terms.sum()) + tail)
 
-        return extrapolate_ladder(ratio, eps_start, rungs).value
+        return extrapolate_ladder(ratio, 0.4).value
 
     corners = [ratio_limit(side) for side in (0, 1)]
     return min(corners), max(corners)
@@ -449,23 +447,13 @@ def test_kh_ratio_ladder_is_cached_across_functions(monkeypatch):
     measure._kh_ladder.cache_clear()
     for name in ("x", "x^2", "x*y", "x"):
         f = POLY_3D[name]
-        assert measure.kh_dixmier_ratio(f, 3, 0.3, 6) == loop_kh_dixmier_ratio(f, 3, 0.3, 6)
+        assert measure.kh_dixmier_ratio(f, 3) == loop_kh_dixmier_ratio(f, 3)
     info = measure._kh_ladder.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     # the edge cap still holds on a cache hit
     monkeypatch.setenv("GASKET_MAX_EDGES", "10")
     with pytest.raises(ResourceCapError):
-        measure.kh_dixmier_ratio(POLY_3D["x"], 3, 0.3, 6)
-
-
-def test_kh_ratio_needs_four_rungs():
-    # three rungs leave one extrapolant, too few for the convergence test
-    measure._kh_ladder.cache_clear()
-    with pytest.raises(GasketError, match="at least 4 rungs"):
-        measure.kh_dixmier_ratio(POLY_3D["x"], 3, 0.3, 3)
-    assert measure._kh_ladder.cache_info().misses == 0
-    lo, hi = measure.kh_dixmier_ratio(POLY_3D["x"], 3, 0.3, 4)
-    assert (lo, hi) == loop_kh_dixmier_ratio(POLY_3D["x"], 3, 0.3, 4)
+        measure.kh_dixmier_ratio(POLY_3D["x"], 3)
 
 
 # -- mass spread ---------------------------------------------------------------

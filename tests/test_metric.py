@@ -1022,18 +1022,18 @@ def test_witness_attained_all_fails_for_wrong_field(monkeypatch):
     assert not report.attained_all and not report.ok
 
 
-def _heap_witness(model, q, seed, n_targets=20):
+def _heap_witness(model, q, seed):
     """The witness report as the full heap Dijkstra's field and
     predecessors give it."""
     graph = to_metric_graph(model)
     dist, pred = heap_dijkstra(graph, q)
     field = np.array(dist)
     slacks = arc_slacks(graph, field)
-    targets = np.random.default_rng(seed).integers(0, graph.node_count, size=n_targets)
+    targets = np.random.default_rng(seed).integers(0, graph.node_count, size=20)
     return metric.WitnessReport(
         target=q, level=graph.level, arcs_checked=len(graph.arc_w),
         max_arc_violation=float(slacks.max()),
-        lipschitz_ok=bool((slacks <= 1e-12).all()), targets_checked=n_targets,
+        lipschitz_ok=bool((slacks <= 1e-12).all()), targets_checked=20,
         attained_all=_chains_attain(graph, field, pred, q, targets))
 
 
@@ -1117,15 +1117,6 @@ def test_witness_target_validation():
     model = gl.build_model("stretched", 1, 0.2)
     with pytest.raises(GasketError):
         gl.lipschitz_witness_check(model, 99)
-
-
-@pytest.mark.parametrize("n_targets", [-1, 0, 2.5])
-def test_witness_target_count_must_be_a_positive_integer(n_targets):
-    # -1 raised numpy's ValueError, 2.5 a TypeError, and 0 reported
-    # attained_all=True after checking nothing
-    model = gl.build_model("stretched", 3, 0.2)
-    with pytest.raises(GasketError, match="n_targets must be an integer >= 1"):
-        gl.lipschitz_witness_check(model, 0, n_targets=n_targets)
 
 
 def test_node_ids_must_be_integers():

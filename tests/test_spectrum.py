@@ -9,7 +9,7 @@ from scipy.special import zeta as sp_zeta
 
 import gasketlab as gl
 from gasketlab.geometry import GasketError
-from gasketlab import harmonic
+from gasketlab import harmonic, measure, spectrum
 from gasketlab.spectrum import (
     GROWTH_ROUNDING,
     KH_DIMENSION_UPPER,
@@ -281,20 +281,6 @@ def test_residue_additive_over_disjoint_unions():
     )
 
 
-def test_ladder_needs_three_rungs():
-    with pytest.raises(GasketError):
-        gl.residue_estimate(gl.sg_length_spectrum(), 2.0, rungs=2)
-
-
-def test_ladder_needs_four_rungs():
-    # three rungs leave one extrapolant, too few for the convergence test
-    with pytest.raises(GasketError, match="at least 4 rungs"):
-        extrapolate_ladder(lambda e: e, 0.1, 3)
-    result = extrapolate_ladder(lambda e: 2.0 + e * e, 0.1, 4)
-    assert len(result.extrapolants) == 2 and result.converged
-    assert result.value == pytest.approx(2.0, abs=1e-15)
-
-
 # -- harmonic-gasket truncations ---------------------------------------------
 
 def test_kh_interval_contained_and_narrowing():
@@ -313,20 +299,20 @@ def test_kh_interval_refuses_a_depth_below_two():
             gl.kh_dimension_interval(depth)
 
 
-def loop_growth_root(generation_lengths, p_range=(1.0, KH_DIMENSION_UPPER),
-                     iterations=60):
-    """The growth root's own bisection loop, as the shared bisection's
-    reference; it sums every generation at every step."""
+def loop_growth_root(generation_lengths):
+    """The growth root's own 60-step bisection loop on [1, KH_DIMENSION_UPPER],
+    as the shared bisection's reference; it sums every generation at every
+    step."""
     def mean_log_growth(p):
         sums = np.array([np.sum(lengths ** p) for lengths in generation_lengths])
         return math.log(sums[-1] / sums[1]) / (len(sums) - 2)
 
-    lo, hi = p_range
+    lo, hi = 1.0, KH_DIMENSION_UPPER
     if mean_log_growth(hi) > 0.0:
         return hi
     if mean_log_growth(lo) < 0.0:
         return lo
-    for _ in range(iterations):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if mean_log_growth(mid) > 0.0:
             lo = mid
@@ -339,17 +325,46 @@ def loop_growth_root(generation_lengths, p_range=(1.0, KH_DIMENSION_UPPER),
 def test_growth_root_matches_bisection_loop(depth):
     for side in (0, 1):
         lengths = [t[side] for t in harmonic.edge_length_tables(depth, depth)]
-        for iterations in (5, 60):
-            assert (growth_root(lengths, iterations=iterations)
-                    == loop_growth_root(lengths, iterations=iterations))
-        # both clamps: the root lies above 1.2 and below 1.5
-        for p_range, clamp in (((1.0, 1.2), 1.2), ((1.5, KH_DIMENSION_UPPER), 1.5)):
-            assert growth_root(lengths, p_range) == loop_growth_root(lengths, p_range) == clamp
+        assert growth_root(lengths) == loop_growth_root(lengths)
     est = gl.kh_dimension_interval(depth)
     roots = [loop_growth_root([t[side] for t in harmonic.edge_length_tables(depth, depth)])
              for side in (0, 1)]
     assert (est.lower, est.upper) == (max(1.0, min(roots)),
                                       min(KH_DIMENSION_UPPER, max(roots)))
+
+
+def test_growth_root_clamps_to_its_range():
+    # unit lengths whose count grows (or lengths that shrink) at every p:
+    # the sums never turn, so the root is the range end they point past
+    first = np.ones(3)
+    for last, clamp in ((np.ones(30), KH_DIMENSION_UPPER), (np.full(3, 0.1), 1.0)):
+        lengths = [first, first, last]
+        assert growth_root(lengths) == loop_growth_root(lengths) == clamp
+
+
+@pytest.mark.parametrize("depth", range(2, 8))
+def test_root_bisections_stop_by_themselves(monkeypatch, depth):
+    # the growth root on [1, KH_DIMENSION_UPPER] and the harmonic ratio's
+    # pole on [1, 3] end at adjacent doubles within 54 calls of their
+    # predicate, so a cap of 60 halvings never applied
+    real, runs = spectrum._bisect, []
+
+    def counted(below, lo, hi, **kwargs):
+        calls = []
+        out = real(lambda p: calls.append(p) or below(p), lo, hi, **kwargs)
+        runs.append(((lo, hi), len(calls), out))
+        return out
+
+    monkeypatch.setattr(spectrum, "_bisect", counted)
+    monkeypatch.setattr(measure, "_bisect", counted)
+    tables = harmonic.edge_length_tables(depth, depth)
+    for side in (0, 1):
+        growth_root([t[side] for t in tables])
+    measure._kh_ladder.__wrapped__(depth)
+    assert [start for start, _, _ in runs] == [(1.0, KH_DIMENSION_UPPER)] * 2 + [(1.0, 3.0)] * 2
+    for _, calls, (lo, hi) in runs:
+        assert calls <= 54
+        assert hi == np.nextafter(lo, np.inf)
 
 
 def test_kh_trace_interval_behaviour():
