@@ -40,7 +40,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, repeat
-from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -286,12 +285,6 @@ def _bound_list(column: Optional[np.ndarray], count: int):
     return [None if math.isnan(v) else v for v in column.tolist()]
 
 
-def _point_column(points: Sequence) -> np.ndarray:
-    if len(set(map(len, points))) > 1:
-        raise ValueError("edge endpoints differ in dimension")
-    return np.array(points, dtype=float) if points else np.empty((0, 2))
-
-
 class EdgeTable(Sequence):
     """A model's edges as columns, read as a sequence of ``EdgeCurve`` rows.
 
@@ -318,16 +311,6 @@ class EdgeTable(Sequence):
         if self.p.ndim != 2 or self.q.ndim != 2 or len(
                 {len(c) for c in columns if c is not None}) > 1:
             raise ValueError("edge columns differ in length or shape")
-
-    @classmethod
-    def from_rows(cls, rows) -> "EdgeTable":
-        """The table of a sequence of ``EdgeCurve`` rows."""
-        cols = list(zip(*map(attrgetter(*_EDGE_FIELDS), rows))) or [()] * len(_EDGE_FIELDS)
-        ids, kinds, gens, ps, qs, lengths, words, los, his = cols
-        bounds = [None if all(v is None for v in col) else np.array(col, dtype=float)
-                  for col in (los, his)]
-        return cls(ids, kinds, gens, _point_column(ps), _point_column(qs),
-                   lengths, words, *bounds)
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -371,19 +354,24 @@ class EdgeTable(Sequence):
 
 @dataclass(frozen=True)
 class GasketModel:
-    """Immutable edge-list model of one gasket variant at one level."""
+    """Immutable edge-list model of one gasket variant at one level.
+
+    ``depth`` is the subdivision depth of a harmonic model's length bounds,
+    None for the other variants.
+    """
 
     variant: str
     alpha: Optional[float]
     level: int
     edges: EdgeTable
+    depth: Optional[int] = None
 
     def __hash__(self) -> int:
         # hashing the table reads every column; the model is immutable, so
         # compute it once and make later cache lookups O(1)
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = hash((self.variant, self.alpha, self.level, self.edges))
+            cached = hash((self.variant, self.alpha, self.level, self.edges, self.depth))
             object.__setattr__(self, "_hash", cached)
         return cached
 

@@ -363,4 +363,4 @@ def build_harmonic_model(level: int, depth: int = 4) -> GasketModel:
     cells = sg_hierarchy(level)[level].cells
     return GasketModel("harmonic", None, level, _edge_table(
         phi_coordinates(level), _triangle_ends(cells), [("harmonic-image", level)],
-        bounds=edge_length_tables(level, depth)[level]))
+        bounds=edge_length_tables(level, depth)[level]), depth)

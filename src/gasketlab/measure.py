@@ -169,7 +169,7 @@ def dixmier_functional(model: GasketModel, f: PointFunction) -> ResidueResult:
     averages converge weak-*, so the tail bias shrinks with the model level).
     Converges to (Dixmier constant) * (self-affine integral of f).
     The sums are read off the built level and alpha, so any other model,
-    such as a read document with edited edges, is refused.
+    such as one built from edited edge columns, is refused.
     """
     if model.variant != "stretched":
         raise GasketError("dixmier_functional needs a stretched model")

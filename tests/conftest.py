@@ -1,10 +1,11 @@
 """Shared test oracles, kept independent of the code paths they check."""
 
+import dataclasses
 from functools import reduce
 
 import numpy as np
 
-from gasketlab.geometry import CORNERS, sg_hierarchy
+from gasketlab.geometry import CORNERS, EdgeTable, sg_hierarchy
 from gasketlab.harmonic import MIDPOINT_RULE, harmonic_structure
 from gasketlab.measure import functional_sample
 
@@ -30,6 +31,35 @@ def vertex_rows(points, level: int) -> np.ndarray:
     rows = gaps.argmin(axis=1)
     assert gaps[np.arange(len(rows)), rows].max() < 1e-12, "not a vertex"
     return rows
+
+
+def rows_table(rows) -> EdgeTable:
+    """The edge table of ``EdgeCurve`` rows, one column per field; a bound
+    column is None when no row carries the bound, else NaN where one does not."""
+    rows = tuple(rows)
+
+    def column(name):
+        return [getattr(e, name) for e in rows]
+
+    def points(name):
+        return np.array(column(name), dtype=float) if rows else np.empty((0, 2))
+
+    bounds = [None if all(v is None for v in column(name))
+              else np.array(column(name), dtype=float) for name in ("length_lo", "length_hi")]
+    return EdgeTable(column("id"), column("kind"), column("gen"), points("p"), points("q"),
+                     column("length"), column("word"), *bounds)
+
+
+def edited_model(model, edit):
+    """``model`` with the edge columns that ``edit(columns)`` changed in place:
+    writable copies by field name, the numbers as arrays and ``kind`` and
+    ``word`` as lists (a bound column the model lacks is None)."""
+    edges = model.edges
+    columns = {name: None if getattr(edges, name) is None else
+               (list if name in ("kind", "word") else np.array)(getattr(edges, name))
+               for name in EdgeTable.__slots__}
+    edit(columns)
+    return dataclasses.replace(model, edges=EdgeTable(**columns))
 
 
 def refine_shared(points, cells):

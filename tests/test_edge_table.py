@@ -1,21 +1,21 @@
-"""The columnar edge table: row views, content equality and hashing, and the
-columnar JSON reader and writer against per-edge references."""
+"""The columnar edge table: row views, content equality and hashing, the
+columnar JSON writer against a per-edge reference, and the reader, which
+rebuilds a written document or refuses it."""
 
-import copy
 import json
-import math
 import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import edited_model, rows_table
 from test_cli import per_edge_render_svg
 from test_geometry import per_edge_rows
 from test_harmonic import per_edge_harmonic_rows
 
 import gasketlab as gl
 from gasketlab import geometry, metric, serialize, svg
-from gasketlab.geometry import EdgeCurve, EdgeTable, GasketError, GasketModel
+from gasketlab.geometry import EdgeCurve, GasketError, GasketModel
 from gasketlab.serialize import (
     format_number,
     model_from_json,
@@ -26,7 +26,7 @@ from gasketlab.serialize import (
 from gasketlab.svg import emit_svg, render_svg
 
 
-def per_edge_json(variant, alpha, level, rows):
+def per_edge_json(variant, alpha, level, rows, depth=None):
     """The per-edge writer, one f-string per field, as the reference."""
     def point(values):
         return "[" + ", ".join(format_number(v) for v in values) + "]"
@@ -44,6 +44,8 @@ def per_edge_json(variant, alpha, level, rows):
     if alpha is not None:
         head.append(f'"alpha": {format_number(alpha)}')
     head.append(f'"level": {level}')
+    if depth is not None:
+        head.append(f'"depth": {depth}')
     lines = ["{" + ", ".join(head) + ', "edges": [']
     body = ",\n".join("  " + edge(e) for e in rows)
     if body:
@@ -53,7 +55,7 @@ def per_edge_json(variant, alpha, level, rows):
 
 
 def per_edge_read(doc):
-    """The rows the per-edge reader made of a document it accepted."""
+    """The rows of a ``json.loads`` document, field by field."""
     return tuple(EdgeCurve(int(e["id"]), str(e["kind"]), int(e["gen"]),
                            tuple(float(v) for v in e["p"]),
                            tuple(float(v) for v in e["q"]), float(e["length"]),
@@ -96,55 +98,29 @@ def test_json_matches_the_per_edge_writer_and_round_trips(variant, level):
     model = build(variant, level)
     text = model_to_json(model)
     rows = reference_rows(variant, level)
-    assert text == per_edge_json(variant, model.alpha, level, rows)
+    depth = 4 if variant == "harmonic" else None     # build_model's default depth
+    assert text == per_edge_json(variant, model.alpha, level, rows, depth)
     read = model_from_json(text)
     assert model_to_json(read) == text
     assert read == model and tuple(read.edges) == rows
-    # the parse path, which the reader skips for a built sg or stretched document
-    parsed = serialize._parsed(text)
-    assert model_to_json(parsed) == text
-    assert parsed == model and tuple(parsed.edges) == rows
-
-
-def test_round_trip_with_bounds_on_some_edges_only():
-    doc = json.loads(model_to_json(build("harmonic", 2)))
-    for e in doc["edges"][::3]:
-        del e["length_lo"], e["length_hi"]
-    text = per_edge_json("harmonic", None, 2, per_edge_read(doc))
-    model = model_from_json(text)
-    assert model_to_json(model) == text
-    assert [e.length_lo is None for e in model.edges] == [i % 3 == 0 for i in range(27)]
-    assert np.isnan(model.edges.length_lo[::3]).all()
-
-
-def test_upper_bounds_without_lower_bounds_are_read_and_dropped():
-    # an upper bound alone was accepted and never written back
-    doc = json.loads(model_to_json(build("harmonic", 1)))
-    for e in doc["edges"][:4]:
-        del e["length_lo"]
-    model = model_from_json(json.dumps(doc))
-    assert [e.length_lo for e in model.edges[:4]] == [None] * 4
-    assert model.edges[0].length_hi == doc["edges"][0]["length_hi"]
-    assert model_to_json(model) == per_edge_json("harmonic", None, 1, per_edge_read(doc))
-    assert '"length_hi"' not in model_to_json(model).splitlines()[1]
 
 
 def test_writer_keeps_the_sign_of_zero():
     rows = list(build("stretched", 1).edges)
     rows[1] = EdgeCurve(1, rows[1].kind, 0, (0.4, -0.0), rows[1].q, -0.0, "")
-    text = model_to_json(GasketModel("stretched", 0.2, 1, EdgeTable.from_rows(rows)))
+    text = model_to_json(GasketModel("stretched", 0.2, 1, rows_table(rows)))
     assert text == per_edge_json("stretched", 0.2, 1, rows)
     assert '"p": [0.40000000000000002, -0], "q": [0.59999999999999998, 0], "length": -0,' in text
 
 
-# -- a built document is rebuilt and checked, not parsed --------------------------
+# -- a written document is rebuilt and checked, not parsed ------------------------
 
 def _bits(model):
     """Everything a model holds, numbers as their bytes (so -0.0 != 0.0)."""
     e = model.edges
     numbers = (e.id, e.gen, e.p, e.q, e.length, e.length_lo, e.length_hi)
     return (model.variant, type(model.alpha), np.float64(model.alpha or 0.0).tobytes(),
-            type(model.level), model.level, e.kind, e.word,
+            type(model.level), model.level, model.depth, e.kind, e.word,
             *(None if c is None else (c.dtype.str, c.shape, c.tobytes()) for c in numbers))
 
 
@@ -168,7 +144,8 @@ def test_rebuilt_model_is_the_parsed_model_bit_for_bit(variant, alpha, level, bu
     text = model_to_json(gl.build_model(variant, level, alpha))
     rebuilt = model_from_json(text)
     assert builds == [(variant, level, alpha)]
-    parsed = serialize._parsed(text)
+    # the parse is this test's own: json.loads, then one row per edge
+    parsed = GasketModel(variant, alpha, level, rows_table(per_edge_read(json.loads(text))))
     assert _bits(rebuilt) == _bits(parsed)
     metric._graph_of_model.cache_clear()
     assert metric.to_metric_graph(rebuilt) is metric.to_metric_graph(parsed)
@@ -176,7 +153,20 @@ def test_rebuilt_model_is_the_parsed_model_bit_for_bit(variant, alpha, level, bu
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
+@pytest.mark.parametrize("level", range(6))
+@pytest.mark.parametrize("depth", range(1, 6))
+def test_harmonic_documents_read_back_at_their_depth(depth, level, builds):
+    model = gl.build_model("harmonic", level, harmonic_depth=depth)
+    text = model_to_json(model)
+    assert text.startswith(f'{{"variant": "harmonic", "level": {level}, "depth": {depth}, ')
+    read = model_from_json(text)
+    assert builds == [("harmonic", level, None)]
+    assert read.depth == depth and _bits(read) == _bits(model)
+    assert model_to_json(read) == text
+
+
 STRETCHED_3 = model_to_json(gl.build_model("stretched", 3, 0.2))
+HARMONIC_2 = model_to_json(gl.build_model("harmonic", 2))
 
 
 def _edit(text, old, new, nth=0):
@@ -187,7 +177,7 @@ def _edit(text, old, new, nth=0):
     return text[:at] + new + text[at + len(old):]
 
 
-FALLBACKS = {
+REFUSED = {
     # name: (document, expected build_model calls)
     "coordinate digit": (_edit(STRETCHED_3, '"p": [0.4', '"p": [0.5', 3), 1),
     "length digit": (_edit(STRETCHED_3, '"length": 0.0', '"length": 0.1', 7), 1),
@@ -195,72 +185,74 @@ FALLBACKS = {
     "kind letter": (_edit(STRETCHED_3, '"stretched-triangle"', '"stretched-triangla"', 5), 1),
     # 0.10000000000000001 is format_number(0.1): a canonical header, other edges
     "header alpha digit": (_edit(STRETCHED_3, '"alpha": 0.2', '"alpha": 0.1'), 1),
-    "harmonic": (model_to_json(gl.build_model("harmonic", 2)), 0),
+    "header depth digit": (_edit(HARMONIC_2, '"depth": 4', '"depth": 3'), 1),
+    "negative length": (_edit(STRETCHED_3, '"length": 0.0', '"length": -0.0', 7), 1),
+    "text gen": (_edit(STRETCHED_3, '"gen": 1', '"gen": "x"'), 1),
+    "truncated": (STRETCHED_3[:-3] + "\n", 1),
+    "harmonic without a depth": (_edit(HARMONIC_2, '"depth": 4, ', ''), 0),
+    "stretched with a depth": (_edit(STRETCHED_3, '"level": 3, ', '"level": 3, "depth": 4, '),
+                               0),
+    "depth before level": (_edit(HARMONIC_2, '"level": 2, "depth": 4',
+                                 '"depth": 4, "level": 2'), 0),
     "json.dumps": (json.dumps(json.loads(STRETCHED_3)), 0),
     "indented": (json.dumps(json.loads(STRETCHED_3), indent=1), 0),
     "non-canonical alpha": (_edit(STRETCHED_3, '"alpha": 0.20000000000000001',
                                   '"alpha": 0.2'), 0),
+    "non-canonical depth": (_edit(HARMONIC_2, '"depth": 4', '"depth": 04'), 0),
     "level above the edge lines": (_edit(STRETCHED_3, '"level": 3', '"level": 4'), 0),
     "level below the edge lines": (_edit(STRETCHED_3, '"level": 3', '"level": 2'), 0),
     "an edge line dropped": (_edit(STRETCHED_3, STRETCHED_3.splitlines()[5] + "\n", ""), 0),
     "an edge split over two lines": (_edit(STRETCHED_3, '"word": "1"', '\n"word": "1"'), 0),
-    "negative length": (_edit(STRETCHED_3, '"length": 0.0', '"length": -0.0', 7), 1),
-    "text gen": (_edit(STRETCHED_3, '"gen": 1', '"gen": "x"'), 1),
-    "truncated": (STRETCHED_3[:-3] + "\n", 1),
+    "not text": (STRETCHED_3.encode(), 0),
 }
 
 
-@pytest.mark.parametrize("name", list(FALLBACKS))
-def test_other_documents_are_parsed(name, builds):
-    text, calls = FALLBACKS[name]
-    try:
-        expected = serialize._parsed(text)
-    except GasketError as exc:
-        with pytest.raises(GasketError) as err:
-            model_from_json(text)
-        assert str(err.value) == str(exc)
-    else:
-        got = model_from_json(text)
-        assert _bits(got) == _bits(expected)
-        assert tuple(got.edges) == per_edge_read(json.loads(text))
+@pytest.mark.parametrize("name", list(REFUSED))
+def test_other_documents_are_refused(name, builds):
+    text, calls = REFUSED[name]
+    with pytest.raises(GasketError, match="^model document refused: "):
+        model_from_json(text)
     assert len(builds) == calls
 
 
-def test_a_build_over_the_cap_is_parsed(builds, monkeypatch):
+def test_a_build_over_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # a read may not get round the cap that a build enforces
+    def refuse(*args):
+        raise AssertionError("a hierarchy was built")
+
     monkeypatch.setenv("GASKET_MAX_EDGES", "50")
-    read = model_from_json(STRETCHED_3)
-    assert len(builds) == 1 and len(read.edges) == 120
-    assert _bits(read) == _bits(serialize._parsed(STRETCHED_3))
-    with pytest.raises(gl.ResourceCapError):
+    monkeypatch.setattr(geometry, "stretched_hierarchy", refuse)
+    with pytest.raises(gl.ResourceCapError) as read:
+        model_from_json(STRETCHED_3)
+    with pytest.raises(gl.ResourceCapError) as built:
         gl.build_model("stretched", 3, 0.2)
+    assert str(read.value) == str(built.value) == "stretched level 3 needs 120 edges, cap is 50"
 
 
 # -- documents made, written and checked in blocks ------------------------------
 
 def _first_edges(model, count):
     """``model`` with only its first ``count`` edges."""
-    e = model.edges
-    assert len(e) >= count
-    bounds = [None if c is None else c[:count] for c in (e.length_lo, e.length_hi)]
-    table = EdgeTable(e.id[:count], e.kind[:count], e.gen[:count], e.p[:count], e.q[:count],
-                      e.length[:count], e.word[:count], *bounds)
-    return GasketModel(model.variant, model.alpha, model.level, table)
+    assert len(model.edges) >= count
+
+    def cut(columns):
+        for name, column in columns.items():
+            columns[name] = None if column is None else column[:count]
+    return edited_model(model, cut)
 
 
 def _bounds_dropped_across(block):
     """Harmonic level 7 (6,561 edges) with no bounds on the edges around the
     first block boundary, so bound-free lines straddle it."""
-    model = build("harmonic", 7)
-    e = model.edges
-    lo, hi = e.length_lo.copy(), e.length_hi.copy()
-    lo[block - 5:block + 5] = hi[block - 5:block + 5] = np.nan
-    table = EdgeTable(e.id, e.kind, e.gen, e.p, e.q, e.length, e.word, lo, hi)
-    return GasketModel("harmonic", None, 7, table)
+    def drop(columns):
+        for name in ("length_lo", "length_hi"):
+            columns[name][block - 5:block + 5] = np.nan
+    return edited_model(build("harmonic", 7), drop)
 
 
 BLOCK_CASES = {
     # name: model made for a block size
-    "no edges": lambda block: GasketModel("sg", None, 0, EdgeTable.from_rows(())),
+    "no edges": lambda block: GasketModel("sg", None, 0, rows_table(())),
     "under one block": lambda block: build("stretched", 3),
     "two blocks exactly": lambda block: _first_edges(build("sg", 8), 2 * block),
     "stretched-7": lambda block: build("stretched", 7),
@@ -274,7 +266,7 @@ def test_json_in_blocks_matches_the_per_edge_writer(name, tmp_path):
     block = serialize._BLOCK
     model = BLOCK_CASES[name](block)
     edges = tuple(model.edges)
-    expected = per_edge_json(model.variant, model.alpha, model.level, edges)
+    expected = per_edge_json(model.variant, model.alpha, model.level, edges, model.depth)
     assert len(list(serialize._blocks(model))) == -(-len(edges) // block) + 2
     assert model_to_json(model) == expected
     path = tmp_path / "model.json"
@@ -339,15 +331,9 @@ def test_byte_check_refuses_at_the_first_block_that_differs(name, builds, monkey
     yielded.clear()
     assert not serialize.matches_json(model, text)
     assert len(yielded) == made
-    # the reader builds once, refuses the bytes and parses
-    try:
-        expected = serialize._parsed(text)
-    except GasketError as exc:
-        with pytest.raises(GasketError) as err:
-            model_from_json(text)
-        assert str(err.value) == str(exc)
-    else:
-        assert _bits(model_from_json(text)) == _bits(expected)
+    # the reader builds once and refuses the bytes
+    with pytest.raises(GasketError, match="its bytes differ from the stretched level 7 model"):
+        model_from_json(text)
     assert builds == [("stretched", 7, 0.2)]
 
 
@@ -365,123 +351,6 @@ def test_reading_a_built_document_allocates_under_one_and_a_half_times_its_text(
         tracemalloc.stop()
     assert builds == [("stretched", 8, 0.2)] and len(model.edges) == 29523
     assert peak < 1.5 * len(text)
-
-
-# -- the reader accepts and rejects what the per-edge reader did ----------------
-
-def _malformed(convert):
-    try:
-        convert()
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        return f"malformed model document: {exc}"
-    raise AssertionError("conversion did not fail")
-
-
-def _bad_length(i, length, lo=None, hi=None):
-    return (f"edge {i}: lengths must be finite and non-negative, got "
-            f"length={length}, length_lo={lo}, length_hi={hi}")
-
-
-def _set(i, key, value):
-    return lambda doc: doc["edges"][i].__setitem__(key, value)
-
-
-def _drop(i, *keys):
-    return lambda doc: [doc["edges"][i].pop(k) for k in keys]
-
-
-def _both(first, second):
-    return lambda doc: (first(doc), second(doc))
-
-
-STRETCHED = json.loads(model_to_json(gl.build_model("stretched", 1, 0.2)))
-HARMONIC = json.loads(model_to_json(gl.build_model("harmonic", 1, harmonic_depth=2)))
-H5 = HARMONIC["edges"][5]
-
-CASES = {
-    # name: (document, edit, expected message or None when accepted)
-    **{f"missing {key}": (STRETCHED, _drop(2, key), f"malformed model document: '{key}'")
-       for key in ("id", "kind", "gen", "p", "q", "length", "word")},
-    "missing edges": (STRETCHED, lambda d: d.pop("edges"),
-                      "malformed model document: 'edges'"),
-    "missing level": (STRETCHED, lambda d: d.pop("level"),
-                      "malformed model document: 'level'"),
-    "ragged p": (STRETCHED, _set(1, "p", [[0.0, 1.0], [2.0]]),
-                 _malformed(lambda: float([0.0, 1.0]))),
-    "nested p": (STRETCHED, _set(1, "p", [[0.0], [1.0]]), _malformed(lambda: float([0.0]))),
-    "scalar p": (STRETCHED, _set(1, "p", 3.0), _malformed(lambda: iter(3.0))),
-    "text p": (STRETCHED, _set(1, "p", "ab"), _malformed(lambda: float("a"))),
-    "null in p": (STRETCHED, _set(1, "p", [None, 1.0]), _malformed(lambda: float(None))),
-    "text in q": (STRETCHED, _set(4, "q", [0.5, "x"]), _malformed(lambda: float("x"))),
-    "text length": (STRETCHED, _set(1, "length", "x"), _malformed(lambda: float("x"))),
-    "null length": (STRETCHED, _set(1, "length", None), _malformed(lambda: float(None))),
-    "list length": (STRETCHED, _set(1, "length", [0.5]), _malformed(lambda: float([0.5]))),
-    "text id": (STRETCHED, _set(1, "id", "x"), _malformed(lambda: int("x"))),
-    "NaN id": (STRETCHED, _set(1, "id", math.nan), _malformed(lambda: int(math.nan))),
-    "null gen": (STRETCHED, _set(1, "gen", None), _malformed(lambda: int(None))),
-    "text length_lo": (HARMONIC, _set(2, "length_lo", "x"), _malformed(lambda: float("x"))),
-    "null length_hi": (HARMONIC, _set(2, "length_hi", None), _malformed(lambda: float(None))),
-    # the per-edge reader let this OverflowError escape unwrapped
-    "huge length": (STRETCHED, _set(1, "length", 10 ** 400),
-                    _malformed(lambda: float(10 ** 400))),
-    "length_lo without length_hi": (HARMONIC, _drop(5, "length_hi"),
-                                    _malformed(lambda: 0.0 <= None)),
-    "bad length_lo without length_hi": (
-        HARMONIC, _both(_drop(5, "length_hi"), _set(5, "length_lo", -1.0)),
-        _bad_length(5, H5["length"], -1.0, None)),
-    # the first error in document order is the one reported
-    "bad p after a missing word": (
-        STRETCHED, _both(_drop(2, "word"), _set(5, "p", ["x", 0.0])),
-        "malformed model document: 'word'"),
-    "bad length before a missing word": (
-        STRETCHED, _both(_set(1, "length", -1.0), _drop(6, "word")),
-        "malformed model document: 'word'"),
-    # the endpoints of every edge share one dimension: the per-edge reader
-    # accepted a mix, which then failed in graph assembly or SVG rendering
-    "mixed-dim p": (STRETCHED, _set(1, "p", [0.0, 1.0, 2.0]),
-                    "malformed model document: edge endpoints differ in dimension"),
-    "mixed-dim q": (STRETCHED, _set(1, "q", [0.0]),
-                    "malformed model document: edge endpoints differ in dimension"),
-    # accepted
-    "numeric text length": (STRETCHED, _set(1, "length", "0.5"), None),
-    "integer length": (STRETCHED, _set(1, "length", 2), None),
-    "negative zero length": (STRETCHED, _set(1, "length", -0.0), None),
-    "boolean in p": (STRETCHED, _set(1, "p", [True, 0.0]), None),
-    "NaN in p": (STRETCHED, _set(1, "p", [math.nan, 0.0]), None),
-    "extra key": (STRETCHED, _set(3, "note", 1), None),
-    "integer kind": (STRETCHED, _set(3, "kind", 7), None),
-    "fractional id": (STRETCHED, _set(3, "id", 1.7), None),
-    "no edges": (STRETCHED, lambda d: d.__setitem__("edges", []), None),
-}
-for _field in ("length", "length_lo", "length_hi"):
-    for _value in (-0.1, math.nan, math.inf, -math.inf):
-        for _i in (0, 5):
-            _doc = STRETCHED if _field == "length" else HARMONIC
-            _e = dict(_doc["edges"][_i], **{_field: _value})
-            CASES[f"{_field}={_value} at {_i}"] = (
-                _doc, _set(_i, _field, _value),
-                _bad_length(_i, _e["length"], _e.get("length_lo"), _e.get("length_hi")))
-
-
-@pytest.mark.parametrize("name", list(CASES))
-def test_reader_accepts_and_rejects_like_the_per_edge_reader(name):
-    base, edit, expected = CASES[name]
-    doc = copy.deepcopy(base)
-    edit(doc)
-    text = json.dumps(doc)
-    if expected is not None:
-        with pytest.raises(GasketError) as err:
-            model_from_json(text)
-        assert str(err.value) == expected
-        return
-    model = model_from_json(text)
-    rows = per_edge_read(doc)
-    assert len(model.edges) == len(rows)
-    for got, want in zip(model.edges, rows):
-        # NaN != NaN: compare the written numbers
-        assert got.id == want.id and got.kind == want.kind and got.word == want.word
-        assert list(map(format_number, got.p + got.q + (got.length,))) == \
-            list(map(format_number, want.p + want.q + (want.length,)))
 
 
 # -- row views ------------------------------------------------------------------
@@ -510,7 +379,7 @@ def test_tables_are_frozen_and_pickle_by_content():
     again = pickle.loads(pickle.dumps(edges))
     assert again == edges and not again.p.flags.writeable
     assert edges != tuple(edges)
-    empty = EdgeTable.from_rows(())
+    empty = rows_table(())
     assert len(empty) == 0 and empty.p.shape == (0, 2)
     assert model_to_json(GasketModel("sg", None, 0, empty)) == per_edge_json("sg", None, 0, ())
 
@@ -540,9 +409,9 @@ def test_read_model_shares_the_built_models_graph():
     graph = metric.to_metric_graph(built)
     assert metric.to_metric_graph(read) is graph
     assert metric._graph_of_model.cache_info().misses == misses + 1
-    doc = json.loads(model_to_json(built))
-    doc["edges"][4]["length"] *= 0.5
-    edited = model_from_json(json.dumps(doc))
+    def halve(columns):
+        columns["length"][4] *= 0.5
+    edited = edited_model(built, halve)
     assert edited != built
     other = metric.to_metric_graph(edited)
     assert other is not graph and metric._graph_of_model.cache_info().misses == misses + 2

@@ -15,6 +15,7 @@ from conftest import (
     oracle_hierarchy,
     refine_shared,
     refine_stretched,
+    rows_table,
     vertex_count,
 )
 
@@ -203,7 +204,7 @@ def test_model_hash_is_cached_and_not_pickled():
     import pickle
 
     model = gl.build_model("stretched", 2, 0.2)
-    fields = (model.variant, model.alpha, model.level, model.edges)
+    fields = (model.variant, model.alpha, model.level, model.edges, model.depth)
     assert hash(model) == hash(fields)
     assert model.__dict__["_hash"] == hash(fields)
     twin = GasketModel(*fields)
@@ -280,7 +281,7 @@ def per_edge_triangle_edges(mesh, kind, start_id):
 def per_edge_model(variant, level, alpha=None):
     """The per-edge construction route, as the shared row builder's reference."""
     return GasketModel(variant, alpha, level,
-                       EdgeTable.from_rows(per_edge_rows(variant, level, alpha)))
+                       rows_table(per_edge_rows(variant, level, alpha)))
 
 
 def per_edge_rows(variant, level, alpha=None):

@@ -7,10 +7,12 @@ import pytest
 from conftest import (
     apply_word,
     dense_minimum_energy_extension,
+    edited_model,
     energy,
     harmonic_extend,
     index_word,
     oracle_phi,
+    rows_table,
     vertex_count,
     vertex_rows,
     word_matrix,
@@ -23,7 +25,6 @@ from gasketlab.geometry import (
     CORNERS,
     TRIANGLE_EDGE_CORNERS,
     EdgeCurve,
-    EdgeTable,
     GasketError,
     GasketModel,
     ResourceCapError,
@@ -512,11 +513,14 @@ def test_long_words_are_refused_by_the_cap_whatever_their_index():
     assert len(messages) == 1
     with pytest.raises(GasketError, match="is not a word over 1, 2, 3"):
         harmonic.edge_polylines(["3" * 40 + "4"], [1], 2)
-    text = model_to_json(gl.build_model("harmonic", 1, harmonic_depth=2))
-    read = model_from_json(text.replace('"word": "1"', '"word": "' + "3" * 41 + '"', 1))
-    assert read.edges.word[0] == "3" * 41
+    model = gl.build_model("harmonic", 1, harmonic_depth=2)
+    text = model_to_json(model)
+    with pytest.raises(GasketError, match="its bytes differ"):
+        model_from_json(text.replace('"word": "1"', '"word": "' + "3" * 41 + '"', 1))
+    edited = edited_model(model, lambda columns: columns["word"].__setitem__(0, "3" * 41))
+    assert edited.edges.word[0] == "3" * 41
     with pytest.raises(GasketError):
-        render_svg(read)
+        render_svg(edited)
 
 
 @pytest.mark.parametrize("length", [5000, 10000])
@@ -529,11 +533,14 @@ def test_words_past_int_digit_limit_are_refused_by_the_cap(length):
     # the letter check still comes first, whatever the length
     with pytest.raises(GasketError, match="is not a word over 1, 2, 3"):
         harmonic.edge_polylines(["1" * length + "4"], [1], 2)
-    text = model_to_json(gl.build_model("harmonic", 1, harmonic_depth=2))
-    read = model_from_json(text.replace('"word": "1"', '"word": "' + "1" * length + '"', 1))
-    assert read.edges.word[0] == "1" * length
+    model = gl.build_model("harmonic", 1, harmonic_depth=2)
+    text = model_to_json(model)
+    with pytest.raises(GasketError, match="its bytes differ"):
+        model_from_json(text.replace('"word": "1"', '"word": "' + "1" * length + '"', 1))
+    edited = edited_model(model, lambda columns: columns["word"].__setitem__(0, "1" * length))
+    assert edited.edges.word[0] == "1" * length
     with pytest.raises(ResourceCapError):
-        render_svg(read)
+        render_svg(edited)
 
 
 def per_generation_polylines(words, local_edges, depth):
@@ -608,7 +615,7 @@ def test_harmonic_model_contents():
 def per_edge_harmonic_model(level, depth):
     """The per-edge construction route, as the shared row builder's reference."""
     return GasketModel("harmonic", None, level,
-                       EdgeTable.from_rows(per_edge_harmonic_rows(level, depth)))
+                       rows_table(per_edge_harmonic_rows(level, depth)), depth)
 
 
 def per_edge_harmonic_rows(level, depth):

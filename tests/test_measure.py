@@ -9,6 +9,7 @@ from conftest import (
     POLY_2D,
     POLY_3D,
     oracle_phi,
+    rows_table,
     self_affinity_residual,
     vertex_count,
     word_norm,
@@ -143,11 +144,13 @@ def test_harmonic_midpoints_stage_eleven_peaks_under_100_mb():
             "sys.exit(code)\n")
     done = run_python("-c", code, "measure", "--family", "harmonic-midpoints",
                       "--f", "x", "--n", "11", "--n-min", "11")
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[1].startswith("11,harmonic-midpoints,x,")
-    name, kb, unit = done.stderr.split()
-    assert name == "VmHWM:" and unit == "kB"
-    assert int(kb) < 100 * 1024
+    # every failure shows the peak line (found by its prefix) and all of stderr
+    peak = [line.split() for line in done.stderr.splitlines() if line.startswith("VmHWM:")]
+    report = f"peak {peak}, stderr:\n{done.stderr}"
+    assert done.returncode == 0, report
+    assert done.stdout.splitlines()[1].startswith("11,harmonic-midpoints,x,"), report
+    assert len(peak) == 1 and len(peak[0]) == 3 and peak[0][2] == "kB", report
+    assert int(peak[0][1]) < 100 * 1024, report
 
 
 def test_joining_functional_normalization():
@@ -340,8 +343,8 @@ def test_dixmier_functional_refuses_a_model_over_the_cap(monkeypatch):
     monkeypatch.setattr(measure, "stretched_hierarchy", refuse)
     with pytest.raises(ResourceCapError, match="stretched level 3 needs"):
         gl.dixmier_functional(model, _ones)
-    # a read document may claim a level its edges do not have
-    empty = GasketModel("stretched", 0.2, 9, EdgeTable.from_rows([]))
+    # a model made from columns may claim a level its edges do not have
+    empty = GasketModel("stretched", 0.2, 9, rows_table(()))
     with pytest.raises(ResourceCapError, match="stretched level 9 needs"):
         gl.dixmier_functional(empty, _ones)
 
@@ -349,7 +352,7 @@ def test_dixmier_functional_refuses_a_model_over_the_cap(monkeypatch):
 def test_dixmier_functional_refuses_a_model_it_would_not_build():
     built = gl.build_model("stretched", 5, 0.2)
     edges = built.edges
-    empty = GasketModel("stretched", 0.2, 5, EdgeTable.from_rows([]))
+    empty = GasketModel("stretched", 0.2, 5, rows_table(()))
     moved = edges.p.copy()
     moved[7, 0] += 1e-9
     stretched = edges.length.copy()
@@ -372,16 +375,15 @@ def test_dixmier_functional_refuses_a_model_it_would_not_build():
 
 
 def test_dixmier_functional_of_a_read_model_is_bit_identical():
-    from gasketlab.serialize import _parsed, model_from_json, model_to_json
+    from gasketlab.serialize import model_from_json, model_to_json
 
     functions = [_ones, POLY_2D["x"], POLY_2D["x^2"]]
     for level, alpha in ((0, 0.2), (3, 0.05), (6, 0.3)):
         built = gl.build_model("stretched", level, alpha)
-        text = model_to_json(built)
-        for model in (model_from_json(text), _parsed(text)):
-            for f in functions:
-                assert bits(gl.dixmier_functional(model, f)) == bits(
-                    gl.dixmier_functional(built, f))
+        model = model_from_json(model_to_json(built))
+        for f in functions:
+            assert bits(gl.dixmier_functional(model, f)) == bits(
+                gl.dixmier_functional(built, f))
 
 
 def test_dixmier_functional_needs_stretched_model():

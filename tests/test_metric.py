@@ -2,17 +2,17 @@
 
 import dataclasses
 import heapq
-import json
 import math
 
 import numpy as np
 import pytest
+from conftest import edited_model, rows_table
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 import gasketlab as gl
 from gasketlab import geometry, metric
-from gasketlab.geometry import EdgeCurve, EdgeTable, GasketError, GasketModel
+from gasketlab.geometry import EdgeCurve, GasketError, GasketModel
 from gasketlab.metric import (
     SNAP_TOL,
     _chains_attain,
@@ -24,7 +24,6 @@ from gasketlab.metric import (
     distance_field,
     to_metric_graph,
 )
-from gasketlab.serialize import model_from_json, model_to_json
 
 SQ3 = math.sqrt(3.0)
 
@@ -192,11 +191,11 @@ def _point_on(graph, arc, t):
     return graph.nodes[u] + t * (graph.nodes[v] - graph.nodes[u])
 
 
-def _edited_model(model, index, length):
-    """The model read back from JSON with edge ``index`` declaring ``length``."""
-    doc = json.loads(model_to_json(model))
-    doc["edges"][index]["length"] = length
-    return model_from_json(json.dumps(doc))
+def _length_of(index, length):
+    """An ``edited_model`` edit: edge ``index`` declares ``length``."""
+    def edit(columns):
+        columns["length"][index] = length
+    return edit
 
 
 def _full_run(graph, q):
@@ -268,7 +267,7 @@ def test_zero_length_edge_does_not_hide_other_arcs():
     node = tuple(graph.nodes[0].tolist())
     stub = EdgeCurve(len(model.edges), "stretched-triangle", 0, node, node, 0.0, "")
     padded = GasketModel(model.variant, model.alpha, model.level,
-                         EdgeTable.from_rows((*model.edges, stub)))
+                         rows_table((*model.edges, stub)))
     arc = next(i for i, a in enumerate(graph.arcs) if a[3] == "stretched-joining")
     u, v, _, _ = graph.arcs[arc]
     point = 0.3 * graph.nodes[u] + 0.7 * graph.nodes[v]
@@ -282,7 +281,7 @@ def test_disconnected_construction_is_rejected():
         EdgeCurve(1, "sg-triangle", 0, (5.0, 5.0), (6.0, 5.0), 1.0, ""),
     )
     with pytest.raises(GasketError):
-        to_metric_graph(GasketModel("sg", None, 0, EdgeTable.from_rows(edges)))
+        to_metric_graph(GasketModel("sg", None, 0, rows_table(edges)))
 
 
 def test_harmonic_graphs_are_out_of_scope():
@@ -580,7 +579,7 @@ def test_a_folded_geodesic_builds_no_heap_rows():
     # the fold and the heap search both read the padded ``arc_rows``; no
     # per-node rows are built beside them (a fresh graph: one edge edited)
     base = gl.build_model("stretched", 5, 0.2)
-    model = _edited_model(base, 7, 1.25 * base.edges[7].length)
+    model = edited_model(base, _length_of(7, 1.25 * base.edges[7].length))
     graph = to_metric_graph(model)
     gl.geodesic(model, graph.nodes[3], graph.nodes[-40])
     cached = set(vars(graph))
@@ -593,7 +592,7 @@ def test_a_folded_geodesic_builds_no_heap_rows():
 def test_edge_shorter_than_its_chord_keeps_the_search_exact(routes):
     base = gl.build_model("stretched", 3, 0.2)
     arc = 40
-    model = _edited_model(base, arc, 0.5 * base.edges[arc].length)
+    model = edited_model(base, _length_of(arc, 0.5 * base.edges[arc].length))
     graph = to_metric_graph(model)
     chord = np.hypot(*(graph.nodes[graph.arc_v[arc]] - graph.nodes[graph.arc_u[arc]]))
     assert graph.arc_w[arc] == pytest.approx(0.5 * chord, rel=1e-9)
@@ -619,7 +618,7 @@ def test_zero_length_arc_falls_back_to_the_heap_order(routes):
     # or on two arcs
     base = gl.build_model("stretched", 2, 0.2)
     arc = next(i for i, e in enumerate(base.edges) if e.kind == "stretched-triangle")
-    model = _edited_model(base, arc, 0.0)
+    model = edited_model(base, _length_of(arc, 0.0))
     graph = to_metric_graph(model)
     assert graph.corner_tables is not None
     for p in graph.nodes:
@@ -663,7 +662,7 @@ def test_locate_breaks_ties_by_the_lower_arc_id():
     joining = model.edges[4]
     twin = dataclasses.replace(joining, id=len(model.edges), kind="stretched-triangle")
     doubled = GasketModel(model.variant, model.alpha, model.level,
-                          EdgeTable.from_rows((*model.edges, twin)))
+                          rows_table((*model.edges, twin)))
     graph = to_metric_graph(doubled)
     for t in (0.2, 0.5, 0.7):
         x = (1 - t) * np.array(joining.p) + t * np.array(joining.q)
@@ -818,21 +817,14 @@ def _sources(graph, count=5, seed=0):
     return [0, graph.node_count - 1, *rng.integers(0, graph.node_count, size=count)]
 
 
-def _rewritten(model, edit):
-    """The model read back from JSON after ``edit`` changed its edge list."""
-    doc = json.loads(model_to_json(model))
-    edit(doc["edges"])
-    return model_from_json(json.dumps(doc))
-
-
 def _rescaled_model(model, factor, prefix):
     """``model`` with every edge inside the cell addressed by ``prefix``
     declaring ``factor`` times its length."""
-    def scale(edges):
-        for e in edges:
-            if e["word"].startswith(prefix):
-                e["length"] *= factor
-    return _rewritten(model, scale)
+    def scale(columns):
+        for i, word in enumerate(columns["word"]):
+            if word.startswith(prefix):
+                columns["length"][i] *= factor
+    return edited_model(model, scale)
 
 
 @pytest.mark.parametrize("level", range(7))
@@ -856,7 +848,7 @@ def test_table_fields_with_an_edge_at_half_its_chord(kind):
     base = gl.build_model("stretched", 4, 0.2)
     arcs = [i for i, e in enumerate(base.edges) if e.kind == kind]
     for arc in (arcs[0], arcs[len(arcs) // 2]):
-        graph = to_metric_graph(_edited_model(base, arc, 0.5 * base.edges[arc].length))
+        graph = to_metric_graph(edited_model(base, _length_of(arc, 0.5 * base.edges[arc].length)))
         assert graph.corner_tables is not None
         _assert_fields_match_heap(graph, _sources(graph, seed=arc))
 
@@ -877,15 +869,19 @@ def test_table_fields_route_around_a_heavy_cell(variant, alpha):
 
 
 def _swapped_edges(model, i, j):
-    def swap(edges):
-        edges[i], edges[j] = edges[j], edges[i]
-    return _rewritten(model, swap)
+    def swap(columns):
+        for column in columns.values():
+            if isinstance(column, list):
+                column[i], column[j] = column[j], column[i]
+            elif column is not None:
+                column[[i, j]] = column[[j, i]]
+    return edited_model(model, swap)
 
 
 def _moved_endpoint(model, index, shift):
-    def move(edges):
-        edges[index]["p"][0] += shift
-    return _rewritten(model, move)
+    def move(columns):
+        columns["p"][index, 0] += shift
+    return edited_model(model, move)
 
 
 @pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.2)])
@@ -975,7 +971,7 @@ def test_chain_check_sees_a_wrong_weight_on_a_shared_chain():
     chain = _path_of(pred, q, far)
     near = chain[len(chain) // 2]
     arc = next(i for i, a in enumerate(graph.arcs) if set(a[:2]) == {chain[1], chain[2]})
-    wrong = to_metric_graph(_edited_model(base, arc, 1.5 * base.edges[arc].length))
+    wrong = to_metric_graph(edited_model(base, _length_of(arc, 1.5 * base.edges[arc].length)))
     assert _chains_attain(graph, field, pred, q, [near, far])
     # a field that agrees with the wrong weight at the nearer target
     weight = {frozenset(a[:2]): a[2] for a in wrong.arcs}
@@ -996,7 +992,7 @@ def test_chain_lengths_are_the_dict_fold_bit_for_bit(variant, alpha, zero):
     # that the chain check's dict walk did before its cumsum: with rtol 0
     # its chains attain those distances, and one ulp off fails
     model = gl.build_model(variant, 5, alpha)
-    graph = to_metric_graph(_edited_model(model, model.edges.kind.index(zero), 0.0)
+    graph = to_metric_graph(edited_model(model, _length_of(model.edges.kind.index(zero), 0.0))
                             if zero else model)
     rng = np.random.default_rng(67)
     for q in rng.integers(0, graph.node_count, size=10).tolist():
@@ -1054,7 +1050,7 @@ def test_witness_reports_match_the_heap_witness(variant, alpha):
 def test_witness_with_a_zero_length_arc_matches_the_heap_witness(kind):
     base = gl.build_model("stretched", 3, 0.2)
     arc = next(i for i, e in enumerate(base.edges) if e.kind == kind)
-    model = _edited_model(base, arc, 0.0)
+    model = edited_model(base, _length_of(arc, 0.0))
     for q in range(0, to_metric_graph(model).node_count, 9):
         got = gl.lipschitz_witness_check(model, q, seed=q)
         ref = _heap_witness(model, q, q)
@@ -1102,7 +1098,7 @@ def test_tight_predecessors_break_an_exact_tie_by_the_smaller_head():
         for a in heads[v][(0 <= heads[v]) & (heads[v] < b)].tolist():
             va, vb = arc[frozenset((v, a))], arc[frozenset((v, b))]
             weight = field[a] + graph.arc_w[va] - field[b]
-            edited = to_metric_graph(_edited_model(base, vb, float(weight)))
+            edited = to_metric_graph(edited_model(base, _length_of(vb, float(weight))))
             tied = distance_field(edited, q)
             cost = tied[heads[v]] + edited.arc_rows[1][v]
             if v != q and tied[a] + edited.arc_w[va] == tied[b] + edited.arc_w[vb] == cost.min():
