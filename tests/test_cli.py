@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import rows_table
+from conftest import edited_model, rows_table
 
 import gasketlab as gl
 from gasketlab.cli import main
@@ -83,6 +83,20 @@ def test_bad_edge_lengths_are_rejected_on_read(field, value):
     with pytest.raises(GasketError, match="its first line is not a header that build writes"):
         model_from_json(json.dumps(doc))
     assert time.perf_counter() - start < 0.5
+
+
+def test_zero_edge_length_stays_legal():
+    # zero is not a bad length: a model with a zero-length edge writes it and
+    # assembles its graph, and its document is refused only as an edit
+    model = edited_model(gl.build_model("stretched", 1, 0.2),
+                         lambda columns: columns["length"].__setitem__(0, 0.0))
+    assert model.edges[0].length == 0.0
+    text = model_to_json(model)
+    assert '"length": 0, ' in text.splitlines()[1]
+    graph = gl.to_metric_graph(model)
+    assert min(w for _, _, w, _ in graph.arcs) == 0.0 and not graph.weights_positive
+    with pytest.raises(GasketError, match="its bytes differ"):
+        model_from_json(text)
 
 
 def test_numbers_have_17_significant_digits():

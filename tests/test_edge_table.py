@@ -3,6 +3,7 @@ columnar JSON writer against a per-edge reference, and the reader, which
 rebuilds a written document or refuses it."""
 
 import json
+import math
 import pickle
 import tracemalloc
 
@@ -351,6 +352,101 @@ def test_reading_a_built_document_allocates_under_one_and_a_half_times_its_text(
         tracemalloc.stop()
     assert builds == [("stretched", 8, 0.2)] and len(model.edges) == 29523
     assert peak < 1.5 * len(text)
+
+
+# -- the reader refuses what the per-edge reader rejected ------------------------
+
+def _set(i, key, value):
+    return lambda doc: doc["edges"][i].__setitem__(key, value)
+
+
+def _drop(i, *keys):
+    return lambda doc: [doc["edges"][i].pop(k) for k in keys]
+
+
+def _both(first, second):
+    return lambda doc: (first(doc), second(doc))
+
+
+def _as_written(value):
+    """``value`` as the writer prints it: floats to 17 digits, lists spaced."""
+    if isinstance(value, float):
+        return format_number(value)
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_as_written, value)) + "]"
+    return json.dumps(value)
+
+
+def _in_build_layout(base, doc):
+    """``doc`` laid out line by line as ``model_to_json`` lays out ``base``,
+    or None when the edit reached the header."""
+    text = model_to_json(base)
+    head = {k: v for k, v in json.loads(text).items() if k != "edges"}
+    if "edges" not in doc or {k: v for k, v in doc.items() if k != "edges"} != head:
+        return None
+    lines = ["  {" + ", ".join(f"{json.dumps(k)}: {_as_written(v)}" for k, v in e.items()) + "}"
+             for e in doc["edges"]]
+    return text.splitlines()[0] + "\n" + ",\n".join(lines) + "\n]}\n"
+
+
+STRETCHED_1 = gl.build_model("stretched", 1, 0.2)
+HARMONIC_1 = gl.build_model("harmonic", 1, harmonic_depth=2)
+CASES = {
+    # name: (model, edit of its json.loads document); the per-edge reader
+    # rejected every one of these documents
+    **{f"missing {key}": (STRETCHED_1, _drop(2, key))
+       for key in ("id", "kind", "gen", "p", "q", "length", "word")},
+    "missing edges": (STRETCHED_1, lambda d: d.pop("edges")),
+    "missing level": (STRETCHED_1, lambda d: d.pop("level")),
+    "ragged p": (STRETCHED_1, _set(1, "p", [[0.0, 1.0], [2.0]])),
+    "nested p": (STRETCHED_1, _set(1, "p", [[0.0], [1.0]])),
+    "scalar p": (STRETCHED_1, _set(1, "p", 3.0)),
+    "text p": (STRETCHED_1, _set(1, "p", "ab")),
+    "null in p": (STRETCHED_1, _set(1, "p", [None, 1.0])),
+    "text in q": (STRETCHED_1, _set(4, "q", [0.5, "x"])),
+    "text length": (STRETCHED_1, _set(1, "length", "x")),
+    "null length": (STRETCHED_1, _set(1, "length", None)),
+    "list length": (STRETCHED_1, _set(1, "length", [0.5])),
+    "text id": (STRETCHED_1, _set(1, "id", "x")),
+    "NaN id": (STRETCHED_1, _set(1, "id", math.nan)),
+    "null gen": (STRETCHED_1, _set(1, "gen", None)),
+    "text length_lo": (HARMONIC_1, _set(2, "length_lo", "x")),
+    "null length_hi": (HARMONIC_1, _set(2, "length_hi", None)),
+    # the per-edge reader let this OverflowError escape unwrapped
+    "huge length": (STRETCHED_1, _set(1, "length", 10 ** 400)),
+    "length_lo without length_hi": (HARMONIC_1, _drop(5, "length_hi")),
+    "bad length_lo without length_hi": (
+        HARMONIC_1, _both(_drop(5, "length_hi"), _set(5, "length_lo", -1.0))),
+    "bad p after a missing word": (
+        STRETCHED_1, _both(_drop(2, "word"), _set(5, "p", ["x", 0.0]))),
+    "bad length before a missing word": (
+        STRETCHED_1, _both(_set(1, "length", -1.0), _drop(6, "word"))),
+    "mixed-dim p": (STRETCHED_1, _set(1, "p", [0.0, 1.0, 2.0])),
+    "mixed-dim q": (STRETCHED_1, _set(1, "q", [0.0])),
+}
+for _field in ("length", "length_lo", "length_hi"):
+    for _value in (-0.1, math.nan, math.inf, -math.inf):
+        for _i in (0, 5):
+            CASES[f"{_field}={_value} at {_i}"] = (
+                STRETCHED_1 if _field == "length" else HARMONIC_1, _set(_i, _field, _value))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_reader_accepts_and_rejects_like_the_per_edge_reader(name, builds):
+    base, edit = CASES[name]
+    doc = json.loads(model_to_json(base))
+    # the layout helper reproduces the document of the unedited model
+    assert _in_build_layout(base, doc) == model_to_json(base)
+    edit(doc)
+    with pytest.raises(GasketError, match="^model document refused: "):
+        model_from_json(json.dumps(doc))
+    assert builds == []
+    text = _in_build_layout(base, doc)
+    if text is not None:
+        # a built header: the reader builds once, and the byte check refuses
+        with pytest.raises(GasketError, match="^model document refused: its bytes differ"):
+            model_from_json(text)
+        assert builds == [(base.variant, base.level, base.alpha)]
 
 
 # -- row views ------------------------------------------------------------------
