@@ -14,8 +14,7 @@ Conventions fixed here and relied on throughout the package:
   p1..p3 and (stretched) 3..5 the joining maps of the right, bottom, left;
 * cell addresses are plain ``str`` words over the letters 1, 2, 3, read
   root-first: appending a letter descends into a sub-cell, and the mesh
-  row index of a cell is its address read as a base-3 numeral
-  (``cell_index``, which refuses any other character);
+  row index of a cell is its address read as a base-3 numeral;
 * edges are ordered by (generation, address, local index).  Triangle
   edges of a cell run counterclockwise starting at the corner-1 image:
   local 1 = (c1 -> c3), 2 = (c3 -> c2), 3 = (c2 -> c1).  Joining edges
@@ -29,7 +28,10 @@ Conventions fixed here and relied on throughout the package:
 * the stacked layout: ``_stacked_cells`` stacks the cells of generations
   0..L generation-major, generation g from row (3^g - 1)/2 on
   (``_generation_starts``), so one array pass serves every generation;
-  a stretched model's generation-g joining edges start at id 3 (3^g - 1)/2.
+  a stretched model's generation-g joining edges start at id 3 (3^g - 1)/2;
+* metric-graph node ids number an sg or stretched build's finest mesh
+  points (``_mesh_graph``): the points rounded at 12 decimals, sorted by
+  (x, y), points that round alike kept apart in mesh order.
 """
 
 from __future__ import annotations
@@ -237,21 +239,6 @@ def _generation_starts(level: int) -> tuple[int, ...]:
     return tuple((3 ** g - 1) // 2 for g in range(level + 2))
 
 
-_LETTER_DIGITS = str.maketrans("123", "012")
-
-
-def _check_word(word: str) -> str:
-    # the letter check comes first: int() would also take blanks, "_" and signs
-    if not isinstance(word, str) or word.strip("123"):
-        raise GasketError(f"cell address {word!r} is not a word over 1, 2, 3")
-    return word
-
-
-def cell_index(word: str) -> int:
-    """Mesh row of the cell addressed by ``word`` (base-3 numeral)."""
-    return int(_check_word(word).translate(_LETTER_DIGITS), 3) if word else 0
-
-
 # ---------------------------------------------------------------------------
 # Edge lists and models
 # ---------------------------------------------------------------------------
@@ -404,6 +391,12 @@ def _level_words(level: int) -> tuple[str, ...]:
     return tuple(w + c for w in _level_words(level - 1) for c in "123")
 
 
+def _run_kinds(runs: Sequence[tuple[str, int]]) -> tuple[str, ...]:
+    """The kind column of ``runs``, 3^(gen+1) edges per ``(kind, gen)``."""
+    # tuple sums: a single run's tuple is used as it is, never copied
+    return sum(((kind,) * 3 ** (gen + 1) for kind, gen in runs), ())
+
+
 def _edge_table(points: np.ndarray, ends: np.ndarray,
                 runs: Sequence[tuple[str, int]],
                 bounds: Optional[tuple[np.ndarray, np.ndarray]] = None) -> EdgeTable:
@@ -419,11 +412,9 @@ def _edge_table(points: np.ndarray, ends: np.ndarray,
     sizes = [3 ** (gen + 1) for _, gen in runs]
     p = points[ends[:, 0]]
     q = points[ends[:, 1]]
-    # tuple sums: a single run's tuple is used as it is, never copied
-    kinds = sum(((kind,) * size for (kind, _), size in zip(runs, sizes)), ())
     words = sum((_level_words(gen) for _, gen in runs), ())
     lo, hi = (None, None) if bounds is None else bounds
-    return EdgeTable(np.arange(len(ends)), kinds,
+    return EdgeTable(np.arange(len(ends)), _run_kinds(runs),
                      np.repeat([gen for _, gen in runs], sizes), p, q,
                      np.hypot(*(q - p).T) if bounds is None else lo,
                      chain.from_iterable(zip(words, words, words)), lo, hi)
@@ -432,6 +423,19 @@ def _edge_table(points: np.ndarray, ends: np.ndarray,
 def _triangle_ends(cells: np.ndarray) -> np.ndarray:
     """Endpoint ids of every cell's triangle edges, (3C, 2), word-major."""
     return cells[:, TRIANGLE_EDGE_CORNERS].reshape(-1, 2)
+
+
+def _mesh_edges(variant: str, level: int, alpha: Optional[float]):
+    """An sg or stretched build's finest mesh points, the mesh ids of each
+    edge's two ends (E, 2) in model edge order, and its ``(kind, gen)`` runs."""
+    if variant == "sg":
+        mesh = sg_hierarchy(level)[level]
+        return mesh.points, _triangle_ends(mesh.cells), [("sg-triangle", level)]
+    meshes, joins = stretched_hierarchy(level, alpha)
+    ends = np.concatenate([j.reshape(-1, 2) for j in joins]
+                          + [_triangle_ends(meshes[level].cells)])
+    runs = [("stretched-joining", m) for m in range(level)] + [("stretched-triangle", level)]
+    return meshes[level].points, ends, runs
 
 
 def build_model(
@@ -459,34 +463,34 @@ def build_model(
 
         return harmonic.build_harmonic_model(level, depth=harmonic_depth)
 
-    if variant == "sg":
-        mesh = sg_hierarchy(level)[level]
-        return GasketModel("sg", None, level, _edge_table(
-            mesh.points, _triangle_ends(mesh.cells), [("sg-triangle", level)]))
-
-    meshes, joins = stretched_hierarchy(level, alpha)
-    ends = np.concatenate([j.reshape(-1, 2) for j in joins]
-                          + [_triangle_ends(meshes[level].cells)])
-    runs = [("stretched-joining", m) for m in range(level)] + [("stretched-triangle", level)]
-    return GasketModel("stretched", alpha, level,
-                       _edge_table(meshes[level].points, ends, runs))
+    return GasketModel(variant, alpha, level,
+                       _edge_table(*_mesh_edges(variant, level, alpha)))
 
 
-def _endpoint_nodes(model: GasketModel):
-    """Deduplicated edge endpoints and the node id of every endpoint.
+def _mesh_graph(model: GasketModel):
+    """``(nodes, arc_u, arc_v)`` of an sg or stretched model: node
+    coordinates and the node ids of each edge's two ends, read off the
+    mesh of its build.
 
-    Nodes are the endpoints rounded at 12 decimals, which merges
-    coincident endpoints at double precision, and sorted
-    lexicographically (x, then y); ``inverse[i]`` is the node of the p end
-    of edge i and ``inverse[m + i]`` that of its q end, m = edge count.
-    Same output as ``np.unique(..., axis=0, return_inverse=True)``, from a
-    column-wise ``np.lexsort`` instead of its much slower row sort.
+    Nodes are the N mesh points rounded at 12 decimals and sorted by
+    (x, y); ``np.lexsort`` is stable, so points that round alike stay
+    distinct nodes, in mesh order.  Refuses (``GasketError``) a model
+    whose edge count, kinds or endpoints differ from its build's, so the
+    arcs always follow the build's layout.  The arrays are frozen.
     """
-    pts = np.round(np.concatenate([model.edges.p, model.edges.q]), 12)
-    order = np.lexsort(pts.T[::-1])
-    ranked = pts[order]
-    fresh = np.ones(len(pts), dtype=bool)
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=fresh[1:])
-    inverse = np.empty(len(pts), dtype=np.int64)
-    inverse[order] = np.cumsum(fresh) - 1
-    return ranked[fresh], inverse
+    variant, level, edges = model.variant, model.level, model.edges
+    if variant not in ("sg", "stretched"):
+        raise GasketError(f"no mesh graph for variant {variant!r}")
+    if len(edges) != edge_count(variant, level):
+        raise GasketError(f"{variant} level {level} has {edge_count(variant, level)} "
+                          f"edges, the model {len(edges)}")
+    points, ends, runs = _mesh_edges(variant, level, _variant_alpha(variant, model.alpha))
+    if (edges.kind != _run_kinds(runs) or not np.array_equal(edges.p, points[ends[:, 0]])
+            or not np.array_equal(edges.q, points[ends[:, 1]])):
+        raise GasketError(f"the model's edges are not those of its {variant} "
+                          f"level {level} build")
+    rounded = np.round(points, 12)
+    order = np.lexsort(rounded.T[::-1])
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return _frozen(rounded[order]), _frozen(rank[ends[:, 0]]), _frozen(rank[ends[:, 1]])

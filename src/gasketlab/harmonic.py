@@ -57,13 +57,11 @@ from gasketlab.geometry import (
     GasketModel,
     ResourceCapError,
     TRIANGLE_EDGE_CORNERS,
-    _check_word,
     _edge_table,
     _frozen,
     _generation_starts,
     _stacked_cells,
     _triangle_ends,
-    cell_index,
     edge_cap,
     sg_hierarchy,
 )
@@ -196,7 +194,7 @@ def _require_cap(gen: int, depth: int, samples: int) -> None:
     need = max(3 ** gen, 3 ** depth, samples)
     if need > edge_cap():
         if need > 10 ** 4000:       # int() prints no more than 4,300 digits
-            need = f"3^{max(gen, depth)}"
+            need = "more than 10^4000"
         raise ResourceCapError(
             f"generation {gen} at subdivision depth {depth} needs {need} "
             f"cells or samples, cap is {edge_cap()}"
@@ -313,36 +311,23 @@ def edge_length_tables(max_gen: int, depth: int):
     return tuple((lo[a:b], hi[a:b]) for a, b in zip(starts, starts[1:]))
 
 
-def edge_polylines(words, local_edges, depth: int) -> np.ndarray:
-    """Dyadic sample points of many image edges, (E, 2^k + 1, 3).
+def edge_polylines(level: int, depth: int) -> np.ndarray:
+    """Dyadic sample points of every level-``level`` image edge in model
+    edge order, (3^(level+1), 2^k + 1, 3).
 
-    Edge e is local edge ``local_edges[e]`` (1..3) of the cell whose
-    address is the string ``words[e]``; its points are the base-edge
-    dyadic points carried onto that cell, Phi(f_w y) = sum_j h_j(y)
-    Phi(f_w p_j).
+    Each edge's points are the base-edge dyadic points carried onto its
+    cell, Phi(f_w y) = sum_j h_j(y) Phi(f_w p_j): one ``_on_cells`` batch
+    per local edge.  The samples are held to the edge cap before anything
+    is built.
     """
-    # the letters first, then the cap from the word lengths alone: no word is
-    # read as a numeral before it passes (int() refuses 4,300 digits, int64
-    # overflows past 40)
-    max_gen = max((len(_check_word(w)) for w in words), default=0)
-    local = np.asarray(local_edges, dtype=np.int64) - 1
-    if len(local) != len(words):
-        raise GasketError("one local edge index per word is required")
-    if np.any((local < 0) | (local > 2)):
-        raise GasketError("local edge index must be 1..3")
     npts = 2 ** depth + 1
-    _require_cap(max_gen, depth, len(words) * npts)
-    rows = [cell_index(w) + (3 ** len(w) - 1) // 2 for w in words]
-    stack = _stacked_cells(sg_hierarchy(max_gen))
-    corners = phi_coordinates(max_gen)[stack[np.array(rows, dtype=np.int64)]]
-    out = np.empty((len(rows), npts, 3))
-    for idx, (i, j) in enumerate(TRIANGLE_EDGE_CORNERS):
-        sel = np.flatnonzero(local == idx)
-        if len(sel):
-            w = _dyadic_weights(i, j, depth)
-            pts_w = np.concatenate([w[:, i], w[-1:, j]])
-            out[sel] = _on_cells(pts_w, corners[sel])
-    return out
+    _require_cap(level, depth, 3 ** (level + 1) * npts)
+    corners = phi_coordinates(level)[sg_hierarchy(level)[level].cells]
+    out = np.empty((len(corners), 3, npts, 3))
+    for local, (i, j) in enumerate(TRIANGLE_EDGE_CORNERS):
+        w = _dyadic_weights(i, j, depth)
+        out[:, local] = _on_cells(np.concatenate([w[:, i], w[-1:, j]]), corners)
+    return out.reshape(-1, npts, 3)
 
 
 def gasket_diameter() -> float:

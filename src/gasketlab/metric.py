@@ -12,7 +12,8 @@ minimal paths: interior points of joining segments split the segment
 exactly; interior points of finest triangle edges are snapped to the
 nearest node and the finest edge length is reported as the error bar.
 
-On graphs in ``build_model``'s layout, exact corner distances of every
+Nodes are the vertices of the model's build mesh, so every graph
+follows ``build_model``'s layout, and exact corner distances of every
 cell give each geodesic the corridor of nodes on its near-shortest
 paths.  A corridor that is a single path (nearly every stretched
 geodesic) is summed in one array pass; a corridor holding tied paths
@@ -31,8 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from gasketlab.geometry import (GasketError, GasketModel, _endpoint_nodes,
-                                _generation_starts)
+from gasketlab.geometry import GasketError, GasketModel, _generation_starts, _mesh_graph
 
 SNAP_TOL = 1e-9
 WITNESS_TARGETS = 20        # chains one witness check walks
@@ -45,8 +45,9 @@ _CORRIDOR_SLACK = 1.0 + 1e-9
 class MetricGraph:
     """Immutable weighted graph held in arrays.
 
-    ``nodes`` are sorted lexicographically by coordinates.  Arc i joins
-    ``arc_u[i]`` and ``arc_v[i]`` with weight ``arc_w[i]`` and kind
+    ``nodes`` are the build's mesh points rounded at 12 decimals, sorted
+    lexicographically by coordinates (``geometry._mesh_graph``).  Arc i
+    joins ``arc_u[i]`` and ``arc_v[i]`` with weight ``arc_w[i]`` and kind
     ``arc_kind[i]``, in model edge order.  The cached properties below
     (the ``arcs`` tuple view, the sorted x column, the arc boxes sorted
     by x-min, the padded ``arc_rows`` that sort every node's arcs once,
@@ -128,47 +129,18 @@ class MetricGraph:
         return bool((self.arc_w > 0).all())
 
     @cached_property
-    def corner_tables(self) -> Optional[_CornerTables]:
-        """Exact corner distances of every cell, or None when the arcs do
-        not follow the layout ``build_model`` gives sg and stretched models."""
+    def corner_tables(self) -> _CornerTables:
+        """Exact corner distances of every cell."""
         return _corner_tables(self)
 
 
-def _is_connected(n: int, u: np.ndarray, v: np.ndarray) -> bool:
-    """Connectivity by label hooking and pointer jumping.
-
-    Each round hooks the larger root of every arc whose ends disagree onto
-    the smaller, then compresses labels to roots; every round removes a
-    root, so the loop ends.  Node ids sorted by coordinates make gasket
-    graphs settle in one round of about L pointer jumps.
-    """
-    label = np.arange(n)
-    while True:
-        lu, lv = label[u], label[v]
-        split = lu != lv
-        if not split.any():
-            return bool((label == label[0]).all())
-        np.minimum.at(label, np.maximum(lu, lv)[split], np.minimum(lu, lv)[split])
-        while True:
-            up = label[label]
-            if np.array_equal(up, label):
-                break
-            label = up
-
-
 def _assemble_graph(model: GasketModel) -> MetricGraph:
-    """The graph of a model: nodes from its deduplicated endpoints, arcs
+    """The graph of a model: nodes and arcs from its build's mesh, arcs
     weighted by its (frozen) length column."""
-    nodes, inverse = _endpoint_nodes(model)
-    m = len(model.edges)
-    arc_u, arc_v = inverse[:m], inverse[m:]
-    # connectivity guard: a correct construction is always connected
-    if not _is_connected(len(nodes), arc_u, arc_v):
-        raise GasketError("metric graph is disconnected (construction bug)")
-    for arr in (nodes, arc_u, arc_v):
-        arr.flags.writeable = False
-    return MetricGraph(model.level, nodes, arc_u, arc_v, model.edges.length,
-                       model.edges.kind)
+    lengths = model.edges.length
+    if not (lengths >= 0).all():
+        raise GasketError("edge lengths must be non-negative numbers")
+    return MetricGraph(model.level, *_mesh_graph(model), lengths, model.edges.kind)
 
 
 @lru_cache(maxsize=16)
@@ -177,7 +149,12 @@ def _graph_of_model(model: GasketModel) -> MetricGraph:
 
 
 def to_metric_graph(model: GasketModel) -> MetricGraph:
-    """Metric graph of a built model, at its level."""
+    """Metric graph of a built model, at its level.
+
+    Refuses (``GasketError``) a harmonic model, one whose edge count,
+    kinds or endpoints differ from its build's, and a negative or NaN
+    length.
+    """
     if model.variant == "harmonic":
         raise GasketError("geodesics on the harmonic gasket are out of scope")
     return _graph_of_model(model)
@@ -205,8 +182,7 @@ def _dijkstra(graph: MetricGraph, source: int,
     instead (``_corridor_path``), to the same bits.  Unrestricted, it
     takes O((n + m) log n) interpreted steps, 25-40 ms on the level-8
     stretched graph (19,683 nodes) on a 2-vCPU x86 VM, and serves only
-    where an arc off ``build_model``'s layout rules out the corner tables,
-    or for the witness chains of a graph with a zero-length arc.  Returns
+    the witness chains of a graph with a zero-length arc.  Returns
     the ``(dist, pred)`` dicts; dist is inf on allowed nodes not reached.
     """
     (heads, weights), n = graph.arc_rows, graph.node_count
@@ -380,14 +356,11 @@ class _CornerTables:
         return nodes[order], dist[order]
 
 
-def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
-    """Corner tables of a graph whose arcs follow ``build_model``'s layout.
-
-    The layout is checked in full: arc kinds and counts, each level-L
-    cell's triangle closing on its three corners, each joining arc (or, on
-    sg, each shared midpoint) on the corners it joins, and a node count
-    that leaves no further coincidences.  Otherwise, or with a negative or
-    NaN weight, returns None.  The tables take their weights from the
+def _corner_tables(graph: MetricGraph) -> _CornerTables:
+    """Corner tables of a graph in ``build_model``'s layout, which
+    ``to_metric_graph`` guarantees: generation by generation the joining
+    arcs (stretched), three per cell in the order of ``_JOINS``, then
+    each level-L cell's triangle.  The tables take their weights from the
     arcs, so they stay exact for any non-negative lengths.
 
     Bottom-up, each cell's inside table is the min-plus closure of its
@@ -398,43 +371,20 @@ def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
     """
     level, weights = graph.level, graph.arc_w
     starts = _generation_starts(level)
-    triangles = 3 ** (level + 1)
-    joins = len(weights) - triangles
-    if graph.arc_kind == ("sg-triangle",) * triangles:
-        nodes = (triangles + 3) // 2
-    elif graph.arc_kind == (("stretched-joining",) * (3 * starts[level])
-                            + ("stretched-triangle",) * triangles):
-        nodes = triangles
-    else:
-        return None
-    if graph.node_count != nodes or not (weights >= 0).all():
-        return None
+    joins = len(weights) - 3 ** (level + 1)
     # triangle arcs of each cell run corner 1 -> 3 -> 2 -> 1
-    tail = graph.arc_u[joins:].reshape(-1, 3)
-    if not np.array_equal(graph.arc_v[joins:].reshape(-1, 3), tail[:, [1, 2, 0]]):
-        return None
-    corners = tail[:, [0, 2, 1]]
+    corners = graph.arc_u[joins:].reshape(-1, 3)[:, [0, 2, 1]]
     sides = weights[joins:].reshape(-1, 3)
-    inside = np.zeros((len(tail), 3, 3))
+    inside = np.zeros((len(corners), 3, 3))
     inside[:, [0, 2, 1], [2, 1, 0]] = inside[:, [2, 1, 0], [0, 2, 1]] = sides
     _close(inside, range(3))
 
     nine = []
-    ends = corners                     # corner nodes of the level-(k+1) cells
     for k in reversed(range(level)):
         cells = 3 ** k
-        ids = ends.reshape(cells, 9)
-        a, b = ids[:, _JOINS[:, 0]], ids[:, _JOINS[:, 1]]
-        if joins:
-            arcs = slice(3 * starts[k], 3 * starts[k + 1])   # generation k's joining arcs
-            if not (np.array_equal(graph.arc_u[arcs].reshape(cells, 3), a)
-                    and np.array_equal(graph.arc_v[arcs].reshape(cells, 3), b)):
-                return None
-            bridge = weights[arcs].reshape(cells, 3)
-        elif np.array_equal(a, b):
-            bridge = np.zeros((cells, 3))
-        else:
-            return None
+        # generation k's joining arcs; on sg each join is one shared midpoint
+        bridge = (weights[3 * starts[k]:3 * starts[k + 1]].reshape(cells, 3) if joins
+                  else np.zeros((cells, 3)))
         table = np.full((cells, 9, 9), np.inf)
         blocks = table.reshape(cells, 3, 3, 3, 3)
         children = inside.reshape(cells, 3, 3, 3)
@@ -444,7 +394,6 @@ def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
         _close(table, range(9))
         nine.append(table)
         inside = table[:, _OWN[:, None], _OWN]
-        ends = np.diagonal(ends.reshape(cells, 3, 3), axis1=1, axis2=2)
     nine.reverse()
 
     outside = inside                   # the root's inside distances are global
@@ -463,21 +412,16 @@ def _corner_tables(graph: MetricGraph) -> Optional[_CornerTables]:
 def distance_field(graph: MetricGraph, source: int) -> np.ndarray:
     """Graph distance from one node to every node.
 
-    On a graph in ``build_model``'s layout this is one numpy pass over the
-    graph's ``corner_tables`` (built once per graph, on first use): up the
-    source's cell address, then the unbounded descent that geodesics bound
-    to their corridor, one min-plus step per level for all cells, reading
-    each level's tables as they are.  It takes O(N) array work, about
-    0.7 ms on the level-8 stretched graph (19,683 nodes) on a 2-vCPU x86
-    VM after the tables' one-off 15-20 ms, and agrees with the heap
-    Dijkstra to a few ulps.  Any other graph runs the exhaustive
-    ``_dijkstra`` once and converts its dict.
+    One numpy pass over the graph's ``corner_tables`` (built once per
+    graph, on first use): up the source's cell address, then the unbounded
+    descent that geodesics bound to their corridor, one min-plus step per
+    level for all cells, reading each level's tables as they are.  It
+    takes O(N) array work, about 0.7 ms on the level-8 stretched graph
+    (19,683 nodes) on a 2-vCPU x86 VM after the tables' one-off 15-20 ms,
+    and agrees with the heap Dijkstra to a few ulps.
     """
     _check_node(graph, source, "source")
     tables = graph.corner_tables
-    if tables is None:
-        dist = _dijkstra(graph, source)[0]
-        return np.array([dist[v] for v in range(graph.node_count)])
     field = np.empty(graph.node_count)
     field[tables.corners] = tables.field(tables.chain(_Endpoint(source, 0.0)))
     return field
@@ -588,22 +532,21 @@ def geodesic(model: GasketModel, p, q) -> GeodesicResult:
     carry the finest edge length as error bar.
 
     Cost: locating a point bisects the sorted node x coordinates and
-    projects onto the arcs whose boxes hold it.  On a graph in
-    ``build_model``'s layout the corner tables (``corner_tables``, built
-    once per graph on first use) then give d(p, q) and the corridor of
-    nodes v with d(p, v) + d(v, q) within 1e-9 of it, in O(L) numpy steps
-    per cell near the shortest paths: a few hundred of the 19,683 nodes
-    of the level-8 stretched graph.  Every node of a path within rounding
-    of the optimum lies in the corridor, and so does every neighbour that
-    ties for its predecessor.  When the corridor is one path, ordered by
-    d(p, .), its steps' weights are summed by ``np.cumsum``
-    (``_corridor_path``), about 0.7 ms per geodesic on a 2-vCPU x86 VM;
-    otherwise the heap search runs over the corridor only, its state in
-    dicts over the corridor.  Both read the arcs a virtual end adds from
-    one overlay, ``{(a, b): weight}`` in both directions, which the heap
-    reads after a node's ``arc_rows`` row.  Either way distances and
-    paths are those of the unrestricted (distance, node)-heap Dijkstra,
-    bit for bit.  Any other graph runs that full search.
+    projects onto the arcs whose boxes hold it.  The corner tables
+    (``corner_tables``, built once per graph on first use) then give
+    d(p, q) and the corridor of nodes v with d(p, v) + d(v, q) within 1e-9
+    of it, in O(L) numpy steps per cell near the shortest paths: a few
+    hundred of the 19,683 nodes of the level-8 stretched graph.  Every
+    node of a path within rounding of the optimum lies in the corridor,
+    and so does every neighbour that ties for its predecessor.  When the
+    corridor is one path, ordered by d(p, .), its steps' weights are
+    summed by ``np.cumsum`` (``_corridor_path``), about 0.7 ms per
+    geodesic on a 2-vCPU x86 VM; otherwise the heap search runs over the
+    corridor only, its state in dicts over the corridor.  Both read the
+    arcs a virtual end adds from one overlay, ``{(a, b): weight}`` in both
+    directions, which the heap reads after a node's ``arc_rows`` row.
+    Either way distances and paths are those of the unrestricted
+    (distance, node)-heap Dijkstra, bit for bit.
     """
     graph = to_metric_graph(model)
     n = graph.node_count
@@ -622,18 +565,14 @@ def geodesic(model: GasketModel, p, q) -> GeodesicResult:
         overlay[src.node, dst.node] = overlay[dst.node, src.node] = direct
     error_bar = src.snap_error + dst.snap_error
 
-    tables, allowed = graph.corner_tables, None
-    if tables is not None:
-        nodes, near = tables.corridor(src, dst, direct)
-        walk = _corridor_path(graph, src, dst, overlay, nodes, near)
-        if walk is not None:
-            return GeodesicResult(*walk, graph.level, error_bar)
-        allowed = set(nodes.tolist()) | {n, n + 1}
-
-    dist, pred = _dijkstra(graph, src.node, overlay, allowed)
+    nodes, near = graph.corner_tables.corridor(src, dst, direct)
+    walk = _corridor_path(graph, src, dst, overlay, nodes, near)
+    if walk is not None:
+        return GeodesicResult(*walk, graph.level, error_bar)
+    dist, pred = _dijkstra(graph, src.node, overlay, set(nodes.tolist()) | {n, n + 1})
     d = dist[dst.node]
     if math.isinf(d):
-        raise GasketError("endpoints are not connected (construction bug)")
+        raise GasketError("the endpoints are at infinite distance")
     path = [dst.node]
     while path[-1] != src.node:
         path.append(pred[path[-1]])

@@ -44,10 +44,7 @@ def _model_segments(model: GasketModel) -> np.ndarray:
         return np.stack([edges.p, edges.q], axis=1)
     from gasketlab import harmonic
 
-    # harmonic models enumerate edges word-major, so id mod 3 is the
-    # local edge index
-    pts = harmonic.edge_polylines(edges.word, edges.id % 3 + 1, _POLYLINE_DEPTH)
-    return _project_plane(pts)
+    return _project_plane(harmonic.edge_polylines(model.level, _POLYLINE_DEPTH))
 
 
 def _blocks(model: GasketModel) -> Iterator[str]:

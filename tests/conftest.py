@@ -24,6 +24,28 @@ def index_word(level: int, index: int) -> str:
     return "".join(str(index // 3 ** k % 3 + 1) for k in reversed(range(level)))
 
 
+def cell_index(word: str) -> int:
+    """Mesh row of the cell addressed by ``word``: its base-3 numeral, digits less one."""
+    return int(word.translate(str.maketrans("123", "012")), 3) if word else 0
+
+
+def endpoint_nodes(model):
+    """Nodes and node ids by rounding all 2E edge endpoints at 12 decimals:
+    the deduplicated rounded endpoints sorted by (x, y), and the node of
+    the p end of edge i at ``inverse[i]``, of its q end at ``inverse[E + i]``.
+    Same output as ``np.unique(..., axis=0, return_inverse=True)``.  The
+    reference for the mesh numbering of metric graphs wherever no two
+    vertices round alike; it merges those that do."""
+    pts = np.round(np.concatenate([model.edges.p, model.edges.q]), 12)
+    order = np.lexsort(pts.T[::-1])
+    ranked = pts[order]
+    fresh = np.ones(len(pts), dtype=bool)
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=fresh[1:])
+    inverse = np.empty(len(pts), dtype=np.int64)
+    inverse[order] = np.cumsum(fresh) - 1
+    return ranked[fresh], inverse
+
+
 def vertex_rows(points, level: int) -> np.ndarray:
     """Level-n vertex ids of ``points``, each matched to its mesh point."""
     mesh = sg_hierarchy(level)[level].points

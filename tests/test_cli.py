@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import edited_model, rows_table
+from conftest import cell_index, edited_model, rows_table
 
 import gasketlab as gl
 from gasketlab.cli import main
@@ -22,7 +22,6 @@ from gasketlab.geometry import (
     TRIANGLE_EDGE_CORNERS,
     GasketError,
     GasketModel,
-    cell_index,
     edge_count,
     sg_hierarchy,
 )

@@ -1,7 +1,6 @@
 """Contraction maps, words, model construction, vertex sets."""
 
 import math
-import re
 from functools import partial
 
 import numpy as np
@@ -10,6 +9,9 @@ from conftest import (
     FIXED_POINTS,
     SQ3,
     apply_word,
+    cell_index,
+    edited_model,
+    endpoint_nodes,
     generators,
     index_word,
     oracle_hierarchy,
@@ -25,18 +27,17 @@ from gasketlab.geometry import (
     CORNERS,
     TRIANGLE_EDGE_CORNERS,
     EdgeCurve,
-    EdgeTable,
     GasketError,
     GasketModel,
     ResourceCapError,
-    cell_index,
     contractions,
-    _endpoint_nodes,
+    _mesh_graph,
     edge_count,
     sg_hierarchy,
     stretched_hierarchy,
 )
-from gasketlab.serialize import model_to_json
+from gasketlab.metric import to_metric_graph
+from gasketlab.serialize import model_from_json, model_to_json
 from gasketlab.svg import render_svg
 
 P = dict(enumerate(FIXED_POINTS, start=1))
@@ -111,22 +112,17 @@ def test_compose_matches_sequential_application():
 
 
 def test_word_validation():
-    # an address is a str over the letters 1, 2, 3; int() alone would take
-    # " 1", "1_2" and "+1" as base-3 numerals
-    e = gl.build_model("harmonic", 1, harmonic_depth=2).edges
+    # addresses are never read as numerals: a document with a word that is
+    # not over 1, 2, 3 fails its byte check, and a harmonic model's SVG is
+    # drawn from its level, whatever its words
+    model = gl.build_model("harmonic", 1, harmonic_depth=2)
+    text, svg = model_to_json(model), render_svg(model)
     for word in ("4", "10", "x", " 1", "1_2", "+1"):
-        message = f"cell address {word!r} is not a word over 1, 2, 3"
-        with pytest.raises(GasketError, match=re.escape(message)):
-            cell_index(word)
-        with pytest.raises(GasketError, match=re.escape(message)):
-            harmonic.edge_polylines(["1", word], [1, 2], 2)
-        words = e.word[:4] + (word,) + e.word[5:]
-        bad = EdgeTable(e.id, e.kind, e.gen, e.p, e.q, e.length, words,
-                        e.length_lo, e.length_hi)
-        with pytest.raises(GasketError, match=re.escape(message)):
-            render_svg(GasketModel("harmonic", None, 1, bad))
-    with pytest.raises(GasketError, match=re.escape("cell address (1, 2) is not a word")):
-        cell_index((1, 2))      # the tuple form is gone
+        with pytest.raises(GasketError, match="its bytes differ"):
+            model_from_json(text.replace('"word": "1"', f'"word": "{word}"', 1))
+        edited = edited_model(model, lambda columns: columns["word"].__setitem__(4, word))
+        assert edited.edges.word[4] == word
+        assert render_svg(edited) == svg
     assert [cell_index(w) for w in ("", "1", "3", "21", "132")] == [0, 0, 2, 3, 7]
 
 
@@ -180,24 +176,42 @@ def test_edge_lengths_follow_generation():
 
 
 def test_sg_vertex_counts():
-    assert len(_endpoint_nodes(gl.build_model("sg", 0))[0]) == 3
-    assert len(_endpoint_nodes(gl.build_model("sg", 1))[0]) == 6
+    assert to_metric_graph(gl.build_model("sg", 0)).node_count == 3
+    assert to_metric_graph(gl.build_model("sg", 1)).node_count == 6
     for n in range(1, 5):
         expected = 3 * (3 ** n + 1) // 2
-        assert len(_endpoint_nodes(gl.build_model("sg", n))[0]) == expected
+        assert to_metric_graph(gl.build_model("sg", n)).node_count == expected
+        assert len(endpoint_nodes(gl.build_model("sg", n))[0]) == expected
 
 
 @pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.2)])
 def test_endpoint_nodes_match_row_unique(variant, alpha):
-    # the lexsort dedup must reproduce np.unique's rows and ids bit for bit
+    # the reference's lexsort dedup must reproduce np.unique's rows and ids
+    # bit for bit
     for level in range(9):
         model = gl.build_model(variant, level, alpha)
         pts = np.array([e.p for e in model.edges] + [e.q for e in model.edges])
         ref, ref_ids = np.unique(np.round(pts, 12), axis=0, return_inverse=True)
-        nodes, ids = _endpoint_nodes(model)
+        nodes, ids = endpoint_nodes(model)
         assert nodes.dtype == ref.dtype and nodes.shape == ref.shape
         assert nodes.tobytes() == ref.tobytes()
         np.testing.assert_array_equal(ids, ref_ids.reshape(-1))
+
+
+@pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 1e-9),
+                                           ("stretched", 0.05), ("stretched", 0.2),
+                                           ("stretched", 0.3)])
+def test_mesh_numbering_is_the_endpoint_rounding_bit_for_bit(variant, alpha):
+    # numbering the N mesh points gives the nodes and arc ends that rounding
+    # all 2E endpoints gave, wherever no two vertices round alike
+    for level in range(9):
+        model = gl.build_model(variant, level, alpha)
+        nodes, arc_u, arc_v = _mesh_graph(model)
+        ref, ids = endpoint_nodes(model)
+        assert nodes.dtype == ref.dtype and nodes.tobytes() == ref.tobytes()
+        assert arc_u.dtype == arc_v.dtype == ids.dtype
+        assert arc_u.tobytes() + arc_v.tobytes() == ids.tobytes()
+        assert not any(a.flags.writeable for a in (nodes, arc_u, arc_v))
 
 
 def test_model_hash_is_cached_and_not_pickled():
@@ -221,7 +235,7 @@ def test_stretched_vertices_match_enumeration_oracle():
         word = tuple(int(c) + 1 for c in w)
         img = apply_word("stretched", word, CORNERS, alpha)
         seen.update(tuple(np.round(p, 12)) for p in img)
-    nodes = _endpoint_nodes(gl.build_model("stretched", n, alpha))[0]
+    nodes = to_metric_graph(gl.build_model("stretched", n, alpha)).nodes
     model_pts = {tuple(p) for p in nodes}
     assert model_pts == seen
     assert len(seen) == 3 ** (n + 1)

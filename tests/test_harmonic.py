@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import (
     apply_word,
+    cell_index,
     dense_minimum_energy_extension,
     edited_model,
     energy,
@@ -30,7 +31,6 @@ from gasketlab.geometry import (
     ResourceCapError,
     _generation_starts,
     _stacked_cells,
-    cell_index,
     contractions,
     sg_hierarchy,
 )
@@ -251,7 +251,7 @@ def test_polyline_length_monotone_in_depth():
 
 def edge_polyline(word, local_edge, depth):
     """Dyadic sample points of one image edge, (2^k + 1, 3)."""
-    return harmonic.edge_polylines([word], [local_edge], depth)[0]
+    return harmonic.edge_polylines(len(word), depth)[3 * cell_index(word) + local_edge - 1]
 
 
 def test_edge_polyline_endpoints():
@@ -486,8 +486,9 @@ def test_length_tables_cap_counts_segments_before_building(monkeypatch):
     monkeypatch.setenv("GASKET_MAX_EDGES", str(3 ** 3 * 2 ** 2))
     lo, hi = build(2, 2)[2]
     assert lo.shape == hi.shape == (27,)
-    # 21 polylines of 2^2 + 1 points fit in 108 samples, 22 do not
-    assert harmonic.edge_polylines([""] * 21, [1] * 21, 2).shape == (21, 5, 3)
+    # the 9 level-1 polylines of 2^2 + 1 points fit in 108 samples, the
+    # 27 of level 2 do not
+    assert harmonic.edge_polylines(1, 2).shape == (9, 5, 3)
 
     def refuse(level):
         raise AssertionError(f"level {level} requested past the cap")
@@ -499,48 +500,40 @@ def test_length_tables_cap_counts_segments_before_building(monkeypatch):
         with pytest.raises(ResourceCapError):
             build(max_gen, depth)
     with pytest.raises(ResourceCapError):
-        harmonic.edge_polylines([""] * 22, [1] * 22, 2)
+        harmonic.edge_polylines(2, 2)
 
 
 def test_long_words_are_refused_by_the_cap_whatever_their_index():
-    # "3" * 41 addresses row 3^41 - 1, past int64: the index must not
-    # become an array before the cap has refused generation 41
-    messages = set()
-    for word in ("1" * 41, "3" * 41):
-        with pytest.raises(ResourceCapError) as err:
-            harmonic.edge_polylines([word], [1], 2)
-        messages.add(str(err.value))
-    assert len(messages) == 1
-    with pytest.raises(GasketError, match="is not a word over 1, 2, 3"):
-        harmonic.edge_polylines(["3" * 40 + "4"], [1], 2)
+    # generation 41's rows pass int64: the cap refuses the level before any
+    # index is made.  A model's words are never read as numerals: an edited
+    # document fails its byte check, and the SVG is drawn from the level
+    with pytest.raises(ResourceCapError, match="^generation 41 at subdivision depth 2"):
+        harmonic.edge_polylines(41, 2)
     model = gl.build_model("harmonic", 1, harmonic_depth=2)
     text = model_to_json(model)
     with pytest.raises(GasketError, match="its bytes differ"):
         model_from_json(text.replace('"word": "1"', '"word": "' + "3" * 41 + '"', 1))
     edited = edited_model(model, lambda columns: columns["word"].__setitem__(0, "3" * 41))
     assert edited.edges.word[0] == "3" * 41
-    with pytest.raises(GasketError):
-        render_svg(edited)
+    assert render_svg(edited) == render_svg(model)
 
 
 @pytest.mark.parametrize("length", [5000, 10000])
 def test_words_past_int_digit_limit_are_refused_by_the_cap(length):
-    # int(word, 3) refuses numerals past 4,300 digits: a 5,000-letter word
-    # raised a bare ValueError before the cap was checked, and past 9,000
-    # letters the cap's own count no longer printed as a decimal
+    # int(word, 3) refuses numerals past 4,300 digits, and past 10^4000 the
+    # cap's own count no longer prints as a decimal: a level is refused by
+    # the cap with a count it can print, and a word is never a numeral
     with pytest.raises(ResourceCapError, match=f"^generation {length} at subdivision depth 2"):
-        harmonic.edge_polylines(["1" * length], [1], 2)
-    # the letter check still comes first, whatever the length
-    with pytest.raises(GasketError, match="is not a word over 1, 2, 3"):
-        harmonic.edge_polylines(["1" * length + "4"], [1], 2)
+        harmonic.edge_polylines(length, 2)
+    with pytest.raises(ResourceCapError, match=r"needs more than 10\^4000 cells or samples"):
+        harmonic.edge_polylines(10000, 2)
     model = gl.build_model("harmonic", 1, harmonic_depth=2)
     text = model_to_json(model)
     with pytest.raises(GasketError, match="its bytes differ"):
         model_from_json(text.replace('"word": "1"', '"word": "' + "1" * length + '"', 1))
     edited = edited_model(model, lambda columns: columns["word"].__setitem__(0, "1" * length))
     assert edited.edges.word[0] == "1" * length
-    with pytest.raises(ResourceCapError):
-        render_svg(edited)
+    assert render_svg(edited) == render_svg(model)
 
 
 def per_generation_polylines(words, local_edges, depth):
@@ -564,27 +557,28 @@ def per_generation_polylines(words, local_edges, depth):
 
 @pytest.mark.parametrize("depth", [1, 3, 5])
 def test_edge_polylines_are_the_per_generation_loop_bit_for_bit(depth):
-    # every edge of generations 0..6, then a shuffled mixed batch
-    words = [index_word(gen, row) for gen in range(7) for row in range(3 ** gen)
-             for _ in range(3)]
-    local = [1, 2, 3] * (len(words) // 3)
-    got = harmonic.edge_polylines(words, local, depth)
-    assert got.tobytes() == per_generation_polylines(words, local, depth).tobytes()
-    order = np.random.default_rng(depth).permutation(len(words))[:200]
-    words, local = [words[k] for k in order], [local[k] for k in order]
-    got = harmonic.edge_polylines(words, local, depth)
-    assert got.tobytes() == per_generation_polylines(words, local, depth).tobytes()
+    # every edge of each level 0..6, in model edge order
+    for level in range(7):
+        words = [index_word(level, row) for row in range(3 ** level) for _ in range(3)]
+        local = [1, 2, 3] * 3 ** level
+        got = harmonic.edge_polylines(level, depth)
+        assert got.tobytes() == per_generation_polylines(words, local, depth).tobytes()
 
 
 def test_edge_polylines_match_one_edge_at_a_time():
-    words = ["", "2", "13", "13", "321"]
-    local = [1, 3, 2, 1, 3]
-    many = harmonic.edge_polylines(words, local, 3)
-    assert many.shape == (5, 9, 3)
-    for k, (w, e) in enumerate(zip(words, local)):
-        np.testing.assert_array_equal(many[k], edge_polyline(w, e, 3))
-    with pytest.raises(GasketError):
-        edge_polyline("1", 4, 2)
+    # each edge's points against the level gen + depth vertex images along
+    # its base edge's dyadic cells
+    depth = 3
+    for level in range(4):
+        many = harmonic.edge_polylines(level, depth)
+        assert many.shape == (3 ** (level + 1), 9, 3)
+        phis = phi_coordinates(level + depth)
+        cells = sg_hierarchy(level + depth)[level + depth].cells
+        for k, pts in enumerate(many):
+            i, j = TRIANGLE_EDGE_CORNERS[k % 3]
+            corners = cells[k // 3 * 3 ** depth + harmonic._dyadic_offsets(i, j, depth)]
+            mesh = np.concatenate([phis[corners[:, i]], phis[corners[-1:, j]]])
+            np.testing.assert_allclose(pts, mesh, rtol=0.0, atol=1e-14)
 
 
 def test_phi_coordinates_cached_and_read_only():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from conftest import edited_model, rows_table
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 import gasketlab as gl
@@ -261,26 +262,12 @@ def test_graph_cache_hits_and_coarse_levels():
     assert coarse is direct                    # equal models share one graph
 
 
-def test_zero_length_edge_does_not_hide_other_arcs():
-    model = gl.build_model("stretched", 1, 0.2)
-    graph = to_metric_graph(model)
-    node = tuple(graph.nodes[0].tolist())
-    stub = EdgeCurve(len(model.edges), "stretched-triangle", 0, node, node, 0.0, "")
-    padded = GasketModel(model.variant, model.alpha, model.level,
-                         rows_table((*model.edges, stub)))
-    arc = next(i for i, a in enumerate(graph.arcs) if a[3] == "stretched-joining")
-    u, v, _, _ = graph.arcs[arc]
-    point = 0.3 * graph.nodes[u] + 0.7 * graph.nodes[v]
-    far = graph.nodes[-1]
-    assert gl.geodesic(padded, point, far) == gl.geodesic(model, point, far)
-
-
 def test_disconnected_construction_is_rejected():
     edges = (
         EdgeCurve(0, "sg-triangle", 0, (0.0, 0.0), (1.0, 0.0), 1.0, ""),
         EdgeCurve(1, "sg-triangle", 0, (5.0, 5.0), (6.0, 5.0), 1.0, ""),
     )
-    with pytest.raises(GasketError):
+    with pytest.raises(GasketError, match="sg level 0 has 3 edges, the model 2"):
         to_metric_graph(GasketModel("sg", None, 0, rows_table(edges)))
 
 
@@ -657,13 +644,15 @@ def test_locate_matches_the_full_scan_near_arcs(level_seven):
 
 def test_locate_breaks_ties_by_the_lower_arc_id():
     # a triangle-kind twin appended to a joining arc is as near to every
-    # point of it: the joining arc, first in arc order, must win
+    # point of it: the joining arc, first in arc order, must win.  A model
+    # with the twin is refused, so the twin goes into the graph's arrays
     model = gl.build_model("stretched", 2, 0.2)
     joining = model.edges[4]
-    twin = dataclasses.replace(joining, id=len(model.edges), kind="stretched-triangle")
-    doubled = GasketModel(model.variant, model.alpha, model.level,
-                          rows_table((*model.edges, twin)))
-    graph = to_metric_graph(doubled)
+    base = to_metric_graph(model)
+    graph = dataclasses.replace(
+        base, arc_u=np.append(base.arc_u, base.arc_u[4]),
+        arc_v=np.append(base.arc_v, base.arc_v[4]), arc_w=np.append(base.arc_w, base.arc_w[4]),
+        arc_kind=(*base.arc_kind, "stretched-triangle"))
     for t in (0.2, 0.5, 0.7):
         x = (1 - t) * np.array(joining.p) + t * np.array(joining.q)
         end = _locate(graph, x, graph.node_count)
@@ -878,31 +867,95 @@ def _swapped_edges(model, i, j):
     return edited_model(model, swap)
 
 
-def _moved_endpoint(model, index, shift):
+def _moved_endpoint(model, index, shift, end="p"):
     def move(columns):
-        columns["p"][index, 0] += shift
+        columns[end][index, 0] += shift
     return edited_model(model, move)
 
 
+def _relabeled(model, index, kind):
+    def relabel(columns):
+        columns["kind"][index] = kind
+    return edited_model(model, relabel)
+
+
+def _padded(model):
+    """``model`` with a zero-length stub edge at its first node appended."""
+    node = tuple(to_metric_graph(model).nodes[0].tolist())
+    stub = EdgeCurve(len(model.edges), model.edges.kind[-1], model.level, node, node, 0.0, "")
+    return GasketModel(model.variant, model.alpha, model.level,
+                       rows_table((*model.edges, stub)))
+
+
 @pytest.mark.parametrize("variant,alpha", [("sg", None), ("stretched", 0.2)])
-def test_off_layout_graphs_fall_back_to_the_heap_search(variant, alpha):
+def test_off_layout_models_are_refused(variant, alpha):
+    # a model is its build: reordered, traded or moved edges, an extra edge,
+    # and a negative or NaN length are refused, not searched another way
     base = gl.build_model(variant, 3, alpha)
     joins = sum(e.kind == "stretched-joining" for e in base.edges)
     broken = [_swapped_edges(base, joins, joins + 1),      # a cell's triangle reordered
               _swapped_edges(base, joins + 2, joins + 5),  # two cells' sides traded
-              _moved_endpoint(base, joins + 4, 1e-3)]      # a corner split in two
+              _moved_endpoint(base, joins + 4, 1e-3),      # a corner split in two
+              _moved_endpoint(base, joins + 6, 1e-15, "q"),  # an end moved by 1e-15
+              _relabeled(base, joins + 3, "stretched-joining"),  # a side called a join
+              _padded(base)]                               # a zero-length stub added
     if joins:
         broken.append(_swapped_edges(base, 3, 5))          # two joining labels traded
-    rng = np.random.default_rng(57)
+        broken.append(_swapped_edges(base, 0, joins))      # a joining and a triangle edge traded
     for model in broken:
-        graph = to_metric_graph(model)
-        assert graph.corner_tables is None
-        _assert_fields_match_heap(graph, _sources(graph))
-        for a, b in rng.integers(0, graph.node_count, size=(10, 2)):
-            _assert_same_geodesic(model, graph.nodes[a], graph.nodes[b])
-        if joins:
-            point = _point_on(graph, int(rng.integers(joins)), 0.3)
-            _assert_same_geodesic(model, point, graph.nodes[rng.integers(graph.node_count)])
+        with pytest.raises(GasketError, match="edges"):
+            to_metric_graph(model)
+        with pytest.raises(GasketError):
+            gl.geodesic(model, (0.0, 0.0), (1.0, 0.0))
+        with pytest.raises(GasketError):
+            gl.lipschitz_witness_check(model, 0)
+    for length in (-1e-300, math.nan):
+        with pytest.raises(GasketError, match="edge lengths must be non-negative"):
+            to_metric_graph(edited_model(base, _length_of(joins + 7, length)))
+    assert to_metric_graph(edited_model(base, _length_of(joins + 7, 0.0))).corner_tables
+
+
+@pytest.mark.parametrize("variant,alpha", VARIANTS + [("stretched", 1e-9), ("stretched", 3e-12)])
+def test_built_graphs_are_connected(variant, alpha):
+    for level in range(7):
+        graph = to_metric_graph(gl.build_model(variant, level, alpha))
+        n = graph.node_count
+        arcs = csr_matrix((np.ones(len(graph.arc_u)), (graph.arc_u, graph.arc_v)), shape=(n, n))
+        assert connected_components(arcs, directed=False)[0] == 1
+
+
+@pytest.mark.parametrize("alpha,level", [(3e-12, 5), (1e-13, 3)])
+def test_tiny_alpha_keeps_every_mesh_vertex(alpha, level):
+    # joining arcs shorter than 1e-12: rounding the edge endpoints merged
+    # their ends, and (0, 0) -> (1, 0) read 0.99999999999550004 and
+    # 0.9999999999996998, below the Euclidean bound of 1
+    model = gl.build_model("stretched", level, alpha)
+    graph = to_metric_graph(model)
+    assert graph.node_count == 3 ** (level + 1)
+    assert graph.corner_tables is not None
+    res = gl.geodesic(model, (0.0, 0.0), (1.0, 0.0))
+    source, target = _node_id(graph, (0.0, 0.0)), _node_id(graph, (1.0, 0.0))
+    assert res.path[0] == source and res.path[-1] == target
+    assert res.distance == _scipy_distances(graph, source)[target] == 1.0
+
+
+def test_zero_length_joining_arcs_match_the_heap_reference():
+    # at alpha = 5e-324 every joining arc has length exactly 0 and its two
+    # ends the same coordinates: they stay two nodes, and geodesics and
+    # witness checks agree with the heap references
+    model = gl.build_model("stretched", 3, 5e-324)
+    graph = to_metric_graph(model)
+    joining = np.array(graph.arc_kind) == "stretched-joining"
+    assert graph.node_count == 81 and not graph.arc_w[joining].any()
+    assert (graph.arc_u != graph.arc_v).all()
+    for p in graph.nodes[::3]:
+        for q in graph.nodes[::2]:
+            _assert_same_geodesic(model, p, q)
+    for q in range(0, graph.node_count, 5):
+        got = gl.lipschitz_witness_check(model, q, seed=q)
+        ref = _heap_witness(model, q, q)
+        assert got.ok
+        assert got == dataclasses.replace(ref, max_arc_violation=got.max_arc_violation)
 
 
 # -- witness check -----------------------------------------------------------
