@@ -262,6 +262,23 @@ def test_graph_cache_hits_and_coarse_levels():
     assert coarse is direct                    # equal models share one graph
 
 
+def test_zero_length_edge_does_not_hide_other_arcs():
+    # a triangle edge at the first node declares length 0: a point on a
+    # joining arc still locates on that arc and its geodesic is the heap's
+    base = gl.build_model("stretched", 1, 0.2)
+    graph = to_metric_graph(base)
+    stub = next(i for i, a in enumerate(graph.arcs)
+                if a[3] == "stretched-triangle" and 0 in a[:2])
+    model = edited_model(base, _length_of(stub, 0.0))
+    assert to_metric_graph(model).arc_w[stub] == 0.0
+    arc = next(i for i, a in enumerate(graph.arcs) if a[3] == "stretched-joining")
+    u, v, _, _ = graph.arcs[arc]
+    point = 0.3 * graph.nodes[u] + 0.7 * graph.nodes[v]
+    far = graph.nodes[-1]
+    _assert_same_geodesic(model, point, far)
+    assert gl.geodesic(model, point, far).path[1] in (u, v)   # leaves by its arc
+
+
 def test_disconnected_construction_is_rejected():
     edges = (
         EdgeCurve(0, "sg-triangle", 0, (0.0, 0.0), (1.0, 0.0), 1.0, ""),
